@@ -395,9 +395,10 @@ func BenchmarkEffectiveWeights(b *testing.B) {
 		b.Fatal(err)
 	}
 	cb.MapWeights(w, p.RminFresh, p.RmaxFresh)
+	dst := tensor.New(128, 64)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cb.EffectiveWeights(); err != nil {
+		if err := cb.ReadWeightsInto(dst); err != nil {
 			b.Fatal(err)
 		}
 	}

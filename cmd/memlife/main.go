@@ -178,7 +178,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs.StringVar(&c.benchOut, "bench-out", "", "bench: write the canonical JSON report to this file (default stdout)")
 	fs.StringVar(&c.benchBaseline, "bench-baseline", "", "bench: compare against this committed baseline report and fail on regression")
 	fs.Float64Var(&c.benchTol, "bench-tol", 4, "bench: allowed ns/op growth factor over the baseline (4 = up to 5x slower; generous because baselines cross machines)")
-	fs.StringVar(&c.cpuProfile, "cpuprofile", "", "bench: write a CPU profile of the kernel runs to this file (pprof format)")
+	fs.StringVar(&c.cpuProfile, "cpuprofile", "", "write a CPU profile of the run to this file (pprof format); covers experiments, campaigns, scenarios and -bench")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -215,9 +215,15 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	// Telemetry spans the whole invocation whatever mode runs below; the
-	// session writes -metrics-out and closes -trace-out/-debug-addr on
-	// the way out (even when the mode fails).
+	// The CPU profile and telemetry span the whole invocation whatever
+	// mode runs below; the telemetry session writes -metrics-out and
+	// closes -trace-out/-debug-addr on the way out (even when the mode
+	// fails).
+	stopProfile, code := startCPUProfile(c.cpuProfile, stderr)
+	if code != 0 {
+		return code
+	}
+	defer stopProfile()
 	tel, code := startTelemetry(c, stderr)
 	if code != 0 {
 		return code
@@ -227,6 +233,33 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		code = tcode
 	}
 	return code
+}
+
+// startCPUProfile starts the -cpuprofile CPU profile (a no-op without
+// the flag) and returns the function that stops it and closes the
+// file. With -bench, a failed gate thereby ships the evidence needed to
+// see where the regression lives (CI uploads the profile as an artifact
+// on failure).
+func startCPUProfile(path string, stderr io.Writer) (stop func(), code int) {
+	if path == "" {
+		return func() {}, 0
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		fmt.Fprintf(stderr, "memlife: %v\n", err)
+		return nil, 1
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		fmt.Fprintf(stderr, "memlife: starting CPU profile: %v\n", err)
+		return nil, 1
+	}
+	return func() {
+		pprof.StopCPUProfile()
+		if err := f.Close(); err != nil {
+			fmt.Fprintf(stderr, "memlife: closing CPU profile: %v\n", err)
+		}
+	}, 0
 }
 
 // dispatch routes the parsed invocation to its mode.
@@ -320,29 +353,9 @@ func runScenario(ctx context.Context, c cliConfig, stdout, stderr io.Writer) int
 
 // runBench runs the registered micro-kernels through the bench harness,
 // writes the canonical JSON report, and optionally gates against a
-// committed baseline (-bench-baseline / -bench-tol). With -cpuprofile
-// the whole kernel sweep runs under the CPU profiler, so a failed gate
-// ships the evidence needed to see where the regression lives (CI
-// uploads the profile as an artifact on failure). See internal/bench.
+// committed baseline (-bench-baseline / -bench-tol). See
+// internal/bench.
 func runBench(c cliConfig, stdout, stderr io.Writer) int {
-	if c.cpuProfile != "" {
-		f, err := os.Create(c.cpuProfile)
-		if err != nil {
-			fmt.Fprintf(stderr, "memlife: %v\n", err)
-			return 1
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			f.Close()
-			fmt.Fprintf(stderr, "memlife: starting CPU profile: %v\n", err)
-			return 1
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			if err := f.Close(); err != nil {
-				fmt.Fprintf(stderr, "memlife: closing CPU profile: %v\n", err)
-			}
-		}()
-	}
 	rep, err := bench.RunAll(time.Now().Format("2006-01-02"))
 	if err != nil {
 		fmt.Fprintf(stderr, "memlife: %v\n", err)

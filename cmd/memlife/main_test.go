@@ -183,6 +183,24 @@ func TestVersionFlag(t *testing.T) {
 	}
 }
 
+// TestCPUProfileOutsideBench: -cpuprofile profiles every mode, not only
+// -bench. An experiment run must leave a non-empty, gzip-framed pprof
+// file behind.
+func TestCPUProfileOutsideBench(t *testing.T) {
+	prof := filepath.Join(t.TempDir(), "p")
+	var stdout, stderr strings.Builder
+	if code := run(context.Background(), []string{"-run", "fig4", "-fast", "-cpuprofile", prof}, &stdout, &stderr); code != 0 {
+		t.Fatalf("fig4 with -cpuprofile exited %d: %s", code, stderr.String())
+	}
+	b, err := os.ReadFile(prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(b) < 2 || b[0] != 0x1f || b[1] != 0x8b {
+		t.Fatalf("profile must be a non-empty gzip stream, got %d bytes starting %x", len(b), b[:min(len(b), 2)])
+	}
+}
+
 // dumpSpec runs -dump-spec with the given extra args and returns stdout.
 func dumpSpec(t *testing.T, extra ...string) string {
 	t.Helper()

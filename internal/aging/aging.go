@@ -177,13 +177,3 @@ func (e Evaluator) Bounds(stress float64) (lo, hi float64) {
 	}
 	return lo, hi
 }
-
-// StressForUpperLoss inverts f: the stress after which the upper bound
-// has lost the given Ohms at temperature tK. Useful for computing
-// expected lifetimes analytically in tests and benches.
-func (m Model) StressForUpperLoss(loss, tK float64) float64 {
-	if loss <= 0 {
-		return 0
-	}
-	return math.Pow(loss/(m.A*m.Accel(tK)), 1/m.M)
-}

@@ -141,20 +141,6 @@ func TestWindowNeverInverts(t *testing.T) {
 	}
 }
 
-func TestStressForUpperLossInverts(t *testing.T) {
-	m := DefaultModel()
-	for _, loss := range []float64{100, 5e3, 4e4} {
-		s := m.StressForUpperLoss(loss, 300)
-		back := m.UpperLoss(s, 300)
-		if math.Abs(back-loss) > 1e-6*loss {
-			t.Fatalf("inversion failed: loss %g -> stress %g -> loss %g", loss, s, back)
-		}
-	}
-	if m.StressForUpperLoss(0, 300) != 0 {
-		t.Fatal("zero loss needs zero stress")
-	}
-}
-
 func TestCalibrationHalfRangeAt100Pulses(t *testing.T) {
 	// DESIGN.md calibration: ~half of the Params32 range gone after
 	// ~100 reference pulses at 300 K.

@@ -70,29 +70,6 @@ func (h Histogram) BinCenter(i int) float64 {
 	return h.Lo + (float64(i)+0.5)*width
 }
 
-// Fractions returns each bin's share of the total count.
-func (h Histogram) Fractions() []float64 {
-	out := make([]float64, len(h.Counts))
-	if h.N == 0 {
-		return out
-	}
-	for i, c := range h.Counts {
-		out[i] = float64(c) / float64(h.N)
-	}
-	return out
-}
-
-// ModeBin returns the index of the fullest bin (first of ties).
-func (h Histogram) ModeBin() int {
-	best, bi := -1, 0
-	for i, c := range h.Counts {
-		if c > best {
-			best, bi = c, i
-		}
-	}
-	return bi
-}
-
 // MassBelow returns the fraction of samples in bins whose center is
 // below x.
 func (h Histogram) MassBelow(x float64) float64 {

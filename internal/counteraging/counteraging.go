@@ -9,23 +9,17 @@
 //   - Series resistor ([11]): a resistor in series with each memristor
 //     suppresses the voltage (and current) across the device during
 //     programming; the divider weakens as the device resistance grows.
-//   - Row swapping ([12]): periodically remap logical matrix rows onto
-//     the physical crossbar rows so lightly-aged rows take over for
-//     heavily-aged ones, equalizing wear across the array.
 //
 // The paper's point is that these techniques either cost extra hardware
-// (series resistors), programming time (pulse shaping) or system
-// complexity (swapping), while the proposed software/hardware
-// co-optimization costs nothing; this package makes that comparison
-// quantitative.
+// (series resistors) or programming time (pulse shaping), while the
+// proposed software/hardware co-optimization costs nothing; this
+// package makes that comparison quantitative.
 package counteraging
 
 import (
 	"fmt"
 	"math"
-	"sort"
 
-	"memlife/internal/crossbar"
 	"memlife/internal/device"
 )
 
@@ -130,117 +124,4 @@ func (p SeriesResistorParams) StressDerating(r float64) float64 {
 	}
 	f := r / (r + p.Rs)
 	return f * f
-}
-
-// RowSwapper implements the structured row-remapping of [12]: logical
-// weight-matrix rows are assigned to physical crossbar rows so the
-// most-stressed physical rows carry the least-demanding logical rows.
-// Swapping costs a full reprogram of the swapped rows, so it is applied
-// periodically rather than continuously.
-type RowSwapper struct {
-	// Perm maps logical row -> physical row.
-	Perm []int
-}
-
-// NewRowSwapper returns the identity assignment for rows rows.
-func NewRowSwapper(rows int) (*RowSwapper, error) {
-	if rows < 1 {
-		return nil, fmt.Errorf("counteraging: need at least one row, got %d", rows)
-	}
-	perm := make([]int, rows)
-	for i := range perm {
-		perm[i] = i
-	}
-	return &RowSwapper{Perm: perm}, nil
-}
-
-// rowStress returns the summed device stress of each physical row.
-func rowStress(cb *crossbar.Crossbar) []float64 {
-	out := make([]float64, cb.Rows)
-	for i := 0; i < cb.Rows; i++ {
-		for j := 0; j < cb.Cols; j++ {
-			out[i] += cb.Device(i, j).Stress()
-		}
-	}
-	return out
-}
-
-// rowDemand estimates how much programming a logical row attracts: the
-// summed distance of its weights from the weight minimum (rows holding
-// large conductances are programmed with more current).
-func rowDemand(w [][]float64) []float64 {
-	out := make([]float64, len(w))
-	for i, row := range w {
-		min := math.Inf(1)
-		for _, v := range row {
-			if v < min {
-				min = v
-			}
-		}
-		for _, v := range row {
-			out[i] += v - min
-		}
-	}
-	return out
-}
-
-// Rebalance reassigns logical rows to physical rows: the logical row
-// with the highest programming demand goes to the physical row with the
-// lowest accumulated stress, and so on. It returns the number of
-// logical rows whose physical assignment changed.
-func (s *RowSwapper) Rebalance(cb *crossbar.Crossbar, weights [][]float64) (int, error) {
-	if len(weights) != len(s.Perm) {
-		return 0, fmt.Errorf("counteraging: %d logical rows vs permutation of %d", len(weights), len(s.Perm))
-	}
-	stress := rowStress(cb)
-	demand := rowDemand(weights)
-
-	physByStress := make([]int, cb.Rows)
-	for i := range physByStress {
-		physByStress[i] = i
-	}
-	sort.Slice(physByStress, func(a, b int) bool {
-		return stress[physByStress[a]] < stress[physByStress[b]]
-	})
-	logByDemand := make([]int, len(weights))
-	for i := range logByDemand {
-		logByDemand[i] = i
-	}
-	sort.Slice(logByDemand, func(a, b int) bool {
-		return demand[logByDemand[a]] > demand[logByDemand[b]]
-	})
-
-	changed := 0
-	newPerm := make([]int, len(s.Perm))
-	for k, logical := range logByDemand {
-		phys := physByStress[k]
-		newPerm[logical] = phys
-		if s.Perm[logical] != phys {
-			changed++
-		}
-	}
-	s.Perm = newPerm
-	return changed, nil
-}
-
-// PermuteRows returns weights reordered so row i of the result is the
-// logical row assigned to physical row i — the matrix to hand to
-// Crossbar.MapWeights after a Rebalance.
-func (s *RowSwapper) PermuteRows(weights [][]float64) [][]float64 {
-	out := make([][]float64, len(weights))
-	for logical, phys := range s.Perm {
-		out[phys] = weights[logical]
-	}
-	return out
-}
-
-// LogicalVMMOrder returns, for each physical row index, the logical row
-// it carries (the inverse permutation), which the read-out periphery
-// uses to route inputs.
-func (s *RowSwapper) LogicalVMMOrder() []int {
-	inv := make([]int, len(s.Perm))
-	for logical, phys := range s.Perm {
-		inv[phys] = logical
-	}
-	return inv
 }

@@ -4,10 +4,7 @@ import (
 	"math"
 	"testing"
 
-	"memlife/internal/aging"
-	"memlife/internal/crossbar"
 	"memlife/internal/device"
-	"memlife/internal/tensor"
 )
 
 func TestPulseShapeFactors(t *testing.T) {
@@ -82,154 +79,4 @@ func TestSeriesResistorDeratingPanicsOnBadR(t *testing.T) {
 		}
 	}()
 	p.StressDerating(0)
-}
-
-func newTestArray(t *testing.T, rows, cols int) *crossbar.Crossbar {
-	t.Helper()
-	cb, err := crossbar.New(rows, cols, device.Params32(), aging.DefaultModel(), 300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return cb
-}
-
-func TestRowSwapperIdentityStart(t *testing.T) {
-	s, err := NewRowSwapper(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, p := range s.Perm {
-		if p != i {
-			t.Fatal("swapper must start as identity")
-		}
-	}
-	inv := s.LogicalVMMOrder()
-	for i, p := range inv {
-		if p != i {
-			t.Fatal("identity inverse must be identity")
-		}
-	}
-}
-
-func TestRowSwapperRebalances(t *testing.T) {
-	cb := newTestArray(t, 4, 3)
-	p := cb.Params()
-	// Stress physical row 0 heavily.
-	for k := 0; k < 20; k++ {
-		for j := 0; j < 3; j++ {
-			cb.Device(0, j).Program(p.RminFresh, p.RminFresh, p.RmaxFresh)
-			cb.Device(0, j).Program(p.RmaxFresh, p.RminFresh, p.RmaxFresh)
-		}
-	}
-	// Logical row 2 has the highest programming demand.
-	weights := [][]float64{
-		{0.1, 0.1, 0.1},
-		{0.2, 0.2, 0.2},
-		{0.0, 0.9, 0.9},
-		{0.3, 0.3, 0.3},
-	}
-	s, err := NewRowSwapper(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	changed, err := s.Rebalance(cb, weights)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if changed == 0 {
-		t.Fatal("uneven stress must trigger reassignment")
-	}
-	if s.Perm[2] == 0 {
-		t.Fatal("the most demanding logical row must avoid the most stressed physical row")
-	}
-	// Round trip: permuting then reading back in logical order
-	// recovers every logical row exactly once.
-	phys := s.PermuteRows(weights)
-	seen := map[int]bool{}
-	for physRow, logical := range s.LogicalVMMOrder() {
-		if seen[logical] {
-			t.Fatal("permutation must be a bijection")
-		}
-		seen[logical] = true
-		for j := range weights[logical] {
-			if phys[physRow][j] != weights[logical][j] {
-				t.Fatal("PermuteRows must place logical rows at their physical slots")
-			}
-		}
-	}
-}
-
-// TestRowSwappingEqualizesWear runs the [12] baseline end-to-end on a
-// small array: with periodic rebalancing, the stress spread across
-// physical rows stays tighter than without.
-func TestRowSwappingEqualizesWear(t *testing.T) {
-	run := func(swap bool) float64 {
-		cb := newTestArray(t, 6, 4)
-		p := cb.Params()
-		rng := tensor.NewRNG(5)
-		// Logical weights with very uneven row demand.
-		weights := make([][]float64, 6)
-		for i := range weights {
-			weights[i] = make([]float64, 4)
-			for j := range weights[i] {
-				weights[i][j] = rng.Float64() * float64(i) / 5.0
-			}
-		}
-		s, err := NewRowSwapper(6)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for epoch := 0; epoch < 8; epoch++ {
-			if swap {
-				if _, err := s.Rebalance(cb, weights); err != nil {
-					t.Fatal(err)
-				}
-			}
-			phys := s.PermuteRows(weights)
-			flat := tensor.New(6, 4)
-			for i := range phys {
-				for j, v := range phys[i] {
-					flat.Set(v, i, j)
-				}
-			}
-			cb.MapWeights(flat, p.RminFresh, p.RmaxFresh)
-			// Exercise the rows: cycle every device once.
-			for i := 0; i < 6; i++ {
-				for j := 0; j < 4; j++ {
-					cb.StepDevice(i, j, +1)
-					cb.StepDevice(i, j, -1)
-				}
-			}
-		}
-		stress := rowStress(cb)
-		min, max := stress[0], stress[0]
-		for _, v := range stress[1:] {
-			if v < min {
-				min = v
-			}
-			if v > max {
-				max = v
-			}
-		}
-		return max - min
-	}
-	spreadSwap := run(true)
-	spreadFixed := run(false)
-	if spreadSwap >= spreadFixed {
-		t.Fatalf("row swapping must tighten the wear spread: %g vs %g", spreadSwap, spreadFixed)
-	}
-}
-
-func TestRowSwapperValidation(t *testing.T) {
-	if _, err := NewRowSwapper(0); err == nil {
-		t.Fatal("expected error for zero rows")
-	}
-	s, err := NewRowSwapper(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cb := newTestArray(t, 3, 2)
-	if _, err := s.Rebalance(cb, [][]float64{{0, 0}}); err == nil {
-		t.Fatal("expected error for logical/physical row mismatch")
-	}
 }

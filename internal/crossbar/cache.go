@@ -7,22 +7,22 @@ import (
 	"memlife/internal/tensor"
 )
 
-// ErrNotMapped is returned by the read path (EffectiveWeights, VMM and
-// friends) when the array has never been programmed with MapWeights:
+// ErrNotMapped is returned by the read path (ReadWeightsInto) when the
+// array has never been programmed with MapWeights:
 // there is no mapping range, so resistances cannot be interpreted as
 // weights.
 var ErrNotMapped = errors.New("crossbar: read before MapWeights")
 
 // The cached read path.
 //
-// Every read of the array (EffectiveWeights, ReadWeightsInto, VMM,
-// VMMBatch) is served from a materialized effective-weight matrix that
-// is computed once and then kept current incrementally:
+// Every read of the array (ReadWeightsInto) is served from a
+// materialized effective-weight matrix that is computed once and then
+// kept current incrementally:
 //
-//   - StepDevice patches the single cell it moved (cache and transpose).
+//   - StepDevices patches each cell a pulse moved.
 //   - AdvanceFaults patches the cells of newly stuck devices.
 //   - MapWeights / MapWeightsFaultAware / SetFaultInjector / Drift /
-//     AddStress / RandomizeAging / SetTempK / the public Device accessor
+//     AddStress / RandomizeAging / the public Device accessor
 //     invalidate the whole cache; the next read rebuilds it.
 //   - Read-burst noise (fault injection) is applied per read without
 //     touching the cache: a burst-affected read recomputes noisy values
@@ -32,14 +32,12 @@ var ErrNotMapped = errors.New("crossbar: read before MapWeights")
 // device resistance and the mapping ranges — so a patched cache is
 // bit-identical to a full recompute; TestEquivalence* and
 // FuzzCacheInvalidation in this package prove it against the naive
-// oracle (EffectiveWeightsNaive / VMMNaive).
+// oracle (EffectiveWeightsNaive, in the package tests).
 
 // invalidate drops the materialized matrix; the next read rebuilds it.
 func (c *Crossbar) invalidate() { c.effValid = false }
 
-// ensure (re)builds the effective-weight matrix and its transpose. The
-// transpose is kept column-major-for-MatVec: row j of effT is column j
-// of the array, so VMM streams it sequentially.
+// ensure (re)builds the effective-weight matrix.
 func (c *Crossbar) ensure() {
 	if c.effValid {
 		c.tel.cacheHits.Inc()
@@ -48,15 +46,10 @@ func (c *Crossbar) ensure() {
 	c.tel.cacheMisses.Inc()
 	if c.eff == nil {
 		c.eff = tensor.New(c.Rows, c.Cols)
-		c.effT = tensor.New(c.Cols, c.Rows)
 	}
-	ed, td := c.eff.Data(), c.effT.Data()
-	for i := 0; i < c.Rows; i++ {
-		for j := 0; j < c.Cols; j++ {
-			w := EffectiveWeight(c.at(i, j).Resistance(), c.wMin, c.wMax, c.rLo, c.rHi)
-			ed[i*c.Cols+j] = w
-			td[j*c.Rows+i] = w
-		}
+	ed := c.eff.Data()
+	for idx, d := range c.devices {
+		ed[idx] = EffectiveWeight(d.Resistance(), c.wMin, c.wMax, c.rLo, c.rHi)
 	}
 	c.effValid = true
 }
@@ -68,31 +61,20 @@ func (c *Crossbar) patch(i, j int) {
 	if !c.effValid || !c.mapped {
 		return
 	}
-	w := EffectiveWeight(c.at(i, j).Resistance(), c.wMin, c.wMax, c.rLo, c.rHi)
-	c.eff.Data()[i*c.Cols+j] = w
-	c.effT.Data()[j*c.Rows+i] = w
+	c.eff.Data()[i*c.Cols+j] = EffectiveWeight(c.at(i, j).Resistance(), c.wMin, c.wMax, c.rLo, c.rHi)
 }
 
-// noisyInto writes a burst-affected readback into dst: every device's
-// resistance is perturbed by a fresh multiplicative noise draw before
-// conversion. The cache is neither consulted nor modified, and the
-// per-device draw order matches the naive oracle exactly.
-func (c *Crossbar) noisyInto(dst *tensor.Tensor, sigma float64) {
-	d := dst.Data()
-	for i := 0; i < c.Rows; i++ {
-		for j := 0; j < c.Cols; j++ {
-			r := c.at(i, j).Resistance()
-			r *= c.inj.ReadNoise(sigma)
-			d[i*c.Cols+j] = EffectiveWeight(r, c.wMin, c.wMax, c.rLo, c.rHi)
-		}
-	}
-}
-
-// readInto writes one readback of the array into dst (size Rows*Cols,
-// row-major): the cached effective weights, or — when the attached
-// fault injector fires a read-noise burst — freshly computed noisy
-// values that leave the cache untouched.
-func (c *Crossbar) readInto(dst *tensor.Tensor) error {
+// ReadWeightsInto copies one readback of the effective weight matrix
+// into dst without allocating (dst must hold Rows*Cols elements,
+// row-major). Stuck devices read at their pinned resistance, so dst
+// receives the fault-aware truth of what the hardware computes. This is
+// the hot path of MappedNetwork.Refresh: with a warm cache it is a
+// single memcpy instead of a per-device conductance inversion. When the
+// attached fault injector fires a read-noise burst, every device's
+// resistance is instead perturbed by a fresh multiplicative draw before
+// conversion, leaving device state and the cache untouched. Returns
+// ErrNotMapped before the first MapWeights.
+func (c *Crossbar) ReadWeightsInto(dst *tensor.Tensor) error {
 	if !c.mapped {
 		return ErrNotMapped
 	}
@@ -100,7 +82,11 @@ func (c *Crossbar) readInto(dst *tensor.Tensor) error {
 		return fmt.Errorf("crossbar: readback into size %d, want %d", dst.Size(), c.Rows*c.Cols)
 	}
 	if burst, sigma := c.readBurst(); burst {
-		c.noisyInto(dst, sigma)
+		d := dst.Data()
+		for idx, dev := range c.devices {
+			r := dev.Resistance() * c.inj.ReadNoise(sigma)
+			d[idx] = EffectiveWeight(r, c.wMin, c.wMax, c.rLo, c.rHi)
+		}
 		return nil
 	}
 	c.ensure()
@@ -114,50 +100,4 @@ func (c *Crossbar) readBurst() (bool, float64) {
 		return false, 0
 	}
 	return c.inj.ReadBurst()
-}
-
-// ReadWeightsInto copies one readback of the effective weight matrix
-// into dst without allocating (dst must hold Rows*Cols elements). This
-// is the hot path of MappedNetwork.Refresh: with a warm cache it is a
-// single memcpy instead of a per-device conductance inversion.
-func (c *Crossbar) ReadWeightsInto(dst *tensor.Tensor) error {
-	return c.readInto(dst)
-}
-
-// EffectiveWeightsNaive recomputes the effective weight matrix from
-// per-device resistance state on every call — the original,
-// cache-free read path, kept as the reference oracle for the
-// equivalence test suite and the benchmark harness. It consumes the
-// same read-burst draws as the cached path, so two identically driven
-// arrays stay in lockstep whichever path reads them.
-func (c *Crossbar) EffectiveWeightsNaive() (*tensor.Tensor, error) {
-	if !c.mapped {
-		return nil, ErrNotMapped
-	}
-	burst, sigma := c.readBurst()
-	out := tensor.New(c.Rows, c.Cols)
-	for i := 0; i < c.Rows; i++ {
-		for j := 0; j < c.Cols; j++ {
-			r := c.at(i, j).Resistance()
-			if burst {
-				r *= c.inj.ReadNoise(sigma)
-			}
-			out.Set(EffectiveWeight(r, c.wMin, c.wMax, c.rLo, c.rHi), i, j)
-		}
-	}
-	return out, nil
-}
-
-// VMMNaive computes the vector-matrix product through the naive read
-// path (full matrix recompute plus transpose per call) — the reference
-// oracle VMM is proven bit-identical against.
-func (c *Crossbar) VMMNaive(x *tensor.Tensor) (*tensor.Tensor, error) {
-	if x.Size() != c.Rows {
-		return nil, fmt.Errorf("crossbar: VMM input size %d, want %d", x.Size(), c.Rows)
-	}
-	eff, err := c.EffectiveWeightsNaive()
-	if err != nil {
-		return nil, err
-	}
-	return tensor.MatVec(eff.Transpose(), x), nil
 }

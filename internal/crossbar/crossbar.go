@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"time"
 
 	"memlife/internal/aging"
 	"memlife/internal/device"
@@ -46,10 +45,9 @@ type Crossbar struct {
 	mapped     bool
 
 	// Cached read path (see cache.go): the materialized effective
-	// weight matrix, its transpose (row j = array column j, streamed by
-	// VMM), and whether they are current.
-	eff, effT *tensor.Tensor
-	effValid  bool
+	// weight matrix and whether it is current.
+	eff      *tensor.Tensor
+	effValid bool
 
 	// tel is the telemetry handle set (see telemetry.go); all-nil when
 	// telemetry is disabled, making every instrumented site a no-op.
@@ -64,20 +62,12 @@ type Crossbar struct {
 	devModel device.Model
 
 	// Aged-bounds memo (see hot.go): per-device cached [lo, hi] window
-	// keyed by the exact stress it was computed at; bGen invalidates all
-	// entries at once (temperature changes), bEvalOK tracks whether
-	// bEval matches the current temperature.
+	// keyed by the exact stress it was computed at (NaN: never
+	// computed), over the evaluator of the array's fixed temperature.
 	bEval   aging.Evaluator
-	bEvalOK bool
-	bGen    uint32
 	bStress []float64
 	bLo     []float64
 	bHi     []float64
-	bSeen   []uint32
-
-	// noisy is the crossbar-owned scratch burst-affected VMM reads
-	// materialize into (see hot.go).
-	noisy *tensor.Tensor
 }
 
 // New constructs a fresh crossbar.
@@ -102,7 +92,7 @@ func New(rows, cols int, p device.Params, m aging.Model, tempK float64) (*Crossb
 		tel:         newCrossbarTel(),
 		grid:        p.Grid(),
 		devModel:    p.ResolveModel(),
-		bGen:        1, // bSeen zero-values must read as "never computed"
+		bEval:       m.Evaluator(p, tempK),
 	}
 	for i := range cb.devices {
 		cb.devices[i] = device.New(p)
@@ -134,24 +124,6 @@ func (c *Crossbar) Model() aging.Model { return c.model }
 
 // TempK returns the operating temperature.
 func (c *Crossbar) TempK() float64 { return c.tempK }
-
-// SetTempK changes the operating temperature (K). It returns an error
-// for non-positive temperatures and leaves the crossbar unchanged.
-// Conservatively invalidates the read cache (temperature moves the
-// aged windows future operations clamp against).
-func (c *Crossbar) SetTempK(t float64) error {
-	if t <= 0 {
-		return fmt.Errorf("crossbar: temperature must be positive, got %g", t)
-	}
-	c.tempK = t
-	// Temperature moves every aged window: rebuild the bounds evaluator
-	// and expire every memo entry in O(1) via the generation counter.
-	c.bEvalOK = false
-	c.bGen++
-	c.tel.invalTemp.Inc()
-	c.invalidate()
-	return nil
-}
 
 // at returns the device at row i, column j without touching the read
 // cache — the accessor every internal (invalidation-aware) path uses.
@@ -270,110 +242,6 @@ func (c *Crossbar) MapWeights(w *tensor.Tensor, rLo, rHi float64) MapStats {
 	}
 	c.recordMapTel(stats, usable)
 	return stats
-}
-
-// EffectiveWeights reads back the weight matrix the array actually
-// implements, given its programmed resistances and the current mapping
-// ranges. Stuck devices read at their pinned resistance, so the
-// returned matrix is the fault-aware truth of what the hardware
-// computes. When a fault injector is attached, an occasional read-noise
-// burst perturbs the whole readback multiplicatively without touching
-// device state (or the read cache). Returns ErrNotMapped before the
-// first MapWeights. The returned tensor is the caller's to mutate; the
-// allocation-free variant is ReadWeightsInto.
-func (c *Crossbar) EffectiveWeights() (*tensor.Tensor, error) {
-	out := tensor.New(c.Rows, c.Cols)
-	if err := c.readInto(out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// VMM computes the analog vector-matrix product the array performs for
-// one input vector x of length Rows: out_j = sum_i x_i * w_ij with the
-// *effective* (programmed, quantized, aged) weights, served from the
-// cached matrix (bit-identical to VMMNaive). It returns an error on an
-// input size mismatch or before the first MapWeights.
-func (c *Crossbar) VMM(x *tensor.Tensor) (*tensor.Tensor, error) {
-	if c.tel.vmmNs != nil {
-		defer func(t0 time.Time) { c.tel.vmmNs.Observe(float64(time.Since(t0))) }(time.Now())
-	}
-	if x.Size() != c.Rows {
-		return nil, fmt.Errorf("crossbar: VMM input size %d, want %d", x.Size(), c.Rows)
-	}
-	if !c.mapped {
-		return nil, ErrNotMapped
-	}
-	out := tensor.New(c.Cols)
-	c.vmmCore(out, x)
-	return out, nil
-}
-
-// VMMBatch evaluates the array against a whole input batch x (shape
-// [B, Rows]) in one matrix-matrix product over a single materialized
-// readback: out[b][j] = sum_i x[b][i] * w_ij. The batch counts as ONE
-// readback — at most one read-noise burst is drawn for all B samples,
-// matching a pipelined analog read that latches the array state once.
-// workers > 1 opts into the deterministic row-parallel kernel (output
-// bits are identical for every worker count).
-func (c *Crossbar) VMMBatch(x *tensor.Tensor, workers int) (*tensor.Tensor, error) {
-	if c.tel.vmmBatchNs != nil {
-		defer func(t0 time.Time) { c.tel.vmmBatchNs.Observe(float64(time.Since(t0))) }(time.Now())
-	}
-	if x.Rank() != 2 || x.Dim(1) != c.Rows {
-		return nil, fmt.Errorf("crossbar: VMMBatch input shape %v, want [B %d]", x.Shape(), c.Rows)
-	}
-	if !c.mapped {
-		return nil, ErrNotMapped
-	}
-	out := tensor.New(x.Dim(0), c.Cols)
-	c.vmmBatchCore(out, x, workers)
-	return out, nil
-}
-
-// StepDevice applies one online-tuning pulse to device (i, j): dir > 0
-// increases the effective weight (conductance up, resistance down),
-// dir < 0 decreases it. Tuning pulses move the analog conductance by a
-// small fixed increment (device.Params.TunePulseDeltaG), bounded by the
-// device's aged window intersected with the fresh grid (the periphery
-// cannot program beyond the fresh range).
-//
-// It returns the stress added and whether the pulse actually took:
-// applied is false when the device is permanently stuck or when the
-// attached fault injector made the pulse fail transiently. A failed
-// pulse still costs its full stress — retries are never free.
-func (c *Crossbar) StepDevice(i, j, dir int) (stress float64, applied bool) {
-	if dir == 0 {
-		return 0, false
-	}
-	d := c.at(i, j)
-	if d.Stuck() {
-		s := d.FailedPulse()
-		c.tel.pulses.Inc()
-		c.tel.stress.Add(s)
-		return s, false
-	}
-	if c.inj != nil && c.inj.PulseFails() {
-		s := d.FailedPulse()
-		c.tel.pulses.Inc()
-		c.tel.stress.Add(s)
-		return s, false
-	}
-	lo, hi := c.AgedBounds(i, j)
-	if lo < c.params.RminFresh {
-		lo = c.params.RminFresh
-	}
-	if hi < lo {
-		hi = lo
-	}
-	stress = d.Pulse(dir, lo, hi)
-	c.tel.pulses.Inc()
-	c.tel.stress.Add(stress)
-	// A pulse that took moved exactly this cell: patch the cached read
-	// path instead of invalidating it (failed pulses leave the
-	// resistance — and therefore the cache — untouched).
-	c.patch(i, j)
-	return stress, true
 }
 
 // RandomizeAging assigns every device a lognormal endurance-variability
@@ -525,31 +393,6 @@ func (c *Crossbar) TracedUpperBounds() []float64 {
 		out = append(out, hi)
 	}
 	sort.Float64s(out)
-	return out
-}
-
-// TracedLowerBounds returns the estimated aged lower bounds of the
-// traced devices, sorted ascending.
-func (c *Crossbar) TracedLowerBounds() []float64 {
-	idx := c.TracedIndices()
-	out := make([]float64, 0, len(idx))
-	for _, ij := range idx {
-		lo, _ := c.AgedBounds(ij[0], ij[1])
-		out = append(out, lo)
-	}
-	sort.Float64s(out)
-	return out
-}
-
-// QuantizeWeights returns the hypothetical effective weights of mapping
-// w onto the level grid restricted to the common range [rLo, rHi],
-// assuming every device can reach its target (no per-device aging
-// clipping). This is the software-side simulation the aging-aware range
-// selection uses to score candidate ranges *before* committing any
-// programming pulses.
-func (c *Crossbar) QuantizeWeights(w *tensor.Tensor, rLo, rHi float64) *tensor.Tensor {
-	out := tensor.New(w.Shape()...)
-	c.QuantizeWeightsInto(out, w, rLo, rHi)
 	return out
 }
 

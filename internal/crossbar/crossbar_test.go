@@ -120,25 +120,6 @@ func TestEffectiveWeightsWithinQuantizationError(t *testing.T) {
 	}
 }
 
-func TestVMMMatchesEffectiveWeights(t *testing.T) {
-	cb := newTestCrossbar(t, 3, 2)
-	p := cb.Params()
-	w := tensor.FromSlice([]float64{0.1, -0.2, 0.3, 0.05, -0.4, 0.2}, 3, 2)
-	cb.MapWeights(w, p.RminFresh, p.RmaxFresh)
-	x := tensor.FromSlice([]float64{1, 2, 3}, 3)
-	out := mustVMM(t, cb, x)
-	eff := mustEff(t, cb)
-	for j := 0; j < 2; j++ {
-		want := 0.0
-		for i := 0; i < 3; i++ {
-			want += x.Data()[i] * eff.At(i, j)
-		}
-		if math.Abs(out.Data()[j]-want) > 1e-12 {
-			t.Fatalf("VMM column %d = %g, want %g", j, out.Data()[j], want)
-		}
-	}
-}
-
 func TestMapWeightsClipsOnAgedDevices(t *testing.T) {
 	cb := newTestCrossbar(t, 2, 2)
 	p := cb.Params()
@@ -252,11 +233,16 @@ func TestTracedBoundsSortedAndFresh(t *testing.T) {
 			t.Fatalf("fresh traced upper bound %d = %g, want %g", i, v, p.RmaxFresh)
 		}
 	}
-	lbs := cb.TracedLowerBounds()
-	for i := 1; i < len(lbs); i++ {
-		if lbs[i] < lbs[i-1] {
+	cb.RandomizeAging(0.5, tensor.NewRNG(4))
+	cb.AddStress(5)
+	ubs = cb.TracedUpperBounds()
+	for i := 1; i < len(ubs); i++ {
+		if ubs[i] < ubs[i-1] {
 			t.Fatal("traced bounds must be sorted ascending")
 		}
+	}
+	if ubs[0] == ubs[len(ubs)-1] {
+		t.Fatal("devices with spread aging factors must trace distinct bounds")
 	}
 }
 
@@ -266,15 +252,13 @@ func TestQuantizeWeightsDoesNotProgram(t *testing.T) {
 	rng := tensor.NewRNG(6)
 	w := tensor.New(4, 4)
 	rng.FillNormal(w, 0, 1)
-	q := cb.QuantizeWeights(w, p.RminFresh, p.RmaxFresh)
+	q, narrow := tensor.New(4, 4), tensor.New(4, 4)
+	cb.QuantizeWeightsInto(q, w, p.RminFresh, p.RmaxFresh)
 	if cb.TotalPulses() != 0 {
-		t.Fatal("QuantizeWeights must not touch hardware")
-	}
-	if q.SameShape(w) == false {
-		t.Fatal("quantized weights must keep the input shape")
+		t.Fatal("QuantizeWeightsInto must not touch hardware")
 	}
 	// Quantization onto a narrower range loses more information.
-	narrow := cb.QuantizeWeights(w, p.RminFresh, p.LevelResistance(4))
+	cb.QuantizeWeightsInto(narrow, w, p.RminFresh, p.LevelResistance(4))
 	errWide, errNarrow := 0.0, 0.0
 	for i, v := range w.Data() {
 		errWide += math.Abs(q.Data()[i] - v)
@@ -295,15 +279,6 @@ func TestUsableLevelStatsFresh(t *testing.T) {
 
 func TestReadBeforeMapReturnsErrNotMapped(t *testing.T) {
 	cb := newTestCrossbar(t, 2, 2)
-	if _, err := cb.EffectiveWeights(); !errors.Is(err, ErrNotMapped) {
-		t.Fatalf("EffectiveWeights before mapping: err = %v, want ErrNotMapped", err)
-	}
-	if _, err := cb.VMM(tensor.New(2)); !errors.Is(err, ErrNotMapped) {
-		t.Fatalf("VMM before mapping: err = %v, want ErrNotMapped", err)
-	}
-	if _, err := cb.VMMBatch(tensor.New(3, 2), 0); !errors.Is(err, ErrNotMapped) {
-		t.Fatalf("VMMBatch before mapping: err = %v, want ErrNotMapped", err)
-	}
 	if err := cb.ReadWeightsInto(tensor.New(2, 2)); !errors.Is(err, ErrNotMapped) {
 		t.Fatalf("ReadWeightsInto before mapping: err = %v, want ErrNotMapped", err)
 	}
@@ -312,15 +287,12 @@ func TestReadBeforeMapReturnsErrNotMapped(t *testing.T) {
 	}
 }
 
-func TestVMMSizeMismatchReturnsError(t *testing.T) {
+func TestReadSizeMismatchReturnsError(t *testing.T) {
 	cb := newTestCrossbar(t, 3, 2)
 	p := cb.Params()
 	w := tensor.New(3, 2)
 	cb.MapWeights(w, p.RminFresh, p.RmaxFresh)
-	if _, err := cb.VMM(tensor.New(4)); err == nil {
-		t.Fatal("VMM with wrong input size must return an error")
-	}
-	if _, err := cb.VMMBatch(tensor.New(5, 4), 0); err == nil {
-		t.Fatal("VMMBatch with wrong input width must return an error")
+	if err := cb.ReadWeightsInto(tensor.New(4)); err == nil {
+		t.Fatal("ReadWeightsInto with a wrong destination size must return an error")
 	}
 }

@@ -59,9 +59,8 @@ func (d *DifferentialCrossbar) MapWeights(w *tensor.Tensor) MapStats {
 	}
 	d.scale = absMax / (gMax - gMin)
 	d.mapped = true
-	// Record mapping state on both halves so EffectiveWeights-style
-	// readback has the ranges it needs. Each half maps magnitude
-	// [0, absMax] onto the full conductance range.
+	// Each half maps magnitude [0, absMax] onto the full conductance
+	// range.
 	var stats MapStats
 	for i := 0; i < d.Pos.Rows; i++ {
 		for j := 0; j < d.Pos.Cols; j++ {
@@ -89,37 +88,6 @@ func (d *DifferentialCrossbar) MapWeights(w *tensor.Tensor) MapStats {
 		}
 	}
 	return stats
-}
-
-// EffectiveWeights reads back the weights the pair implements. It
-// returns ErrNotMapped before the first MapWeights.
-func (d *DifferentialCrossbar) EffectiveWeights() (*tensor.Tensor, error) {
-	if !d.mapped {
-		return nil, ErrNotMapped
-	}
-	out := tensor.New(d.Pos.Rows, d.Pos.Cols)
-	for i := 0; i < d.Pos.Rows; i++ {
-		for j := 0; j < d.Pos.Cols; j++ {
-			gp := d.Pos.at(i, j).Conductance()
-			gn := d.Neg.at(i, j).Conductance()
-			out.Set((gp-gn)*d.scale, i, j)
-		}
-	}
-	return out, nil
-}
-
-// VMM computes the differential analog product: the Pos column currents
-// minus the Neg column currents, scaled back to weight units. It
-// returns an error on an input size mismatch or before MapWeights.
-func (d *DifferentialCrossbar) VMM(x *tensor.Tensor) (*tensor.Tensor, error) {
-	if x.Size() != d.Pos.Rows {
-		return nil, fmt.Errorf("crossbar: differential VMM input size %d, want %d", x.Size(), d.Pos.Rows)
-	}
-	eff, err := d.EffectiveWeights()
-	if err != nil {
-		return nil, err
-	}
-	return tensor.MatVec(eff.Transpose(), x), nil
 }
 
 // TotalStress sums the accumulated stress over both halves.

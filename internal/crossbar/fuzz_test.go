@@ -1,6 +1,7 @@
 package crossbar
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -72,7 +73,8 @@ func FuzzTargetEffectiveRoundTrip(f *testing.F) {
 // FuzzCacheInvalidation drives a cached and a naive array through a
 // fuzz-chosen operation sequence and requires bit-identical readbacks
 // after every operation — the fuzz twin of TestEquivalenceCachedVsNaive,
-// free to discover operation interleavings the table misses.
+// free to discover operation interleavings the table misses. Pulses go
+// through StepDevices, the cache-patching path production uses.
 func FuzzCacheInvalidation(f *testing.F) {
 	f.Add(int64(1), []byte{0, 1, 2, 3, 4, 5})
 	f.Add(int64(42), []byte{2, 0, 0, 1, 2, 4, 4, 0})
@@ -88,8 +90,6 @@ func FuzzCacheInvalidation(f *testing.F) {
 
 		w := tensor.New(rows, cols)
 		ops.FillNormal(w, 0, 0.5)
-		x := tensor.New(rows)
-		ops.FillNormal(x, 0, 1)
 		rLo, rHi := params.RminFresh, params.RmaxFresh
 
 		p.cached.MapWeights(w, rLo, rHi)
@@ -98,13 +98,11 @@ func FuzzCacheInvalidation(f *testing.F) {
 		for step, op := range script {
 			switch op % 6 {
 			case 0:
-				i, j := ops.Intn(rows), ops.Intn(cols)
-				dir := 1
+				s := Step{I: ops.Intn(rows), J: ops.Intn(cols), Dir: 1}
 				if op&0x80 != 0 {
-					dir = -1
+					s.Dir = -1
 				}
-				p.cached.StepDevice(i, j, dir)
-				p.naive.StepDevice(i, j, dir)
+				p.pulse(t, fmt.Sprintf("step %d", step), []Step{s})
 			case 1:
 				p.cached.Drift(0.04, p.rngC)
 				p.naive.Drift(0.04, p.rngN)
@@ -121,32 +119,7 @@ func FuzzCacheInvalidation(f *testing.F) {
 				p.cached.MapWeightsFaultAware(w, rLo, rHi)
 				p.naive.MapWeightsFaultAware(w, rLo, rHi)
 			}
-			eff, err := p.cached.EffectiveWeights()
-			if err != nil {
-				t.Fatalf("step %d: cached read: %v", step, err)
-			}
-			effN, err := p.naive.EffectiveWeightsNaive()
-			if err != nil {
-				t.Fatalf("step %d: naive read: %v", step, err)
-			}
-			for i, v := range effN.Data() {
-				if eff.Data()[i] != v {
-					t.Fatalf("step %d (op %d): cell %d differs: cached %v, naive %v", step, op%6, i, eff.Data()[i], v)
-				}
-			}
-			out, err := p.cached.VMM(x)
-			if err != nil {
-				t.Fatalf("step %d: cached VMM: %v", step, err)
-			}
-			outN, err := p.naive.VMMNaive(x)
-			if err != nil {
-				t.Fatalf("step %d: naive VMM: %v", step, err)
-			}
-			for j, v := range outN.Data() {
-				if out.Data()[j] != v {
-					t.Fatalf("step %d: VMM output %d differs: %v vs %v", step, j, out.Data()[j], v)
-				}
-			}
+			p.check(t, fmt.Sprintf("step %d (op %d)", step, op%6))
 		}
 	})
 }

@@ -6,30 +6,26 @@ import (
 	"memlife/internal/tensor"
 )
 
-// effReader is satisfied by both Crossbar and DifferentialCrossbar.
-type effReader interface {
-	EffectiveWeights() (*tensor.Tensor, error)
-	VMM(x *tensor.Tensor) (*tensor.Tensor, error)
-}
-
-// mustEff reads the effective weights, failing the test on error.
-func mustEff(t testing.TB, cb effReader) *tensor.Tensor {
+// mustEff reads one readback of the effective weights through the
+// production read path, failing the test on error.
+func mustEff(t testing.TB, cb *Crossbar) *tensor.Tensor {
 	t.Helper()
-	eff, err := cb.EffectiveWeights()
-	if err != nil {
-		t.Fatalf("EffectiveWeights: %v", err)
+	eff := tensor.New(cb.Rows, cb.Cols)
+	if err := cb.ReadWeightsInto(eff); err != nil {
+		t.Fatalf("ReadWeightsInto: %v", err)
 	}
 	return eff
 }
 
-// mustVMM computes the vector-matrix product, failing the test on error.
-func mustVMM(t testing.TB, cb effReader, x *tensor.Tensor) *tensor.Tensor {
+// mustDiffEff reads back the weights a differential pair implements,
+// failing the test on error.
+func mustDiffEff(t testing.TB, d *DifferentialCrossbar) *tensor.Tensor {
 	t.Helper()
-	out, err := cb.VMM(x)
+	eff, err := d.EffectiveWeights()
 	if err != nil {
-		t.Fatalf("VMM: %v", err)
+		t.Fatalf("EffectiveWeights: %v", err)
 	}
-	return out
+	return eff
 }
 
 // mustAcc evaluates the mapped network, failing the test on error.

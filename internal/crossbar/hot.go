@@ -2,18 +2,19 @@ package crossbar
 
 import (
 	"fmt"
-	"time"
+	"math"
 
 	"memlife/internal/tensor"
 )
 
 // The zero-allocation hot path.
 //
-// Steady-state simulation spends almost all of its time in four loops:
-// programming (MapWeights), tuning pulses (StepDevice bursts), readback
-// (ReadWeightsInto), and evaluation (VMM/VMMBatch). This file holds the
-// machinery that makes those loops allocation-free and cheap without
-// changing a single output bit:
+// Steady-state simulation spends its crossbar time in four loops:
+// programming (MapWeights), tuning pulses (StepDevices), readback
+// (ReadWeightsInto, feeding nn.Network.Forward through
+// MappedNetwork.Refresh), and candidate-range scoring
+// (QuantizeWeightsInto). This file holds the machinery that makes those
+// loops allocation-free and cheap without changing a single output bit:
 //
 //   - an aged-bounds memo: eq. (6)/(7) is a pure function of a device's
 //     accumulated stress (given params, model, temperature), so each
@@ -22,38 +23,35 @@ import (
 //     exp out of the loop. Stress only changes through the crossbar's
 //     own pulse accounting (and the Device escape hatch, which the
 //     stress-value key detects), so entries self-invalidate by
-//     comparison; SetTempK bumps a generation instead.
+//     comparison.
 //   - mapConv: the eq. (4) weight<->resistance affine transform with
 //     its range constants precomputed once per mapping pass, in the
 //     exact association of TargetResistance/EffectiveWeight.
-//   - ...Into variants of the read kernels writing into caller-owned
-//     buffers (see DESIGN.md "Scratch arenas & buffer ownership").
-//   - StepDevices: a batched StepDevice that applies a whole pulse list
-//     (with per-step transient-failure retries) in one call, patching
-//     the cache per moved cell and flushing telemetry once.
+//   - QuantizeWeightsInto writing into a caller-owned buffer (see
+//     DESIGN.md "Scratch arenas & buffer ownership").
+//   - StepDevices: applies a whole pulse list (with per-step
+//     transient-failure retries) in one call, patching the cache per
+//     moved cell and flushing telemetry once.
 
 // agedBoundsIdx returns the aged window of device idx (row-major)
 // through the memo. Bit-identical to model.Bounds(params, stress,
 // tempK) for every call.
 func (c *Crossbar) agedBoundsIdx(idx int) (lo, hi float64) {
-	if !c.bEvalOK {
-		c.bEval = c.model.Evaluator(c.params, c.tempK)
-		c.bEvalOK = true
-		if c.bStress == nil {
-			n := len(c.devices)
-			c.bStress = make([]float64, n)
-			c.bLo = make([]float64, n)
-			c.bHi = make([]float64, n)
-			c.bSeen = make([]uint32, n)
+	if c.bStress == nil {
+		n := len(c.devices)
+		c.bStress = make([]float64, n)
+		c.bLo = make([]float64, n)
+		c.bHi = make([]float64, n)
+		for i := range c.bStress {
+			c.bStress[i] = math.NaN() // equals no stress value: never computed
 		}
 	}
 	s := c.devices[idx].Stress()
-	if c.bSeen[idx] == c.bGen && c.bStress[idx] == s {
+	if c.bStress[idx] == s {
 		return c.bLo[idx], c.bHi[idx]
 	}
 	lo, hi = c.bEval.Bounds(s)
 	c.bStress[idx], c.bLo[idx], c.bHi[idx] = s, lo, hi
-	c.bSeen[idx] = c.bGen
 	return lo, hi
 }
 
@@ -110,89 +108,10 @@ func (m mapConv) eff(r float64) float64 {
 	return (g-m.gMin)/m.gSpan*m.wSpan + m.wMin
 }
 
-// noisyScratch returns the crossbar-owned buffer burst-affected reads
-// are materialized into. Owned by the crossbar and overwritten by the
-// next burst read; never escapes.
-func (c *Crossbar) noisyScratch() *tensor.Tensor {
-	if c.noisy == nil {
-		c.noisy = tensor.New(c.Rows, c.Cols)
-	}
-	return c.noisy
-}
-
-// VMMInto computes the analog vector-matrix product like VMM, writing
-// into the caller-owned dst (rank-1, length Cols; must not alias x).
-// With a warm cache and no burst this is allocation-free. Bit-identical
-// to VMM.
-func (c *Crossbar) VMMInto(dst, x *tensor.Tensor) error {
-	if c.tel.vmmNs != nil {
-		defer func(t0 time.Time) { c.tel.vmmNs.Observe(float64(time.Since(t0))) }(time.Now())
-	}
-	if x.Size() != c.Rows {
-		return fmt.Errorf("crossbar: VMM input size %d, want %d", x.Size(), c.Rows)
-	}
-	if dst.Size() != c.Cols {
-		return fmt.Errorf("crossbar: VMM output size %d, want %d", dst.Size(), c.Cols)
-	}
-	if !c.mapped {
-		return ErrNotMapped
-	}
-	c.vmmCore(dst, x)
-	return nil
-}
-
-// vmmCore is the shared compute of VMM and VMMInto; the caller has
-// validated sizes and mapping state.
-func (c *Crossbar) vmmCore(dst, x *tensor.Tensor) {
-	if burst, sigma := c.readBurst(); burst {
-		// A burst-affected read bypasses the cache entirely; bursts are
-		// rare and reuse the crossbar-owned scratch.
-		noisy := c.noisyScratch()
-		c.noisyInto(noisy, sigma)
-		tensor.MatVecTInto(dst, noisy, x)
-		return
-	}
-	c.ensure()
-	tensor.MatVecInto(dst, c.effT, x)
-}
-
-// VMMBatchInto evaluates a whole input batch like VMMBatch, writing
-// into the caller-owned dst (shape [B, Cols]; must not alias x). With a
-// warm cache, no burst, and workers <= 1 this is allocation-free
-// (worker goroutines cost their scheduling). Bit-identical to VMMBatch
-// for every worker count.
-func (c *Crossbar) VMMBatchInto(dst, x *tensor.Tensor, workers int) error {
-	if c.tel.vmmBatchNs != nil {
-		defer func(t0 time.Time) { c.tel.vmmBatchNs.Observe(float64(time.Since(t0))) }(time.Now())
-	}
-	if x.Rank() != 2 || x.Dim(1) != c.Rows {
-		return fmt.Errorf("crossbar: VMMBatch input shape %v, want [B %d]", x.Shape(), c.Rows)
-	}
-	if dst.Rank() != 2 || dst.Dim(0) != x.Dim(0) || dst.Dim(1) != c.Cols {
-		return fmt.Errorf("crossbar: VMMBatch output shape %v, want [%d %d]", dst.Shape(), x.Dim(0), c.Cols)
-	}
-	if !c.mapped {
-		return ErrNotMapped
-	}
-	c.vmmBatchCore(dst, x, workers)
-	return nil
-}
-
-// vmmBatchCore is the shared compute of VMMBatch and VMMBatchInto; the
-// caller has validated shapes and mapping state.
-func (c *Crossbar) vmmBatchCore(dst, x *tensor.Tensor, workers int) {
-	if burst, sigma := c.readBurst(); burst {
-		noisy := c.noisyScratch()
-		c.noisyInto(noisy, sigma)
-		tensor.MatMulWorkersInto(dst, x, noisy, workers)
-		return
-	}
-	c.ensure()
-	tensor.MatMulWorkersInto(dst, x, c.eff, workers)
-}
-
 // Step addresses one tuning pulse of a batch: device (I, J) pulsed in
-// direction Dir (see StepDevice). Steps with Dir == 0 are skipped.
+// direction Dir. Dir > 0 increases the effective weight (conductance
+// up, resistance down), Dir < 0 decreases it; steps with Dir == 0 are
+// skipped.
 type Step struct {
 	I, J, Dir int
 }
@@ -213,14 +132,16 @@ type StepStats struct {
 	StuckSkipped int
 }
 
-// StepDevices applies a whole list of tuning pulses in one call: for
-// each step the device is skipped if permanently stuck, otherwise
-// pulsed with up to retryBudget immediate retries of transient
-// programming failures. Per-step semantics, fault-injector draw order,
-// device stress, and cache patching are exactly those of the
-// equivalent IsStuck + StepDevice retry loop (the tuning controller's
-// former inner loop); telemetry is flushed once per call instead of
-// once per pulse, with identical totals. Allocation-free.
+// StepDevices applies a whole list of online-tuning pulses in one
+// call. A tuning pulse moves the analog conductance by a small fixed
+// increment (device.Params.TunePulseDeltaG), bounded by the device's
+// aged window intersected with the fresh grid (the periphery cannot
+// program beyond the fresh range). For each step the device is skipped
+// if permanently stuck, otherwise pulsed with up to retryBudget
+// immediate retries of transient programming failures drawn from the
+// attached fault injector; a failed pulse still costs its full stress —
+// retries are never free. Each pulse that takes patches its cell of the
+// cached read path. Telemetry is flushed once per call. Allocation-free.
 func (c *Crossbar) StepDevices(steps []Step, retryBudget int) StepStats {
 	var st StepStats
 	if retryBudget < 0 {
@@ -267,9 +188,13 @@ func (c *Crossbar) StepDevices(steps []Step, retryBudget int) StepStats {
 	return st
 }
 
-// QuantizeWeightsInto is the allocation-free QuantizeWeights: dst (same
-// volume as w) receives the hypothetical effective weights of mapping w
-// onto the level grid restricted to [rLo, rHi]. The level window and
+// QuantizeWeightsInto writes into dst (same volume as w) the
+// hypothetical effective weights of mapping w onto the level grid
+// restricted to the common range [rLo, rHi], assuming every device can
+// reach its target (no per-device aging clipping). This is the
+// software-side simulation the aging-aware range selection uses to
+// score candidate ranges before committing any programming pulses.
+// Allocation-free. The level window and
 // the eq. (4) constants are hoisted out of the element loop (they
 // depend only on the ranges), and level resistances come from the
 // device grid LUT; every element is bit-identical to the direct

@@ -65,14 +65,6 @@ func NewMappedNetwork(net *nn.Network, p device.Params, m aging.Model, tempK flo
 	return mn, nil
 }
 
-// SetTargets replaces the mapping targets with the current weights of
-// the host network (e.g. after retraining in software).
-func (m *MappedNetwork) SetTargets() {
-	for _, l := range m.Layers {
-		l.Target = l.Param.W.Clone()
-	}
-}
-
 // RestoreSoftwareWeights writes the trained target weights back into the
 // host network, undoing any Refresh. Useful for comparing software and
 // hardware accuracy on the same network object.
@@ -133,15 +125,6 @@ func (m *MappedNetwork) StuckCounts() (lrs, hrs int) {
 	return lrs, hrs
 }
 
-// DeviceCount returns the total number of devices across all crossbars.
-func (m *MappedNetwork) DeviceCount() int {
-	n := 0
-	for _, l := range m.Layers {
-		n += l.Crossbar.Rows * l.Crossbar.Cols
-	}
-	return n
-}
-
 // MapStatsTotal aggregates per-layer mapping stats.
 type MapStatsTotal struct {
 	Pulses  int
@@ -149,20 +132,6 @@ type MapStatsTotal struct {
 	Clipped int
 	Stuck   int
 	Skipped int
-}
-
-// MapAllFresh maps every layer using the fresh device range — the
-// baseline mapping that ignores aging (the T+T / ST+T scenarios).
-func (m *MappedNetwork) MapAllFresh() MapStatsTotal {
-	var total MapStatsTotal
-	for i, l := range m.Layers {
-		p := l.Crossbar.Params()
-		s := m.MapLayer(i, p.RminFresh, p.RmaxFresh)
-		total.Pulses += s.Pulses
-		total.Stress += s.Stress
-		total.Clipped += s.Clipped
-	}
-	return total
 }
 
 // Refresh loads every crossbar's effective weights into the host

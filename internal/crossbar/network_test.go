@@ -67,7 +67,7 @@ func TestHardwareAccuracyCloseToSoftware(t *testing.T) {
 	softAcc := train.Evaluate(net, testDS, 32)
 
 	mn := newMapped(t, net)
-	mn.MapAllFresh()
+	mapAllFresh(mn)
 	batches := testDS.Batches(testDS.Len(), nil)
 	hwAcc := mustAcc(t, mn, batches[0].X, batches[0].Y)
 
@@ -79,7 +79,7 @@ func TestHardwareAccuracyCloseToSoftware(t *testing.T) {
 func TestRefreshLoadsEffectiveWeights(t *testing.T) {
 	net, _, _ := trainedSmallNet(t)
 	mn := newMapped(t, net)
-	mn.MapAllFresh()
+	mapAllFresh(mn)
 	mustRefresh(t, mn)
 	for _, l := range mn.Layers {
 		diff := 0.0
@@ -97,7 +97,7 @@ func TestRestoreSoftwareWeights(t *testing.T) {
 	net, _, _ := trainedSmallNet(t)
 	mn := newMapped(t, net)
 	orig := mn.Layers[0].Target.Clone()
-	mn.MapAllFresh()
+	mapAllFresh(mn)
 	mustRefresh(t, mn)
 	mn.RestoreSoftwareWeights()
 	for i, v := range mn.Layers[0].Param.W.Data() {
@@ -107,20 +107,25 @@ func TestRestoreSoftwareWeights(t *testing.T) {
 	}
 }
 
-func TestSetTargetsPicksUpRetraining(t *testing.T) {
-	net, _, _ := trainedSmallNet(t)
-	mn := newMapped(t, net)
-	mn.Layers[0].Param.W.Fill(0.42)
-	mn.SetTargets()
-	if mn.Layers[0].Target.At(0, 0) != 0.42 {
-		t.Fatal("SetTargets must snapshot current network weights")
+// mapAllFresh maps every layer onto the fresh device range — the
+// baseline mapping that ignores aging (the T+T / ST+T scenarios) — and
+// returns the summed mapping cost.
+func mapAllFresh(mn *MappedNetwork) MapStats {
+	var total MapStats
+	for i, l := range mn.Layers {
+		p := l.Crossbar.Params()
+		s := mn.MapLayer(i, p.RminFresh, p.RmaxFresh)
+		total.Pulses += s.Pulses
+		total.Stress += s.Stress
+		total.Clipped += s.Clipped
 	}
+	return total
 }
 
 func TestMapAllFreshAccounting(t *testing.T) {
 	net, _, _ := trainedSmallNet(t)
 	mn := newMapped(t, net)
-	stats := mn.MapAllFresh()
+	stats := mapAllFresh(mn)
 	if stats.Pulses <= 0 || stats.Clipped != 0 {
 		t.Fatalf("fresh map stats = %+v, want pulses > 0 and no clipping", stats)
 	}
@@ -162,7 +167,7 @@ func TestMeanUpperBoundByKind(t *testing.T) {
 func TestMappedNetworkDrift(t *testing.T) {
 	net, _, _ := trainedSmallNet(t)
 	mn := newMapped(t, net)
-	mn.MapAllFresh()
+	mapAllFresh(mn)
 	before := mustEff(t, mn.Layers[0].Crossbar).Clone()
 	mn.Drift(0.08, tensor.NewRNG(9))
 	after := mustEff(t, mn.Layers[0].Crossbar)

@@ -3,55 +3,11 @@ package crossbar
 import (
 	"math"
 	"testing"
-	"testing/quick"
 
 	"memlife/internal/aging"
 	"memlife/internal/device"
 	"memlife/internal/tensor"
 )
-
-// Property: the crossbar's VMM is linear in its input — the defining
-// property of the analog dot-product engine (Fig. 1): currents sum.
-func TestVMMLinearity(t *testing.T) {
-	cb, err := New(6, 4, device.Params32(), aging.DefaultModel(), 300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := tensor.NewRNG(11)
-	w := tensor.New(6, 4)
-	rng.FillNormal(w, 0, 0.5)
-	p := cb.Params()
-	cb.MapWeights(w, p.RminFresh, p.RmaxFresh)
-
-	f := func(seed int64, rawA, rawB float64) bool {
-		r := tensor.NewRNG(seed)
-		a := math.Mod(rawA, 3)
-		b := math.Mod(rawB, 3)
-		x, y := tensor.New(6), tensor.New(6)
-		r.FillNormal(x, 0, 1)
-		r.FillNormal(y, 0, 1)
-
-		// a*x + b*y through the crossbar...
-		mix := tensor.New(6)
-		mix.Axpy(a, x)
-		mix.Axpy(b, y)
-		got := mustVMM(t, cb, mix)
-
-		// ...must equal a*VMM(x) + b*VMM(y).
-		want := tensor.New(4)
-		want.Axpy(a, mustVMM(t, cb, x))
-		want.Axpy(b, mustVMM(t, cb, y))
-		for i := range got.Data() {
-			if math.Abs(got.Data()[i]-want.Data()[i]) > 1e-9 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
 
 // Property: quantizing twice with the same range is idempotent.
 func TestQuantizeWeightsIdempotent(t *testing.T) {
@@ -63,8 +19,9 @@ func TestQuantizeWeightsIdempotent(t *testing.T) {
 	rng := tensor.NewRNG(13)
 	w := tensor.New(8, 8)
 	rng.FillNormal(w, 0, 1)
-	q1 := cb.QuantizeWeights(w, p.RminFresh, p.RmaxFresh)
-	q2 := cb.QuantizeWeights(q1, p.RminFresh, p.RmaxFresh)
+	q1, q2 := tensor.New(w.Shape()...), tensor.New(w.Shape()...)
+	cb.QuantizeWeightsInto(q1, w, p.RminFresh, p.RmaxFresh)
+	cb.QuantizeWeightsInto(q2, q1, p.RminFresh, p.RmaxFresh)
 	for i := range q1.Data() {
 		if math.Abs(q1.Data()[i]-q2.Data()[i]) > 1e-9 {
 			t.Fatalf("quantization not idempotent at %d: %g vs %g", i, q1.Data()[i], q2.Data()[i])

@@ -28,13 +28,8 @@ type crossbarTel struct {
 	invalDrift  *telemetry.Counter
 	invalStress *telemetry.Counter
 	invalAging  *telemetry.Counter
-	invalTemp   *telemetry.Counter
 	invalFaults *telemetry.Counter
 	invalDevice *telemetry.Counter
-
-	// Read kernel latencies (wall clock).
-	vmmNs      *telemetry.Histogram
-	vmmBatchNs *telemetry.Histogram
 
 	// Device wear, aggregated over the devices this crossbar drives.
 	pulses *telemetry.Counter // programming pulses applied (incl. failed)
@@ -62,11 +57,8 @@ func newCrossbarTel() crossbarTel {
 		invalDrift:  r.Counter("crossbar/invalidations/drift"),
 		invalStress: r.Counter("crossbar/invalidations/stress"),
 		invalAging:  r.Counter("crossbar/invalidations/aging"),
-		invalTemp:   r.Counter("crossbar/invalidations/tempk"),
 		invalFaults: r.Counter("crossbar/invalidations/faults"),
 		invalDevice: r.Counter("crossbar/invalidations/device_escape"),
-		vmmNs:       r.Histogram("crossbar/vmm_ns", telemetry.NsBounds()),
-		vmmBatchNs:  r.Histogram("crossbar/vmmbatch_ns", telemetry.NsBounds()),
 		pulses:      r.Counter("device/pulses_total"),
 		stress:      r.Gauge("device/stress_total"),
 		usableMean:  r.Gauge("device/usable_levels_mean"),

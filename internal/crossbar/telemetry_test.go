@@ -33,14 +33,8 @@ func TestTelemetryCacheAndInvalidationCounters(t *testing.T) {
 	w := testWeights(6, 5, 3)
 	cb.MapWeights(w, cb.params.RminFresh, cb.params.RmaxFresh)
 
-	x := tensor.New(6)
-	for i := 0; i < 6; i++ {
-		x.Data()[i] = float64(i)
-	}
 	for k := 0; k < 3; k++ {
-		if _, err := cb.VMM(x); err != nil {
-			t.Fatal(err)
-		}
+		mustEff(t, cb)
 	}
 	snap := reg.Snapshot()
 	count := func(name string) int64 {
@@ -69,16 +63,12 @@ func TestTelemetryCacheAndInvalidationCounters(t *testing.T) {
 	cb.Drift(0.01, rng)
 	cb.AddStress(0.5)
 	cb.RandomizeAging(0.1, rng)
-	if err := cb.SetTempK(310); err != nil {
-		t.Fatal(err)
-	}
 	cb.Device(0, 0)
 	snap = reg.Snapshot()
 	for _, name := range []string{
 		"crossbar/invalidations/drift",
 		"crossbar/invalidations/stress",
 		"crossbar/invalidations/aging",
-		"crossbar/invalidations/tempk",
 		"crossbar/invalidations/device_escape",
 	} {
 		if v, ok := snap.Counter(name); !ok || v != 1 {
@@ -126,17 +116,8 @@ func TestTelemetryDoesNotPerturbResults(t *testing.T) {
 		cb.MapWeights(w, cb.params.RminFresh, cb.params.RmaxFresh)
 		rng := tensor.NewRNG(42)
 		cb.Drift(0.02, rng)
-		cb.StepDevice(1, 2, +1)
-		cb.StepDevice(3, 4, -1)
-		x := tensor.New(6)
-		for i := range x.Data() {
-			x.Data()[i] = float64(i) - 2.5
-		}
-		out, err := cb.VMM(x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return append([]float64(nil), out.Data()...)
+		cb.StepDevices([]Step{{I: 1, J: 2, Dir: +1}, {I: 3, J: 4, Dir: -1}}, 0)
+		return mustEff(t, cb).Data()
 	}
 
 	telemetry.SetGlobal(nil)

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"memlife/internal/crossbar"
-	"memlife/internal/device"
 	"memlife/internal/fault"
 	"memlife/internal/lifetime"
 )
@@ -31,14 +30,15 @@ func TestFaultSweepFaultMapsDeterministic(t *testing.T) {
 	a, c := build(0.05), build(0.05)
 	low := build(0.01)
 	for li := range a.Layers {
-		ma, mc := a.Layers[li].Crossbar.FaultMap(), c.Layers[li].Crossbar.FaultMap()
-		ml := low.Layers[li].Crossbar.FaultMap()
-		for i := range ma {
-			if ma[i] != mc[i] {
-				t.Fatalf("layer %d device %d: fault maps differ across identically seeded runs", li, i)
-			}
-			if ml[i] != device.FaultNone && ma[i] == device.FaultNone {
-				t.Fatalf("layer %d device %d: stuck at 1%% but healthy at 5%% — sets not nested", li, i)
+		ca, cc, cl := a.Layers[li].Crossbar, c.Layers[li].Crossbar, low.Layers[li].Crossbar
+		for i := 0; i < ca.Rows; i++ {
+			for j := 0; j < ca.Cols; j++ {
+				if ca.IsStuck(i, j) != cc.IsStuck(i, j) {
+					t.Fatalf("layer %d device (%d,%d): fault maps differ across identically seeded runs", li, i, j)
+				}
+				if cl.IsStuck(i, j) && !ca.IsStuck(i, j) {
+					t.Fatalf("layer %d device (%d,%d): stuck at 1%% but healthy at 5%% — sets not nested", li, i, j)
+				}
 			}
 		}
 	}

@@ -25,10 +25,9 @@ type RelatedWorkRow struct {
 // RelatedWork compares the prior-art counter-aging techniques of the
 // paper's related-work section ([9] shaped pulses, [11] series
 // resistor) against the paper's framework (ST+T, ST+AT), all on the
-// LeNet-5 case. The row-swapping technique of [12] is exercised by the
-// counteraging package's own tests; it changes the mapping plumbing
-// rather than the device physics, so it does not fit the same lifetime
-// harness.
+// LeNet-5 case. The row-swapping technique of [12] is not modelled: it
+// changes the mapping plumbing rather than the device physics, so it
+// does not fit the same lifetime harness.
 func RelatedWork(opt Options) ([]RelatedWorkRow, error) {
 	b, err := LeNetBundle(opt)
 	if err != nil {

@@ -289,9 +289,6 @@ func (s *Sim) Tick() {
 	}
 }
 
-// Clock returns the current event-clock tick.
-func (s *Sim) Clock() int64 { return s.clock }
-
 // doTick runs one tick: route arrivals, sample the latency proxy,
 // serve, accrue read-disturb drift, run health checks, publish
 // telemetry, and sample the survival curve.

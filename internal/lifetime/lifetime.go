@@ -276,21 +276,6 @@ type Result struct {
 	FinalAcc float64
 }
 
-// AccuracyCurve returns the accuracy-vs-applications trajectory of the
-// run: one point per served cycle (cumulative applications, accuracy
-// after tuning). Together with Lifetime this is the graceful-
-// degradation view: instead of a single death point, the curve shows
-// how far and how fast a faulty array's delivered accuracy sagged.
-func (r Result) AccuracyCurve() (apps []int64, acc []float64) {
-	apps = make([]int64, len(r.Records))
-	acc = make([]float64, len(r.Records))
-	for i, rec := range r.Records {
-		apps[i] = rec.Apps
-		acc[i] = rec.Acc
-	}
-	return apps, acc
-}
-
 // Run simulates the deployment life of net under the scenario. The
 // network's current weights are the mapping targets; trainDS supplies
 // tuning batches and the evaluation subset.

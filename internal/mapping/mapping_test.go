@@ -245,8 +245,8 @@ func TestMapRefreshesHostNetwork(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, l := range mn.Layers {
-		eff, err := l.Crossbar.EffectiveWeights()
-		if err != nil {
+		eff := tensor.New(l.Crossbar.Rows, l.Crossbar.Cols)
+		if err := l.Crossbar.ReadWeightsInto(eff); err != nil {
 			t.Fatal(err)
 		}
 		for i, v := range l.Param.W.Data() {

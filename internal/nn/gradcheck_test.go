@@ -58,20 +58,6 @@ func TestGradCheckDenseReLU(t *testing.T) {
 	checkGrads(t, net, x, []int{0, 1, 2, 1})
 }
 
-func TestGradCheckTanhSigmoid(t *testing.T) {
-	rng := tensor.NewRNG(12)
-	net := NewNetwork("acts", 4,
-		NewDense("fc1", 4, 6, rng),
-		NewTanh(),
-		NewDense("fc2", 6, 5, rng),
-		NewSigmoid(),
-		NewDense("fc3", 5, 3, rng),
-	)
-	x := tensor.New(3, 4)
-	rng.FillNormal(x, 0, 1)
-	checkGrads(t, net, x, []int{2, 0, 1})
-}
-
 func TestGradCheckConvPool(t *testing.T) {
 	rng := tensor.NewRNG(13)
 	convGeom := tensor.ConvGeom{InC: 2, InH: 6, InW: 6, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
@@ -86,22 +72,6 @@ func TestGradCheckConvPool(t *testing.T) {
 	x := tensor.New(2, 2*6*6)
 	rng.FillNormal(x, 0, 1)
 	checkGrads(t, net, x, []int{1, 3})
-}
-
-func TestGradCheckAvgPool(t *testing.T) {
-	rng := tensor.NewRNG(14)
-	convGeom := tensor.ConvGeom{InC: 1, InH: 4, InW: 4, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
-	poolGeom := tensor.ConvGeom{InC: 2, InH: 4, InW: 4, KH: 2, KW: 2, StrideH: 2, StrideW: 2}
-	net := NewNetwork("avgnet", 16,
-		NewConv2D("c1", convGeom, 2, rng),
-		NewTanh(),
-		NewAvgPool2D("p1", poolGeom),
-		NewFlatten(),
-		NewDense("fc", 8, 3, rng),
-	)
-	x := tensor.New(2, 16)
-	rng.FillNormal(x, 0, 1)
-	checkGrads(t, net, x, []int{0, 2})
 }
 
 func TestGradCheckInputGradient(t *testing.T) {

@@ -54,27 +54,3 @@ func SoftmaxCrossEntropy(logits *tensor.Tensor, y []int) (loss float64, dlogits 
 	}
 	return loss, dlogits
 }
-
-// Softmax returns the row-wise softmax of logits as a new tensor.
-func Softmax(logits *tensor.Tensor) *tensor.Tensor {
-	out := logits.Clone()
-	b := out.Dim(0)
-	for i := 0; i < b; i++ {
-		row := out.RowSlice(i).Data()
-		max := row[0]
-		for _, v := range row[1:] {
-			if v > max {
-				max = v
-			}
-		}
-		sum := 0.0
-		for j, v := range row {
-			row[j] = math.Exp(v - max)
-			sum += row[j]
-		}
-		for j := range row {
-			row[j] /= sum
-		}
-	}
-	return out
-}

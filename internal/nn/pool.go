@@ -109,118 +109,3 @@ func (l *MaxPool2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	}
 	return dx
 }
-
-// AvgPool2D applies channel-wise average pooling over (C,H,W) rows.
-type AvgPool2D struct {
-	name string
-	Geom tensor.ConvGeom
-
-	inSize int
-}
-
-// NewAvgPool2D constructs an average-pooling layer.
-func NewAvgPool2D(name string, geom tensor.ConvGeom) *AvgPool2D {
-	if err := geom.Validate(); err != nil {
-		panic(fmt.Sprintf("nn: avgpool %q: %v", name, err))
-	}
-	return &AvgPool2D{name: name, Geom: geom}
-}
-
-// Name implements Layer.
-func (l *AvgPool2D) Name() string { return l.name }
-
-// Params implements Layer.
-func (l *AvgPool2D) Params() []*Param { return nil }
-
-// InputSize returns the expected per-sample input width.
-func (l *AvgPool2D) InputSize() int { return l.Geom.InC * l.Geom.InH * l.Geom.InW }
-
-// OutputSize implements Layer.
-func (l *AvgPool2D) OutputSize(in int) int {
-	if in != l.InputSize() {
-		panic(fmt.Sprintf("nn: avgpool %q expects input size %d, got %d", l.name, l.InputSize(), in))
-	}
-	return l.Geom.InC * l.Geom.OutH() * l.Geom.OutW()
-}
-
-// Forward implements Layer.
-func (l *AvgPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	b := x.Dim(0)
-	g := l.Geom
-	outH, outW := g.OutH(), g.OutW()
-	l.inSize = x.Dim(1)
-	out := tensor.New(b, g.InC*outH*outW)
-	window := float64(g.KH * g.KW)
-
-	for s := 0; s < b; s++ {
-		in := x.RowSlice(s).Data()
-		o := out.RowSlice(s).Data()
-		oi := 0
-		for c := 0; c < g.InC; c++ {
-			cOff := c * g.InH * g.InW
-			for oy := 0; oy < outH; oy++ {
-				iy0 := oy*g.StrideH - g.PadH
-				for ox := 0; ox < outW; ox++ {
-					ix0 := ox*g.StrideW - g.PadW
-					sum := 0.0
-					for ky := 0; ky < g.KH; ky++ {
-						iy := iy0 + ky
-						if iy < 0 || iy >= g.InH {
-							continue
-						}
-						for kx := 0; kx < g.KW; kx++ {
-							ix := ix0 + kx
-							if ix < 0 || ix >= g.InW {
-								continue
-							}
-							sum += in[cOff+iy*g.InW+ix]
-						}
-					}
-					o[oi] = sum / window
-					oi++
-				}
-			}
-		}
-	}
-	return out
-}
-
-// Backward implements Layer.
-func (l *AvgPool2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
-	b := dout.Dim(0)
-	g := l.Geom
-	outH, outW := g.OutH(), g.OutW()
-	dx := tensor.New(b, l.inSize)
-	window := float64(g.KH * g.KW)
-
-	for s := 0; s < b; s++ {
-		do := dout.RowSlice(s).Data()
-		di := dx.RowSlice(s).Data()
-		oi := 0
-		for c := 0; c < g.InC; c++ {
-			cOff := c * g.InH * g.InW
-			for oy := 0; oy < outH; oy++ {
-				iy0 := oy*g.StrideH - g.PadH
-				for ox := 0; ox < outW; ox++ {
-					ix0 := ox*g.StrideW - g.PadW
-					grad := do[oi] / window
-					for ky := 0; ky < g.KH; ky++ {
-						iy := iy0 + ky
-						if iy < 0 || iy >= g.InH {
-							continue
-						}
-						for kx := 0; kx < g.KW; kx++ {
-							ix := ix0 + kx
-							if ix < 0 || ix >= g.InW {
-								continue
-							}
-							di[cOff+iy*g.InW+ix] += grad
-						}
-					}
-					oi++
-				}
-			}
-		}
-	}
-	return dx
-}

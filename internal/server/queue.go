@@ -321,12 +321,6 @@ func (q *queue) Jobs() []Job {
 	return out
 }
 
-// Depth returns (queued, running) counts for telemetry.
-func (q *queue) Depth() (queued, running int) {
-	queued, running, _, _ = q.CountsByState()
-	return
-}
-
 // CountsByState returns how many known jobs sit in each lifecycle
 // state. Unlike the server/jobs_done and server/jobs_failed event
 // counters, these reflect the current job table — including terminal

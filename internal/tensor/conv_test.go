@@ -120,8 +120,13 @@ func TestCol2ImIsAdjointOfIm2Col(t *testing.T) {
 		aty := New(g.InC, g.InH, g.InW)
 		Col2Im(aty, y, g)
 
-		lhs := Dot(ax, y)
-		rhs := Dot(x, aty)
+		lhs, rhs := 0.0, 0.0
+		for i, v := range ax.Data() {
+			lhs += v * y.Data()[i]
+		}
+		for i, v := range x.Data() {
+			rhs += v * aty.Data()[i]
+		}
 		if math.Abs(lhs-rhs) > 1e-9*(1+math.Abs(lhs)) {
 			t.Fatalf("adjoint identity violated for %+v: %g vs %g", g, lhs, rhs)
 		}
@@ -141,7 +146,7 @@ func TestIm2ColConvolutionEquivalence(t *testing.T) {
 
 	cols := New(g.OutH()*g.OutW(), g.InC*g.KH*g.KW)
 	Im2Col(cols, x, g)
-	got := MatMul(cols, w) // [OutH*OutW, outC]
+	got := matMul(cols, w) // [OutH*OutW, outC]
 
 	for oc := 0; oc < outC; oc++ {
 		for oy := 0; oy < g.OutH(); oy++ {

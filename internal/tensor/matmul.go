@@ -2,27 +2,16 @@ package tensor
 
 import "fmt"
 
-// MatMul returns a @ b for rank-2 tensors a[m,k] and b[k,n].
-// The kernel is written ikj-order so the inner loop streams both the
-// output row and the b row sequentially, which keeps it cache-friendly
-// without external BLAS.
-func MatMul(a, b *Tensor) *Tensor {
-	if len(a.shape) != 2 || len(b.shape) != 2 {
-		panic(fmt.Sprintf("tensor: MatMul needs rank-2 operands, got %v and %v", a.shape, b.shape))
-	}
-	m, k := a.shape[0], a.shape[1]
-	k2, n := b.shape[0], b.shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMul inner dimensions differ: %v @ %v", a.shape, b.shape))
-	}
-	out := New(m, n)
-	MatMulInto(out, a, b)
-	return out
-}
-
-// MatMulInto computes dst = a @ b, reusing dst's storage. dst must have
-// shape [a.rows, b.cols] and must not alias a or b.
+// MatMulInto computes dst = a @ b for rank-2 tensors a[m,k] and
+// b[k,n], reusing dst's storage. dst must have shape [m, n] and must
+// not alias a or b.
 func MatMulInto(dst, a, b *Tensor) {
+	if len(a.shape) != 2 || len(b.shape) != 2 {
+		panic(fmt.Sprintf("tensor: MatMulInto needs rank-2 operands, got %v and %v", a.shape, b.shape))
+	}
+	if a.shape[1] != b.shape[0] {
+		panic(fmt.Sprintf("tensor: MatMulInto inner dimensions differ: %v @ %v", a.shape, b.shape))
+	}
 	m, n := a.shape[0], b.shape[1]
 	if dst.shape[0] != m || dst.shape[1] != n {
 		panic(fmt.Sprintf("tensor: MatMulInto dst shape %v, want [%d %d]", dst.shape, m, n))
@@ -166,63 +155,6 @@ func MatMulBTInto(dst, a, b *Tensor) {
 				s += av * brow[p]
 			}
 			drow[j] = s
-		}
-	}
-}
-
-// MatVec returns a @ x for a rank-2 tensor a[m,k] and rank-1 x[k].
-func MatVec(a, x *Tensor) *Tensor {
-	if len(a.shape) != 2 || len(x.shape) != 1 {
-		panic(fmt.Sprintf("tensor: MatVec needs [m,k]@[k], got %v and %v", a.shape, x.shape))
-	}
-	out := New(a.shape[0])
-	MatVecInto(out, a, x)
-	return out
-}
-
-// MatVecInto computes dst = a @ x for a[m,k] and x[k], reusing dst's
-// storage (rank-1, length m). dst must not alias x. Bit-identical to
-// MatVec.
-func MatVecInto(dst, a, x *Tensor) {
-	m, k := a.shape[0], a.shape[1]
-	if x.Size() != k {
-		panic(fmt.Sprintf("tensor: MatVecInto dimension mismatch %v @ %v", a.shape, x.shape))
-	}
-	if dst.Size() != m {
-		panic(fmt.Sprintf("tensor: MatVecInto dst size %d, want %d", dst.Size(), m))
-	}
-	for i := 0; i < m; i++ {
-		row := a.data[i*k : (i+1)*k]
-		s := 0.0
-		for p, v := range row {
-			s += v * x.data[p]
-		}
-		dst.data[i] = s
-	}
-}
-
-// MatVecTInto computes dst = aᵀ @ x for a[k,m] and x[k] without
-// materializing the transpose: dst_j = sum_i a[i][j] * x_i, accumulated
-// in ascending i like a MatVec over an explicit transpose, so the
-// result is bit-identical to MatVec(a.Transpose(), x) while streaming
-// a's rows sequentially. dst (rank-1, length m) must not alias x.
-func MatVecTInto(dst, a, x *Tensor) {
-	k, m := a.shape[0], a.shape[1]
-	if x.Size() != k {
-		panic(fmt.Sprintf("tensor: MatVecTInto dimension mismatch %vᵀ @ %v", a.shape, x.shape))
-	}
-	if dst.Size() != m {
-		panic(fmt.Sprintf("tensor: MatVecTInto dst size %d, want %d", dst.Size(), m))
-	}
-	d := dst.data[:m]
-	for j := range d {
-		d[j] = 0
-	}
-	for i := 0; i < k; i++ {
-		xi := x.data[i]
-		row := a.data[i*m : (i+1)*m]
-		for j, v := range row {
-			d[j] += v * xi
 		}
 	}
 }

@@ -36,8 +36,8 @@ func matMulReference(dst, a, b *Tensor) {
 // the streaming oracle with == (no tolerance).
 func TestMatMulBlockedBitIdentical(t *testing.T) {
 	shapes := []struct{ m, k, n int }{
-		{3, 5, 7},                                   // tiny, unblocked
-		{32, 64, 64},                                // the bench shape, unblocked
+		{3, 5, 7},    // tiny, unblocked
+		{32, 64, 64}, // the bench shape, unblocked
 		{4, matMulBlockK + 33, matMulBlockN + 17},   // ragged tiles, blocked
 		{9, 3 * matMulBlockK, 2 * matMulBlockN},     // exact tiles, blocked
 		{1, matMulBlockK * 4, matMulBlockN/2 + 111}, // tall-skinny, blocked
@@ -76,58 +76,5 @@ func TestMatMulBlockedBitIdentical(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestMatVecIntoBitIdentical pins the Into variants against their
-// allocating counterparts: MatVecInto against MatVec, and MatVecTInto
-// against MatVec over an explicit transpose.
-func TestMatVecIntoBitIdentical(t *testing.T) {
-	for _, s := range []struct{ m, k int }{{1, 1}, {7, 5}, {64, 64}, {130, 257}} {
-		rng := NewRNG(int64(s.m*100 + s.k))
-		a := New(s.m, s.k)
-		x := New(s.k)
-		rng.FillNormal(a, 0, 1)
-		rng.FillNormal(x, 0, 1)
-
-		want := MatVec(a, x)
-		got := New(s.m)
-		got.Fill(42) // stale contents must be fully overwritten
-		MatVecInto(got, a, x)
-		for i, v := range want.data {
-			if got.data[i] != v {
-				t.Fatalf("[%d,%d] MatVecInto element %d differs: %v vs %v", s.m, s.k, i, got.data[i], v)
-			}
-		}
-
-		xm := New(s.m)
-		rng.FillNormal(xm, 0, 1)
-		wantT := MatVec(a.Transpose(), xm)
-		gotT := New(s.k)
-		gotT.Fill(-42)
-		MatVecTInto(gotT, a, xm)
-		for i, v := range wantT.data {
-			if gotT.data[i] != v {
-				t.Fatalf("[%d,%d] MatVecTInto element %d differs: %v vs %v", s.m, s.k, i, gotT.data[i], v)
-			}
-		}
-	}
-}
-
-// TestMatVecIntoZeroAlloc pins the Into kernels at zero allocations.
-func TestMatVecIntoZeroAlloc(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counting under the race detector")
-	}
-	a := New(64, 64)
-	x := New(64)
-	NewRNG(1).FillNormal(a, 0, 1)
-	NewRNG(2).FillNormal(x, 0, 1)
-	dst := New(64)
-	if n := testing.AllocsPerRun(100, func() { MatVecInto(dst, a, x) }); n != 0 {
-		t.Fatalf("MatVecInto allocates %v allocs/op, want 0", n)
-	}
-	if n := testing.AllocsPerRun(100, func() { MatVecTInto(dst, a, x) }); n != 0 {
-		t.Fatalf("MatVecTInto allocates %v allocs/op, want 0", n)
 	}
 }

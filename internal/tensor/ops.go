@@ -9,45 +9,10 @@ func checkSameSize(op string, a, b *Tensor) {
 	}
 }
 
-// AddInto sets dst = a + b elementwise. All three must share a size;
-// dst may alias a or b.
-func AddInto(dst, a, b *Tensor) {
-	checkSameSize("AddInto", a, b)
-	checkSameSize("AddInto", dst, a)
-	for i := range dst.data {
-		dst.data[i] = a.data[i] + b.data[i]
-	}
-}
-
-// SubInto sets dst = a - b elementwise.
-func SubInto(dst, a, b *Tensor) {
-	checkSameSize("SubInto", a, b)
-	checkSameSize("SubInto", dst, a)
-	for i := range dst.data {
-		dst.data[i] = a.data[i] - b.data[i]
-	}
-}
-
-// MulInto sets dst = a * b elementwise (Hadamard product).
-func MulInto(dst, a, b *Tensor) {
-	checkSameSize("MulInto", a, b)
-	checkSameSize("MulInto", dst, a)
-	for i := range dst.data {
-		dst.data[i] = a.data[i] * b.data[i]
-	}
-}
-
 // Scale multiplies every element of t by s in place.
 func (t *Tensor) Scale(s float64) {
 	for i := range t.data {
 		t.data[i] *= s
-	}
-}
-
-// AddScalar adds s to every element of t in place.
-func (t *Tensor) AddScalar(s float64) {
-	for i := range t.data {
-		t.data[i] += s
 	}
 }
 
@@ -71,16 +36,6 @@ func (t *Tensor) Clamp(lo, hi float64) {
 			t.data[i] = hi
 		}
 	}
-}
-
-// Dot returns the inner product of a and b viewed as flat vectors.
-func Dot(a, b *Tensor) float64 {
-	checkSameSize("Dot", a, b)
-	s := 0.0
-	for i := range a.data {
-		s += a.data[i] * b.data[i]
-	}
-	return s
 }
 
 // RowSlice returns a view of row r of a rank-2 tensor as a rank-1 tensor

@@ -73,47 +73,6 @@ func TestSumRowsMatchesManual(t *testing.T) {
 	}
 }
 
-// Property: MatVec agrees with MatMul against a column matrix.
-func TestMatVecMatchesMatMul(t *testing.T) {
-	f := func(seed int64) bool {
-		r := NewRNG(seed)
-		m, k := 1+r.Intn(6), 1+r.Intn(6)
-		a := New(m, k)
-		x := New(k)
-		r.FillNormal(a, 0, 1)
-		r.FillNormal(x, 0, 1)
-		got := MatVec(a, x)
-		want := MatMul(a, x.Reshape(k, 1))
-		for i := 0; i < m; i++ {
-			if math.Abs(got.Data()[i]-want.Data()[i]) > 1e-12 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: Dot is symmetric and positive on self.
-func TestDotProperties(t *testing.T) {
-	f := func(seed int64) bool {
-		r := NewRNG(seed)
-		n := 1 + r.Intn(16)
-		a, b := New(n), New(n)
-		r.FillNormal(a, 0, 1)
-		r.FillNormal(b, 0, 1)
-		if math.Abs(Dot(a, b)-Dot(b, a)) > 1e-12 {
-			return false
-		}
-		return Dot(a, a) >= 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestMeanStdEdgeCases(t *testing.T) {
 	empty := New(0)
 	if empty.Mean() != 0 || empty.Std() != 0 || empty.AbsMax() != 0 {

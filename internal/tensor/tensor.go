@@ -50,9 +50,6 @@ func FromSlice(data []float64, shape ...int) *Tensor {
 // modified.
 func (t *Tensor) Shape() []int { return t.shape }
 
-// Rank returns the number of dimensions.
-func (t *Tensor) Rank() int { return len(t.shape) }
-
 // Dim returns the size of dimension i.
 func (t *Tensor) Dim(i int) int { return t.shape[i] }
 
@@ -241,20 +238,4 @@ func (t *Tensor) ArgMax() int {
 		}
 	}
 	return bi
-}
-
-// Apply replaces every element x with f(x).
-func (t *Tensor) Apply(f func(float64) float64) {
-	for i, v := range t.data {
-		t.data[i] = f(v)
-	}
-}
-
-// Map returns a new tensor whose elements are f applied to t's elements.
-func (t *Tensor) Map(f func(float64) float64) *Tensor {
-	out := New(t.shape...)
-	for i, v := range t.data {
-		out.data[i] = f(v)
-	}
-	return out
 }
