@@ -16,9 +16,11 @@ import (
 	"memlife/internal/dataset"
 	"memlife/internal/device"
 	"memlife/internal/experiments"
+	"memlife/internal/fleet"
 	"memlife/internal/lifetime"
 	"memlife/internal/mapping"
 	"memlife/internal/nn"
+	"memlife/internal/telemetry"
 	"memlife/internal/tensor"
 	"memlife/internal/train"
 	"memlife/internal/tuning"
@@ -328,6 +330,10 @@ func BenchmarkAblationRangePolicy(b *testing.B) {
 }
 
 // ---- micro-benchmarks for the hot kernels ----
+//
+// Their zero-allocation contracts are held by package tests
+// (testing.AllocsPerRun); these time them. CI runs each once so they
+// keep compiling and running.
 
 func BenchmarkMatMul64(b *testing.B) {
 	rng := tensor.NewRNG(1)
@@ -430,5 +436,110 @@ func BenchmarkTuneIteration(b *testing.B) {
 		}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// newMicroCrossbar is a mapped 64x64 array (no faults, so reads are
+// pure and draw no RNG) and its weight matrix.
+func newMicroCrossbar(b *testing.B) (*crossbar.Crossbar, *tensor.Tensor) {
+	b.Helper()
+	cb, err := crossbar.New(64, 64, device.Params32(), aging.DefaultModel(), 300)
+	if err != nil {
+		b.Fatal(err)
+	}
+	w := tensor.New(64, 64)
+	tensor.NewRNG(17).FillNormal(w, 0, 0.5)
+	p := cb.Params()
+	cb.MapWeights(w, p.RminFresh, p.RmaxFresh)
+	return cb, w
+}
+
+// BenchmarkQuantizeWeightsLUT times the software-side quantization pass
+// of the range selection: pure LUT arithmetic into a caller-owned
+// destination, no device state.
+func BenchmarkQuantizeWeightsLUT(b *testing.B) {
+	cb, w := newMicroCrossbar(b)
+	p := cb.Params()
+	dst := tensor.New(64, 64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cb.QuantizeWeightsInto(dst, w, p.RminFresh, p.RmaxFresh)
+	}
+}
+
+// BenchmarkStepDevicesBatch times batched tuning pulses: one
+// StepDevices call applying a quarter of the array per op, patching the
+// warm read cache per cell.
+func BenchmarkStepDevicesBatch(b *testing.B) {
+	cb, _ := newMicroCrossbar(b)
+	steps := make([]crossbar.Step, 0, 64*64/4)
+	rng := tensor.NewRNG(21)
+	for len(steps) < cap(steps) {
+		dir := 1
+		if rng.Float64() < 0.5 {
+			dir = -1
+		}
+		steps = append(steps, crossbar.Step{I: rng.Intn(64), J: rng.Intn(64), Dir: dir})
+	}
+	if err := cb.ReadWeightsInto(tensor.New(64, 64)); err != nil { // warm the cache
+		b.Fatal(err)
+	}
+	cb.StepDevices(steps, 2) // warm the bounds memo
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cb.StepDevices(steps, 2)
+	}
+}
+
+// BenchmarkModelPulse times the full stochastic pulse path through the
+// model zoo: stress accrual, the counter-based C2C draw, the diffusive
+// StepG and the window clamp.
+func BenchmarkModelPulse(b *testing.B) {
+	p := device.Params32()
+	p.Model = device.ModelSpec{Kind: device.ModelDiffusive, D2D: 0.05, C2C: 0.02}
+	d := device.New(p)
+	d.SeedNoise(42)
+	lo, hi := p.RminFresh, p.RmaxFresh
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d.Pulse(1-2*(i&1), lo, hi)
+	}
+}
+
+// BenchmarkFleetTick times one event-clock tick of a small fleet under
+// the busiest balancer. Tick keeps serving past the configured horizon,
+// so b.N is unbounded.
+func BenchmarkFleetTick(b *testing.B) {
+	cfg := fleet.Defaults(10, true)
+	cfg.Balancer = fleet.BalLeastAged
+	sim, err := fleet.New(cfg, device.Params32(), aging.DefaultModel(), 300, 42)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		sim.Tick() // warm past first-touch growth
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sim.Tick()
+	}
+}
+
+// BenchmarkTelemetryDisabled times the disabled-telemetry fast path: a
+// nil registry hands out nil instruments whose methods are
+// single-branch no-ops.
+func BenchmarkTelemetryDisabled(b *testing.B) {
+	var reg *telemetry.Registry
+	c := reg.Counter("bench/disabled")
+	h := reg.Histogram("bench/disabled_ns", telemetry.NsBounds())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Inc()
+		h.Observe(float64(i))
 	}
 }

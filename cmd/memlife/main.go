@@ -48,7 +48,6 @@ import (
 	"syscall"
 	"time"
 
-	"memlife/internal/bench"
 	"memlife/internal/campaign"
 	"memlife/internal/experiments"
 	"memlife/internal/spec"
@@ -119,11 +118,7 @@ type cliConfig struct {
 	traceOut   string
 	debugAddr  string
 
-	bench         bool
-	benchOut      string
-	benchBaseline string
-	benchTol      float64
-	cpuProfile    string
+	cpuProfile string
 
 	// overrides carries the explicitly set CLI flags into stage 3 of
 	// the spec resolution chain (spec.Overrides); flags left at their
@@ -174,11 +169,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs.StringVar(&c.metricsOut, "metrics-out", "", "write a telemetry snapshot (canonical JSON) to this file on exit")
 	fs.StringVar(&c.traceOut, "trace-out", "", "stream telemetry spans/events as JSONL to this file")
 	fs.StringVar(&c.debugAddr, "debug-addr", "", "serve /metrics/json, /healthz and net/http/pprof on this address (e.g. 127.0.0.1:6060)")
-	fs.BoolVar(&c.bench, "bench", false, "run the micro-benchmark harness instead of experiments")
-	fs.StringVar(&c.benchOut, "bench-out", "", "bench: write the canonical JSON report to this file (default stdout)")
-	fs.StringVar(&c.benchBaseline, "bench-baseline", "", "bench: compare against this committed baseline report and fail on regression")
-	fs.Float64Var(&c.benchTol, "bench-tol", 4, "bench: allowed ns/op growth factor over the baseline (4 = up to 5x slower; generous because baselines cross machines)")
-	fs.StringVar(&c.cpuProfile, "cpuprofile", "", "write a CPU profile of the run to this file (pprof format); covers experiments, campaigns, scenarios and -bench")
+	fs.StringVar(&c.cpuProfile, "cpuprofile", "", "write a CPU profile of the run to this file (pprof format); covers experiments, campaigns and scenarios")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -237,9 +228,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 
 // startCPUProfile starts the -cpuprofile CPU profile (a no-op without
 // the flag) and returns the function that stops it and closes the
-// file. With -bench, a failed gate thereby ships the evidence needed to
-// see where the regression lives (CI uploads the profile as an artifact
-// on failure).
+// file.
 func startCPUProfile(path string, stderr io.Writer) (stop func(), code int) {
 	if path == "" {
 		return func() {}, 0
@@ -268,17 +257,11 @@ func dispatch(ctx context.Context, c cliConfig, fs *flag.FlagSet, stdout, stderr
 	specMode := c.scenario != "" || c.dumpSpec
 	switch {
 	case specMode:
-		if c.all || c.runIDs != "" || c.bench || campaignMode {
-			fmt.Fprintln(stderr, "memlife: -scenario/-dump-spec run one spec and exclude -run/-all/-bench and campaign flags")
+		if c.all || c.runIDs != "" || campaignMode {
+			fmt.Fprintln(stderr, "memlife: -scenario/-dump-spec run one spec and exclude -run/-all and campaign flags")
 			return 2
 		}
 		return runScenario(ctx, c, stdout, stderr)
-	case c.bench:
-		if c.all || c.runIDs != "" || campaignMode {
-			fmt.Fprintln(stderr, "memlife: -bench runs the benchmark harness and takes no experiment selection")
-			return 2
-		}
-		return runBench(c, stdout, stderr)
 	case c.list:
 		for _, e := range experiments.All() {
 			fmt.Fprintf(stdout, "%-18s %s\n", e.ID, e.Title)
@@ -347,46 +330,6 @@ func runScenario(ctx context.Context, c cliConfig, stdout, stderr io.Writer) int
 	if err != nil {
 		fmt.Fprintf(stderr, "memlife: scenario failed: %v\n", err)
 		return 1
-	}
-	return 0
-}
-
-// runBench runs the registered micro-kernels through the bench harness,
-// writes the canonical JSON report, and optionally gates against a
-// committed baseline (-bench-baseline / -bench-tol). See
-// internal/bench.
-func runBench(c cliConfig, stdout, stderr io.Writer) int {
-	rep, err := bench.RunAll(time.Now().Format("2006-01-02"))
-	if err != nil {
-		fmt.Fprintf(stderr, "memlife: %v\n", err)
-		return 1
-	}
-	if c.benchOut != "" {
-		if err := writeFileAtomic(c.benchOut, rep.WriteJSON); err != nil {
-			fmt.Fprintf(stderr, "memlife: writing bench report: %v\n", err)
-			return 1
-		}
-	} else if err := rep.WriteJSON(stdout); err != nil {
-		fmt.Fprintf(stderr, "memlife: writing bench report: %v\n", err)
-		return 1
-	}
-	if c.benchBaseline != "" {
-		f, err := os.Open(c.benchBaseline)
-		if err != nil {
-			fmt.Fprintf(stderr, "memlife: %v\n", err)
-			return 1
-		}
-		base, err := bench.ReadReport(f)
-		f.Close()
-		if err != nil {
-			fmt.Fprintf(stderr, "memlife: %v\n", err)
-			return 1
-		}
-		if err := bench.Compare(base, rep, c.benchTol); err != nil {
-			fmt.Fprintf(stderr, "memlife: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(stderr, "memlife: bench within tolerance of %s\n", c.benchBaseline)
 	}
 	return 0
 }

@@ -183,10 +183,9 @@ func TestVersionFlag(t *testing.T) {
 	}
 }
 
-// TestCPUProfileOutsideBench: -cpuprofile profiles every mode, not only
-// -bench. An experiment run must leave a non-empty, gzip-framed pprof
-// file behind.
-func TestCPUProfileOutsideBench(t *testing.T) {
+// TestCPUProfileExperimentRun: -cpuprofile profiles a plain experiment
+// run. It must leave a non-empty, gzip-framed pprof file behind.
+func TestCPUProfileExperimentRun(t *testing.T) {
 	prof := filepath.Join(t.TempDir(), "p")
 	var stdout, stderr strings.Builder
 	if code := run(context.Background(), []string{"-run", "fig4", "-fast", "-cpuprofile", prof}, &stdout, &stderr); code != 0 {
@@ -268,7 +267,7 @@ func TestScenarioCLIErrors(t *testing.T) {
 	}{
 		{"scenario with run", []string{"-scenario", bad, "-run", "table1"}, 2, "exclude"},
 		{"scenario with campaign", []string{"-scenario", bad, "-seeds", "3"}, 2, "exclude"},
-		{"dump-spec with bench", []string{"-dump-spec", "-bench"}, 2, "exclude"},
+		{"bench is not a flag", []string{"-dump-spec", "-bench"}, 2, "flag provided but not defined: -bench"},
 		{"unknown field", []string{"-scenario", bad}, 1, "scenaro"},
 		{"missing file", []string{"-scenario", filepath.Join(dir, "absent.json")}, 1, ""},
 	}

@@ -8,8 +8,8 @@ import (
 // crossbarTel holds the crossbar's telemetry handles, resolved once at
 // construction from the global registry. With telemetry disabled every
 // handle is nil and each instrumented site costs one branch — the
-// nil-sink fast path benchmarked by the telemetry kernel of
-// internal/bench. All handles are process-wide instruments: multiple
+// nil-sink fast path telemetry.TestDisabledFastPathZeroAllocs pins at
+// zero allocations. All handles are process-wide instruments: multiple
 // crossbars (and campaign workers) aggregate into the same counters.
 //
 // Naming (see DESIGN.md "Telemetry"): device/* aggregates per-device

@@ -105,8 +105,8 @@ func (d DriftSpec) DecayFactor(cycle int) float64 {
 // (one instance per Params value, cached like Grid); per-device
 // mutable state stays inside Device, so a Model's methods are pure
 // functions and allocation-free — the tuning hot loop dispatches
-// through this interface millions of times per simulated cycle (the
-// model/pulse bench kernel pins the whole path at 0 allocs/op).
+// through this interface millions of times per simulated cycle
+// (TestStochasticPulseZeroAlloc pins the whole path at 0 allocs/op).
 type Model interface {
 	// Name returns the model kind label ("linear", "mms", ...).
 	Name() string

@@ -186,6 +186,27 @@ func TestDeviceNoiseDeterminism(t *testing.T) {
 	}
 }
 
+// TestStochasticPulseZeroAlloc pins the full stochastic pulse path —
+// stress accrual, the counter-based C2C draw, the diffusive StepG and
+// the window clamp — at zero heap allocations per pulse: the tuning hot
+// loop dispatches through the Model interface millions of times per
+// simulated cycle.
+func TestStochasticPulseZeroAlloc(t *testing.T) {
+	p := Params32()
+	p.Model = ModelSpec{Kind: ModelDiffusive, D2D: 0.05, C2C: 0.02}
+	d := New(p)
+	d.SeedNoise(42)
+	lo, hi := p.RminFresh, p.RmaxFresh
+	dir := 1
+	pulse := func() {
+		d.Pulse(dir, lo, hi)
+		dir = -dir
+	}
+	if n := testing.AllocsPerRun(1000, pulse); n != 0 {
+		t.Fatalf("diffusive Pulse: %v allocs/op, want 0", n)
+	}
+}
+
 // TestModelCacheIdentity: models are shared per Params value, like
 // grids, so the tuning hot loop never allocates per device.
 func TestModelCacheIdentity(t *testing.T) {

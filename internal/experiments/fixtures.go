@@ -73,12 +73,6 @@ func cachedBundle(s spec.Spec, opt Options, build func(spec.Spec, Options) (*Bun
 // spec) and is aliased here for the drivers.
 type SkewParams = spec.SkewParams
 
-// LeNetSkewParams returns the LeNet-5 setting of Table II.
-func LeNetSkewParams() SkewParams { return spec.LeNetSkew() }
-
-// VGGSkewParams returns the VGG-16 setting of Table II.
-func VGGSkewParams() SkewParams { return spec.VGGSkew() }
-
 // Bundle holds one network/dataset test case of Table I, trained both
 // conventionally (L2) and with the skewed regularizer.
 type Bundle struct {

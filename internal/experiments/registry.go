@@ -51,9 +51,6 @@ func (o Options) Err() error {
 	return o.Ctx.Err()
 }
 
-// DefaultOptions returns full-scale options with seed 1.
-func DefaultOptions() Options { return Options{Seed: 1} }
-
 // Experiment is one runnable reproduction target.
 type Experiment struct {
 	ID    string

@@ -223,9 +223,8 @@ func TestCancellation(t *testing.T) {
 }
 
 // TestTickSteadyStateZeroAlloc pins the event loop at zero heap
-// allocations per tick — the property the fleet/tick bench kernel
-// gates in CI. The heap, routing scratch, sketches and RNG are all
-// preallocated at New.
+// allocations per tick. The heap, routing scratch, sketches and RNG are
+// all preallocated at New.
 func TestTickSteadyStateZeroAlloc(t *testing.T) {
 	cfg := Defaults(10, true)
 	cfg.Balancer = BalLeastAged // the policy with the most per-tick scratch work

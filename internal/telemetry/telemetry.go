@@ -16,7 +16,7 @@
 //   - Near-zero cost when disabled. A nil *Registry hands out nil
 //     instrument handles, and every instrument method is a nil-receiver
 //     no-op: the disabled hot path is one predictable branch, zero
-//     allocations (asserted by the bench harness's telemetry kernel).
+//     allocations (asserted by TestDisabledFastPathZeroAllocs).
 //
 //   - Names are "layer/name" paths: lowercase [a-z0-9_/.-], at least
 //     one '/', e.g. "crossbar/cache_hits". Registering the same name

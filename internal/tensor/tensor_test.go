@@ -223,6 +223,19 @@ func TestMatMulDimensionMismatchPanics(t *testing.T) {
 	MatMulInto(New(2, 2), New(2, 3), New(2, 2))
 }
 
+// TestMatMulIntoZeroAlloc pins the forward matmul at zero heap
+// allocations into a caller-owned destination, on the 32x64 · 64x64
+// shape of a batch forward through one 64x64 layer.
+func TestMatMulIntoZeroAlloc(t *testing.T) {
+	rng := NewRNG(20)
+	a, w, dst := New(32, 64), New(64, 64), New(32, 64)
+	rng.FillNormal(a, 0, 1)
+	rng.FillNormal(w, 0, 0.5)
+	if n := testing.AllocsPerRun(100, func() { MatMulInto(dst, a, w) }); n != 0 {
+		t.Fatalf("MatMulInto: %v allocs/op, want 0", n)
+	}
+}
+
 // TestMatMulTransposedVariantsAgree checks the AT/BT kernels against
 // explicit transposes, property-style over random shapes.
 func TestMatMulTransposedVariantsAgree(t *testing.T) {

@@ -11,7 +11,8 @@ import (
 // gradient-to-pulse stage (magnitude gather, global threshold, batched
 // StepDevices per layer) performs zero heap allocations. The forward/
 // backward gradient estimation that precedes it owns its own buffers
-// and is measured by the bench harness instead.
+// and is outside this contract; the whole tuning step is timed end to
+// end by the tuning layer of the perfbench workloads.
 func TestApplyPulsesZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are perturbed by the race detector")

@@ -21,10 +21,6 @@ type Policy interface {
 	Step(mn *crossbar.MappedNetwork, b dataset.Batch, cfg Config, ar *arena) (retries, skipped int64, err error)
 }
 
-// PolicyNames lists the selectable tuning policies (the effective names;
-// the empty string aliases "sign").
-func PolicyNames() []string { return []string{"sign", "recalib", "minreprog"} }
-
 // ParsePolicy resolves a policy label from a scenario spec or CLI flag.
 // The empty string is the sign policy, so pre-policy configs resolve
 // unchanged.
