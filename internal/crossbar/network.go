@@ -12,8 +12,10 @@ import (
 
 // MappedLayer binds one weight matrix of a network to its crossbar.
 type MappedLayer struct {
-	Name     string
-	Kind     nn.LayerKind
+	Name string
+	Kind nn.LayerKind
+	// NetIndex is the index in Net.Layers of the layer owning Param.
+	NetIndex int
 	Crossbar *Crossbar
 	// Param is the live network parameter; Refresh overwrites its
 	// weights with the crossbar's effective values so inference runs
@@ -56,6 +58,7 @@ func NewMappedNetwork(net *nn.Network, p device.Params, m aging.Model, tempK flo
 		mn.Layers = append(mn.Layers, &MappedLayer{
 			Name:     wl.Param.Name,
 			Kind:     wl.Kind,
+			NetIndex: wl.Index,
 			Crossbar: cb,
 			Param:    wl.Param,
 			Target:   wl.Param.W.Clone(),

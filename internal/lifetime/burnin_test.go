@@ -1,6 +1,7 @@
 package lifetime
 
 import (
+	"context"
 	"testing"
 
 	"memlife/internal/device"
@@ -97,5 +98,20 @@ func TestTraceStridePlumbing(t *testing.T) {
 	}
 	if len(res.Records) == 0 {
 		t.Fatal("stride-1 run must record cycles")
+	}
+}
+
+// TestSingleCandidateMapping runs aging-aware mapping limited to one
+// candidate bound on an unevenly aged array, where the traced bounds
+// offer many: the selection must take the widest, not fail.
+func TestSingleCandidateMapping(t *testing.T) {
+	net, trainDS := fixture(t, false)
+	cfg := testConfig(0.6)
+	cfg.MaxCycles = 2
+	cfg.AgingVariability = 0.3
+	cfg.BurnInStress = 3
+	cfg.Mapping.MaxCandidates = 1
+	if _, err := RunCtx(context.Background(), net, trainDS, STAT, device.Params32(), fastAging(), 300, cfg); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -18,9 +18,9 @@ var silentInstruments = map[string]string{
 
 // TestNoDeadInstruments runs one short lifetime simulation with
 // telemetry on and requires every registered crossbar/*, device/*,
-// tuning/* and lifetime/* instrument to have seen at least one event
-// (a counter or histogram that never counted, a gauge never moved off
-// zero, a timeline with no record). An instrument only another
+// mapping/*, tuning/* and lifetime/* instrument to have seen at least
+// one event (a counter or histogram that never counted, a gauge never
+// moved off zero, a timeline with no record). An instrument only another
 // experiment can reach must be listed in silentInstruments; a listed
 // instrument that did fire here is a stale exemption.
 func TestNoDeadInstruments(t *testing.T) {
@@ -55,7 +55,8 @@ func TestNoDeadInstruments(t *testing.T) {
 	}
 	for name, ok := range fired {
 		if !strings.HasPrefix(name, "crossbar/") && !strings.HasPrefix(name, "device/") &&
-			!strings.HasPrefix(name, "tuning/") && !strings.HasPrefix(name, "lifetime/") {
+			!strings.HasPrefix(name, "mapping/") && !strings.HasPrefix(name, "tuning/") &&
+			!strings.HasPrefix(name, "lifetime/") {
 			continue
 		}
 		exp, exempt := silentInstruments[name]
@@ -64,6 +65,11 @@ func TestNoDeadInstruments(t *testing.T) {
 			t.Errorf("instrument %s is registered but saw no event", name)
 		case ok && exempt:
 			t.Errorf("instrument %s fired, drop its exemption (listed as exercised by %s)", name, exp)
+		}
+	}
+	for _, name := range []string{"mapping/runs", "mapping/candidates_total", "mapping/select_ns"} {
+		if !fired[name] {
+			t.Errorf("instrument %s saw no event in an aging-aware run", name)
 		}
 	}
 	for name := range silentInstruments {

@@ -10,8 +10,10 @@ package mapping
 import (
 	"fmt"
 	"sort"
+	"time"
 
 	"memlife/internal/crossbar"
+	"memlife/internal/telemetry"
 	"memlife/internal/tensor"
 )
 
@@ -130,26 +132,66 @@ type Result struct {
 // effective weights. evalX/evalY are the labelled samples used to score
 // candidates; they are required for the AgingAware policy and ignored
 // otherwise.
+//
+// Every invocation emits one "mapping/map" trace span and bumps the
+// mapping/* instruments (see telemetry.go).
 func Map(mn *crossbar.MappedNetwork, cfg Config, evalX *tensor.Tensor, evalY []int) (Result, error) {
+	sp := telemetry.StartSpan("mapping/map")
+	remap := false
+	if len(mn.Layers) > 0 {
+		_, _, remap = mn.Layers[0].Crossbar.MapRange()
+	}
+	res, selectNs, err := mapNetwork(mn, cfg, evalX, evalY)
+	candidates := 0
+	for _, sel := range res.Selections {
+		candidates += len(sel.Candidates)
+	}
+	recordMapTel(candidates, selectNs, err)
+	sp.End(telemetry.Attrs{
+		"policy":     res.Policy.String(),
+		"layers":     len(res.Selections),
+		"candidates": candidates,
+		"remap":      remap,
+	})
+	return res, err
+}
+
+func mapNetwork(mn *crossbar.MappedNetwork, cfg Config, evalX *tensor.Tensor, evalY []int) (Result, time.Duration, error) {
 	cfg = cfg.Normalized()
 	res := Result{Policy: cfg.Policy}
-	if cfg.Policy == AgingAware && (evalX == nil || len(evalY) == 0) {
-		return res, fmt.Errorf("mapping: aging-aware policy needs evaluation samples")
+	if cfg.Policy == AgingAware {
+		if evalX == nil || len(evalY) == 0 {
+			return res, 0, fmt.Errorf("mapping: aging-aware policy needs evaluation samples")
+		}
+		if n := evalX.Dim(0); len(evalY) != n {
+			return res, 0, fmt.Errorf("mapping: %d evaluation labels for %d samples", len(evalY), n)
+		}
 	}
+	start := time.Now()
 	// Score candidates against software weights for all not-yet-mapped
 	// layers; layers already processed keep their chosen quantized form.
 	mn.RestoreSoftwareWeights()
 
+	// act is the eval batch forwarded through mn.Net.Layers[:at]. Only
+	// layer i's weights change between its candidates, so act is
+	// extended to its NetIndex over the weights already committed, and
+	// each candidate runs only Net.Layers[NetIndex:].
+	act, at := evalX, 0
 	for i, l := range mn.Layers {
-		sel, err := selectRange(mn, i, cfg, evalX, evalY)
+		if cfg.Policy == AgingAware {
+			act = mn.Net.ForwardRange(act, at, l.NetIndex, false)
+			at = l.NetIndex
+		}
+		sel, err := selectRange(mn, i, cfg, act, evalY)
 		if err != nil {
-			return res, fmt.Errorf("mapping: layer %s: %w", l.Name, err)
+			return res, 0, fmt.Errorf("mapping: layer %s: %w", l.Name, err)
 		}
 		res.Selections = append(res.Selections, sel)
 		// Commit this layer's hypothetical quantized weights so later
 		// layers are scored against it (greedy sequential selection).
 		l.Crossbar.QuantizeWeightsInto(l.Param.W, l.Target, sel.RLo, sel.RHi)
 	}
+	selectNs := time.Since(start)
 	// Only now touch hardware: one programming pass per layer.
 	for i, sel := range res.Selections {
 		var s crossbar.MapStats
@@ -169,13 +211,14 @@ func Map(mn *crossbar.MappedNetwork, cfg Config, evalX *tensor.Tensor, evalY []i
 	// the effective weights reflect the fresh programming.
 	mn.ResetGains()
 	if err := mn.Refresh(); err != nil {
-		return res, fmt.Errorf("mapping: %w", err)
+		return res, selectNs, fmt.Errorf("mapping: %w", err)
 	}
-	return res, nil
+	return res, selectNs, nil
 }
 
-// selectRange chooses the common range of layer i.
-func selectRange(mn *crossbar.MappedNetwork, i int, cfg Config, evalX *tensor.Tensor, evalY []int) (LayerSelection, error) {
+// selectRange chooses the common range of layer i. For AgingAware, act
+// is the eval batch's activation at the input of Net.Layers[l.NetIndex].
+func selectRange(mn *crossbar.MappedNetwork, i int, cfg Config, act *tensor.Tensor, evalY []int) (LayerSelection, error) {
 	l := mn.Layers[i]
 	p := l.Crossbar.Params()
 	rLo := p.RminFresh
@@ -244,7 +287,7 @@ func selectRange(mn *crossbar.MappedNetwork, i int, cfg Config, evalX *tensor.Te
 		for i := len(candidates) - 1; i >= 0; i-- {
 			hi := candidates[i]
 			l.Crossbar.QuantizeWeightsInto(l.Param.W, l.Target, rLo, hi)
-			acc := mn.Net.Accuracy(evalX, evalY)
+			acc := mn.Net.AccuracyFrom(l.NetIndex, act, evalY)
 			sel.Candidates = append(sel.Candidates, CandidateScore{RHi: hi, Accuracy: acc})
 			if acc > bestAcc {
 				bestAcc = acc
@@ -274,6 +317,10 @@ func candidateBounds(sorted []float64, max int) []float64 {
 	}
 	if len(uniq) <= max {
 		return uniq
+	}
+	if max == 1 {
+		// Ties keep the widest range, so a single candidate is the widest.
+		return uniq[len(uniq)-1:]
 	}
 	out := make([]float64, 0, max)
 	for k := 0; k < max; k++ {

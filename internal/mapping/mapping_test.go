@@ -1,6 +1,7 @@
 package mapping
 
 import (
+	"reflect"
 	"testing"
 
 	"memlife/internal/aging"
@@ -219,23 +220,50 @@ func TestMinLevelsFloor(t *testing.T) {
 }
 
 func TestCandidateBoundsSubsampling(t *testing.T) {
-	in := []float64{1, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	got := candidateBounds(in, 4)
-	if len(got) > 4 {
-		t.Fatalf("subsampled to %d candidates, want <= 4", len(got))
+	many := []float64{1, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
+	for _, tc := range []struct {
+		name string
+		in   []float64
+		max  int
+		want []float64 // nil: only check the subsampling invariants
+	}{
+		// Subsampling keeps the extremes, strictly increasing.
+		{name: "subsample", in: many, max: 4},
+		// Few uniques pass through unchanged.
+		{name: "dedup", in: []float64{2, 2, 5}, max: 8, want: []float64{2, 5}},
+		// One candidate is the widest bound, the one ties would keep.
+		{name: "single", in: many, max: 1, want: []float64{10}},
+		{name: "single-unique", in: []float64{3, 3}, max: 1, want: []float64{3}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got := candidateBounds(tc.in, tc.max)
+			if tc.want != nil {
+				if !reflect.DeepEqual(got, tc.want) {
+					t.Fatalf("candidateBounds(%v, %d) = %v, want %v", tc.in, tc.max, got, tc.want)
+				}
+				return
+			}
+			if len(got) > tc.max {
+				t.Fatalf("subsampled to %d candidates, want <= %d", len(got), tc.max)
+			}
+			if got[0] != tc.in[0] || got[len(got)-1] != tc.in[len(tc.in)-1] {
+				t.Fatalf("subsampling must keep extremes, got %v", got)
+			}
+			for i := 1; i < len(got); i++ {
+				if got[i] <= got[i-1] {
+					t.Fatalf("candidates must be strictly increasing: %v", got)
+				}
+			}
+		})
 	}
-	if got[0] != 1 || got[len(got)-1] != 10 {
-		t.Fatalf("subsampling must keep extremes, got %v", got)
-	}
-	for i := 1; i < len(got); i++ {
-		if got[i] <= got[i-1] {
-			t.Fatalf("candidates must be strictly increasing: %v", got)
-		}
-	}
-	// Few uniques pass through unchanged.
-	small := candidateBounds([]float64{2, 2, 5}, 8)
-	if len(small) != 2 || small[0] != 2 || small[1] != 5 {
-		t.Fatalf("dedup failed: %v", small)
+}
+
+// TestAgingAwareRejectsMismatchedEvalData requires an error, not a
+// panic, when the eval labels do not match the eval batch.
+func TestAgingAwareRejectsMismatchedEvalData(t *testing.T) {
+	mn, x, y := fixture(t)
+	if _, err := Map(mn, Config{Policy: AgingAware}, x, y[:len(y)-1]); err == nil {
+		t.Fatal("aging-aware mapping must reject a label count that differs from the batch")
 	}
 }
 

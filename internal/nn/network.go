@@ -103,8 +103,16 @@ func (n *Network) ForwardWorkers() int {
 
 // Forward runs the batch x through all layers and returns logits.
 func (n *Network) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	return n.ForwardRange(x, 0, len(n.Layers), train)
+}
+
+// ForwardRange runs x, the activation at the input of Layers[from],
+// through Layers[from:to] only. Layer forwards are deterministic and
+// never modify their input, so one activation can be resumed from any
+// number of times with bit-identical results.
+func (n *Network) ForwardRange(x *tensor.Tensor, from, to int, train bool) *tensor.Tensor {
 	out := x
-	for _, l := range n.Layers {
+	for _, l := range n.Layers[from:to] {
 		out = l.Forward(out, train)
 	}
 	return out
@@ -133,13 +141,20 @@ func (n *Network) Predict(x *tensor.Tensor) []int {
 
 // Accuracy returns the fraction of samples in x classified as y.
 func (n *Network) Accuracy(x *tensor.Tensor, y []int) float64 {
-	pred := n.Predict(x)
-	if len(pred) != len(y) {
-		panic(fmt.Sprintf("nn: accuracy label count %d != batch %d", len(y), len(pred)))
+	return n.AccuracyFrom(0, x, y)
+}
+
+// AccuracyFrom is Accuracy for a batch already forwarded through
+// Layers[:k]: act is the activation at the input of Layers[k], and only
+// Layers[k:] run.
+func (n *Network) AccuracyFrom(k int, act *tensor.Tensor, y []int) float64 {
+	logits := n.ForwardRange(act, k, len(n.Layers), false)
+	if b := logits.Dim(0); b != len(y) {
+		panic(fmt.Sprintf("nn: accuracy label count %d != batch %d", len(y), b))
 	}
 	correct := 0
-	for i, p := range pred {
-		if p == y[i] {
+	for i, label := range y {
+		if logits.RowSlice(i).ArgMax() == label {
 			correct++
 		}
 	}
@@ -184,23 +199,24 @@ const (
 	LayerFC
 )
 
-// WeightLayer pairs a weight parameter with its host layer's kind.
+// WeightLayer pairs a weight parameter with its host layer's kind and
+// the host layer's index in Network.Layers.
 type WeightLayer struct {
 	Param *Param
 	Kind  LayerKind
-	Layer Layer
+	Index int
 }
 
 // WeightLayers returns the crossbar-mapped weight matrices with their
 // layer kinds, in network order.
 func (n *Network) WeightLayers() []WeightLayer {
 	var out []WeightLayer
-	for _, l := range n.Layers {
+	for i, l := range n.Layers {
 		switch t := l.(type) {
 		case *Conv2D:
-			out = append(out, WeightLayer{Param: t.Weight, Kind: LayerConv, Layer: l})
+			out = append(out, WeightLayer{Param: t.Weight, Kind: LayerConv, Index: i})
 		case *Dense:
-			out = append(out, WeightLayer{Param: t.Weight, Kind: LayerFC, Layer: l})
+			out = append(out, WeightLayer{Param: t.Weight, Kind: LayerFC, Index: i})
 		}
 	}
 	return out

@@ -185,9 +185,13 @@ func TestWeightLayersKinds(t *testing.T) {
 		t.Fatalf("LeNet-5 has %d weight layers, want 5 (2 conv + 3 fc)", len(wl))
 	}
 	wantKinds := []LayerKind{LayerConv, LayerConv, LayerFC, LayerFC, LayerFC}
+	wantIndex := []int{0, 3, 7, 9, 11}
 	for i, w := range wl {
 		if w.Kind != wantKinds[i] {
 			t.Fatalf("weight layer %d kind = %v, want %v", i, w.Kind, wantKinds[i])
+		}
+		if w.Index != wantIndex[i] || net.Layers[w.Index].Params()[0] != w.Param {
+			t.Fatalf("weight layer %d index = %d, want %d owning its param", i, w.Index, wantIndex[i])
 		}
 	}
 }
