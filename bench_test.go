@@ -8,6 +8,7 @@ package memlife_test
 // with -v via b.Log.
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -214,7 +215,7 @@ func BenchmarkFig10TuningTrend(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		snap := bundle.Normal.SnapshotParams()
-		res, err := lifetime.Run(bundle.Normal, bundle.TrainDS, lifetime.TT,
+		res, err := lifetime.RunCtx(context.Background(), bundle.Normal, bundle.TrainDS, lifetime.TT,
 			experiments.DeviceParams(), experiments.AgingModel(), experiments.TempK, cfg)
 		bundle.Normal.RestoreParams(snap)
 		if err != nil {
@@ -234,7 +235,7 @@ func BenchmarkFig11ConvVsFC(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		snap := bundle.Normal.SnapshotParams()
-		res, err := lifetime.Run(bundle.Normal, bundle.TrainDS, lifetime.TT,
+		res, err := lifetime.RunCtx(context.Background(), bundle.Normal, bundle.TrainDS, lifetime.TT,
 			experiments.DeviceParams(), experiments.AgingModel(), experiments.TempK, cfg)
 		bundle.Normal.RestoreParams(snap)
 		if err != nil {
@@ -259,7 +260,7 @@ func BenchmarkAblationStressModel(b *testing.B) {
 			p := experiments.DeviceParams()
 			p.UniformStress = uniform
 			snap := bundle.Skewed.SnapshotParams()
-			_, err := lifetime.Run(bundle.Skewed, bundle.TrainDS, lifetime.STT,
+			_, err := lifetime.RunCtx(context.Background(), bundle.Skewed, bundle.TrainDS, lifetime.STT,
 				p, experiments.AgingModel(), experiments.TempK, cfg)
 			bundle.Skewed.RestoreParams(snap)
 			if err != nil {
@@ -279,7 +280,7 @@ func BenchmarkAblationTracingDensity(b *testing.B) {
 			cfg := benchLifetimeConfig(benchTarget(b, bundle))
 			cfg.TraceStride = stride
 			snap := bundle.Skewed.SnapshotParams()
-			_, err := lifetime.Run(bundle.Skewed, bundle.TrainDS, lifetime.STAT,
+			_, err := lifetime.RunCtx(context.Background(), bundle.Skewed, bundle.TrainDS, lifetime.STAT,
 				experiments.DeviceParams(), experiments.AgingModel(), experiments.TempK, cfg)
 			bundle.Skewed.RestoreParams(snap)
 			if err != nil {
@@ -298,7 +299,7 @@ func BenchmarkAblationLevels(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, p := range []device.Params{device.Params32(), device.Params64()} {
 			snap := bundle.Skewed.SnapshotParams()
-			_, err := lifetime.Run(bundle.Skewed, bundle.TrainDS, lifetime.STAT,
+			_, err := lifetime.RunCtx(context.Background(), bundle.Skewed, bundle.TrainDS, lifetime.STAT,
 				p, experiments.AgingModel(), experiments.TempK, cfg)
 			bundle.Skewed.RestoreParams(snap)
 			if err != nil {
@@ -319,7 +320,7 @@ func BenchmarkAblationRangePolicy(b *testing.B) {
 			p := pol
 			cfg.PolicyOverride = &p
 			snap := bundle.Skewed.SnapshotParams()
-			_, err := lifetime.Run(bundle.Skewed, bundle.TrainDS, lifetime.STAT,
+			_, err := lifetime.RunCtx(context.Background(), bundle.Skewed, bundle.TrainDS, lifetime.STAT,
 				experiments.DeviceParams(), experiments.AgingModel(), experiments.TempK, cfg)
 			bundle.Skewed.RestoreParams(snap)
 			if err != nil {
@@ -391,7 +392,10 @@ func BenchmarkCrossbarMapWeights(b *testing.B) {
 	}
 }
 
-func BenchmarkEffectiveWeights(b *testing.B) {
+// BenchmarkReadWeightsInto times one readback of a mapped 128x64
+// array: every cell recomputed from device state into a caller-owned
+// destination.
+func BenchmarkReadWeightsInto(b *testing.B) {
 	p := device.Params32()
 	rng := tensor.NewRNG(1)
 	w := tensor.New(128, 64)
@@ -469,8 +473,7 @@ func BenchmarkQuantizeWeightsLUT(b *testing.B) {
 }
 
 // BenchmarkStepDevicesBatch times batched tuning pulses: one
-// StepDevices call applying a quarter of the array per op, patching the
-// warm read cache per cell.
+// StepDevices call applying a quarter of the array per op.
 func BenchmarkStepDevicesBatch(b *testing.B) {
 	cb, _ := newMicroCrossbar(b)
 	steps := make([]crossbar.Step, 0, 64*64/4)
@@ -481,9 +484,6 @@ func BenchmarkStepDevicesBatch(b *testing.B) {
 			dir = -1
 		}
 		steps = append(steps, crossbar.Step{I: rng.Intn(64), J: rng.Intn(64), Dir: dir})
-	}
-	if err := cb.ReadWeightsInto(tensor.New(64, 64)); err != nil { // warm the cache
-		b.Fatal(err)
 	}
 	cb.StepDevices(steps, 2) // warm the bounds memo
 	b.ReportAllocs()

@@ -80,12 +80,6 @@ func (r *logReporter) ShardDone(worker int, s Shard, elapsed time.Duration, done
 		line += ", eta estimating..."
 	}
 	line += ")"
-	// With telemetry enabled, surface the live crossbar read-cache hit
-	// rate from the global registry — a cheap health signal for the
-	// cached read path while the campaign runs.
-	if rate, ok := liveCacheHitRate(); ok {
-		line += fmt.Sprintf(" cache %.1f%%", rate*100)
-	}
 	if len(r.working) > 0 {
 		ids := make([]int, 0, len(r.working))
 		for w := range r.working {

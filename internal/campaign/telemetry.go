@@ -28,20 +28,3 @@ func newCampaignTel() campaignTel {
 		fsyncNs:       r.Histogram("campaign/checkpoint_fsync_ns", telemetry.NsBounds()),
 	}
 }
-
-// liveCacheHitRate reads the crossbar read-cache hit rate from the live
-// global registry — the reporter upgrade: progress lines show how well
-// the cached read path is doing while the campaign runs. ok is false
-// when telemetry is off or no reads have happened yet.
-func liveCacheHitRate() (float64, bool) {
-	r := telemetry.Global()
-	if r == nil {
-		return 0, false
-	}
-	hits := r.Counter("crossbar/cache_hits").Value()
-	misses := r.Counter("crossbar/cache_misses").Value()
-	if hits+misses == 0 {
-		return 0, false
-	}
-	return float64(hits) / float64(hits+misses), true
-}

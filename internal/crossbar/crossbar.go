@@ -44,11 +44,6 @@ type Crossbar struct {
 	rLo, rHi   float64
 	mapped     bool
 
-	// Cached read path (see cache.go): the materialized effective
-	// weight matrix and whether it is current.
-	eff      *tensor.Tensor
-	effValid bool
-
 	// tel is the telemetry handle set (see telemetry.go); all-nil when
 	// telemetry is disabled, making every instrumented site a no-op.
 	tel crossbarTel
@@ -56,10 +51,6 @@ type Crossbar struct {
 	// grid is the shared device-technology lookup table (level grid and
 	// derived constants) the mapping/quantization hot paths read from.
 	grid *device.Grid
-
-	// devModel is the shared pulse-response model of the technology
-	// (device.Model); the default is the linear model.
-	devModel device.Model
 
 	// Aged-bounds memo (see hot.go): per-device cached [lo, hi] window
 	// keyed by the exact stress it was computed at (NaN: never
@@ -91,7 +82,6 @@ func New(rows, cols int, p device.Params, m aging.Model, tempK float64) (*Crossb
 		traceStride: 3,
 		tel:         newCrossbarTel(),
 		grid:        p.Grid(),
-		devModel:    p.ResolveModel(),
 		bEval:       m.Evaluator(p, tempK),
 	}
 	for i := range cb.devices {
@@ -100,10 +90,6 @@ func New(rows, cols int, p device.Params, m aging.Model, tempK float64) (*Crossb
 	}
 	return cb, nil
 }
-
-// DeviceModel returns the shared pulse-response model of the array's
-// technology.
-func (c *Crossbar) DeviceModel() device.Model { return c.devModel }
 
 // SeedDeviceNoise re-derives every device's deterministic noise streams
 // from base + its row-major index. MappedNetwork seeds each layer's
@@ -125,19 +111,8 @@ func (c *Crossbar) Model() aging.Model { return c.model }
 // TempK returns the operating temperature.
 func (c *Crossbar) TempK() float64 { return c.tempK }
 
-// at returns the device at row i, column j without touching the read
-// cache — the accessor every internal (invalidation-aware) path uses.
-func (c *Crossbar) at(i, j int) *device.Device {
-	return c.devices[i*c.Cols+j]
-}
-
-// Device returns the device at row i, column j. The returned handle
-// can mutate device state behind the crossbar's back, so this escape
-// hatch conservatively invalidates the cached read path; simulation
-// code on the hot path uses the crossbar's own methods instead.
+// Device returns the device at row i, column j.
 func (c *Crossbar) Device(i, j int) *device.Device {
-	c.tel.invalDevice.Inc()
-	c.invalidate()
 	return c.devices[i*c.Cols+j]
 }
 
@@ -217,8 +192,6 @@ func (c *Crossbar) MapWeights(w *tensor.Tensor, rLo, rHi float64) MapStats {
 	c.wMin, c.wMax = wMin, wMax
 	c.rLo, c.rHi = rLo, rHi
 	c.mapped = true
-	c.tel.invalMap.Inc()
-	c.invalidate() // ranges and (potentially) every device changed
 
 	var stats MapStats
 	usable := usableAccum{track: c.tel.usableMean != nil}
@@ -254,8 +227,6 @@ func (c *Crossbar) RandomizeAging(sigma float64, rng *tensor.RNG) {
 	for _, d := range c.devices {
 		d.SetAgingFactor(math.Exp(rng.Normal(0, sigma)))
 	}
-	c.tel.invalAging.Inc()
-	c.invalidate()
 }
 
 // AddStress injects burn-in stress into every device (scaled by each
@@ -265,8 +236,6 @@ func (c *Crossbar) AddStress(s float64) {
 	for _, d := range c.devices {
 		d.AddStress(s)
 	}
-	c.tel.invalStress.Inc()
-	c.invalidate()
 }
 
 // Drift perturbs every device's resistance by Gaussian noise whose
@@ -282,13 +251,11 @@ func (c *Crossbar) Drift(sigma float64, rng *tensor.RNG) {
 	}
 	for i := 0; i < c.Rows; i++ {
 		for j := 0; j < c.Cols; j++ {
-			d := c.at(i, j)
+			d := c.Device(i, j)
 			lo, hi := c.AgedBounds(i, j)
 			d.Drift(rng.Normal(0, sigma*d.Resistance()), lo, hi)
 		}
 	}
-	c.tel.invalDrift.Inc()
-	c.invalidate() // every healthy device may have moved
 }
 
 // StateDrift applies one interval of spontaneous conductance state
@@ -304,10 +271,10 @@ func (c *Crossbar) StateDrift(factor float64) {
 	if !(factor > 0 && factor < 1) {
 		return
 	}
-	gMin, _ := c.devModel.GBounds()
+	gMin := c.params.GminFresh()
 	for i := 0; i < c.Rows; i++ {
 		for j := 0; j < c.Cols; j++ {
-			d := c.at(i, j)
+			d := c.Device(i, j)
 			if d.Stuck() {
 				continue
 			}
@@ -319,8 +286,6 @@ func (c *Crossbar) StateDrift(factor float64) {
 			d.Drift(1/g-d.Resistance(), lo, hi)
 		}
 	}
-	c.tel.invalDrift.Inc()
-	c.invalidate() // every healthy device may have moved
 }
 
 // TotalStress sums the accumulated stress over all devices.

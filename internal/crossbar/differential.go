@@ -110,7 +110,7 @@ func (d *DifferentialCrossbar) MeanRelConductance() float64 {
 	for _, cb := range []*Crossbar{d.Pos, d.Neg} {
 		for i := 0; i < cb.Rows; i++ {
 			for j := 0; j < cb.Cols; j++ {
-				total += (cb.at(i, j).Conductance() - gMin) / (gMax - gMin)
+				total += (cb.Device(i, j).Conductance() - gMin) / (gMax - gMin)
 				n++
 			}
 		}

@@ -32,7 +32,7 @@ func TestDifferentialRoundTrip(t *testing.T) {
 	// Quantization error bound: one conductance gap at the dense end,
 	// converted to weight units via the scale.
 	p := device.Params32()
-	gGapMax := p.LevelConductance(0) - p.LevelConductance(1)
+	gGapMax := 1/p.LevelResistance(0) - 1/p.LevelResistance(1)
 	errMax := gGapMax / (p.GmaxFresh() - p.GminFresh()) * w.AbsMax()
 	for i, v := range w.Data() {
 		if math.Abs(eff.Data()[i]-v) > errMax {

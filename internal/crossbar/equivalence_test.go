@@ -1,7 +1,6 @@
 package crossbar
 
 import (
-	"fmt"
 	"testing"
 
 	"memlife/internal/aging"
@@ -10,228 +9,139 @@ import (
 	"memlife/internal/tensor"
 )
 
-// The golden equivalence suite: the cached read path (ReadWeightsInto)
-// must be BIT-identical to the naive per-device oracle
-// (EffectiveWeightsNaive) after every kind of mutation the simulation
-// performs. Two identically constructed
-// arrays are driven through the same seeded operation sequence; one is
-// read through the cache, the other through the oracle, and every
-// readback is compared with == (no tolerance). Because reads consume
-// fault-injector draws (the per-readback burst decision), both arrays
-// are read exactly once per comparison point so their RNG streams stay
-// in lockstep.
-
-// equivPair drives two identical crossbars through identical mutations.
-type equivPair struct {
-	cached *Crossbar // read via the cached path
-	naive  *Crossbar // read via the *Naive oracle
-	// Per-array drift RNGs with identical seeds, so both arrays see the
-	// same drift while each consumes its own stream.
-	rngC, rngN *tensor.RNG
-}
-
-func newEquivPair(t testing.TB, rows, cols int, faults bool, seed int64) *equivPair {
+// newFaultedCrossbar builds an array with every fault mechanism of the
+// injector enabled (initial stuck devices, transient pulse failures,
+// wear-out and read-noise bursts). Arrays built with the same seed are
+// identical twins: driven through the same operations they consume the
+// same fault draws.
+func newFaultedCrossbar(t testing.TB, rows, cols int, seed int64) *Crossbar {
 	t.Helper()
-	build := func() *Crossbar {
-		cb, err := New(rows, cols, device.Params32(), aging.DefaultModel(), 300)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if faults {
-			cfg := fault.Config{
-				StuckRate:     0.03,
-				TransientProb: 0.05,
-				HazardScale:   40,
-				ReadBurstProb: 0.25,
-				Seed:          seed,
-			}
-			inj, err := fault.NewInjector(cfg, rows*cols, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := cb.SetFaultInjector(inj); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return cb
-	}
-	p := &equivPair{
-		cached: build(),
-		naive:  build(),
-		rngC:   tensor.NewRNG(seed + 77),
-		rngN:   tensor.NewRNG(seed + 77),
-	}
-	return p
-}
-
-// check reads both arrays once through their respective paths and
-// fails on any bit difference.
-func (p *equivPair) check(t testing.TB, step string) {
-	t.Helper()
-	eff := mustEff(t, p.cached)
-	effN, err := p.naive.EffectiveWeightsNaive()
+	cb, err := New(rows, cols, device.Params32(), aging.DefaultModel(), 300)
 	if err != nil {
-		t.Fatalf("%s: naive read: %v", step, err)
+		t.Fatal(err)
 	}
-	for i, v := range effN.Data() {
-		if eff.Data()[i] != v {
-			t.Fatalf("%s: effective weight %d differs: cached %v, naive %v", step, i, eff.Data()[i], v)
-		}
+	inj, err := fault.NewInjector(fault.Config{
+		StuckRate:     0.03,
+		TransientProb: 0.05,
+		HazardScale:   40,
+		ReadBurstProb: 0.25,
+		Seed:          seed,
+	}, rows*cols, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if err := cb.SetFaultInjector(inj); err != nil {
+		t.Fatal(err)
+	}
+	return cb
 }
 
-// pulse applies the same tuning-pulse list to both arrays through the
-// production StepDevices path (the cache-patching path) and requires
-// identical accounting.
-func (p *equivPair) pulse(t testing.TB, step string, steps []Step) {
-	t.Helper()
-	sc := p.cached.StepDevices(steps, 2)
-	sn := p.naive.StepDevices(steps, 2)
-	if sc != sn {
-		t.Fatalf("%s: StepDevices diverged: %+v vs %+v", step, sc, sn)
-	}
-}
-
-// scenario selects the remapping range policy, mirroring the paper's
-// three configurations: TT / ST+T remap onto the fresh range, ST+AT
-// onto a narrowed (aging-aware style) range.
-type equivScenario struct {
-	name    string
-	remapHi float64 // fraction of the fresh range width kept on remap
-}
-
-func TestEquivalenceCachedVsNaive(t *testing.T) {
-	scenarios := []equivScenario{
-		{name: "TT", remapHi: 1.0},
-		{name: "ST+T", remapHi: 1.0},
-		{name: "ST+AT", remapHi: 0.8},
-	}
-	for _, sc := range scenarios {
-		for _, faults := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%s/faults=%v", sc.name, faults), func(t *testing.T) {
-				const rows, cols = 9, 7
-				seed := int64(101)
-				p := newEquivPair(t, rows, cols, faults, seed)
-				params := p.cached.Params()
-				ops := tensor.NewRNG(seed)
-
-				w := tensor.New(rows, cols)
-				ops.FillNormal(w, 0, 0.5)
-				if sc.name != "TT" {
-					// Skewed-training style: shift the weight mass like the
-					// ST scenarios do, so the mapped conductances sit low.
-					for i, v := range w.Data() {
-						w.Data()[i] = v*0.5 - 0.3
-					}
-				}
-				rLo, rHi := params.RminFresh, params.RmaxFresh
-				remapHi := rLo + sc.remapHi*(rHi-rLo)
-
-				p.cached.MapWeights(w, rLo, rHi)
-				p.naive.MapWeights(w, rLo, rHi)
-				p.check(t, "after initial map")
-
-				for step := 0; step < 30; step++ {
-					label := fmt.Sprintf("step %d", step)
-					switch op := ops.Intn(6); op {
-					case 0: // tuning pulse burst: the patch path
-						steps := make([]Step, 12)
-						for k := range steps {
-							steps[k] = Step{I: ops.Intn(rows), J: ops.Intn(cols), Dir: 1}
-							if ops.Float64() < 0.5 {
-								steps[k].Dir = -1
-							}
-						}
-						label += " (pulses)"
-						p.pulse(t, label, steps)
-					case 1: // read-disturb drift: whole-cache invalidation
-						p.cached.Drift(0.05, p.rngC)
-						p.naive.Drift(0.05, p.rngN)
-						label += " (drift)"
-					case 2: // remap under the scenario's range policy
-						p.cached.MapWeights(w, rLo, remapHi)
-						p.naive.MapWeights(w, rLo, remapHi)
-						label += " (remap)"
-					case 3: // burn-in stress: moves every aged window
-						p.cached.AddStress(3)
-						p.naive.AddStress(3)
-						label += " (stress)"
-					case 4: // wear-out transitions: the stuck-cell patch path
-						nc := p.cached.AdvanceFaults()
-						nn := p.naive.AdvanceFaults()
-						if nc != nn {
-							t.Fatalf("%s: AdvanceFaults diverged: %d vs %d", label, nc, nn)
-						}
-						label += " (faults)"
-					case 5: // fault-aware remap (plain remap when faults off)
-						if faults {
-							p.cached.MapWeightsFaultAware(w, rLo, remapHi)
-							p.naive.MapWeightsFaultAware(w, rLo, remapHi)
-							label += " (fault-aware remap)"
-						} else {
-							p.cached.MapWeights(w, rLo, rHi)
-							p.naive.MapWeights(w, rLo, rHi)
-							label += " (remap fresh)"
-						}
-					}
-					p.check(t, label)
-				}
-			})
-		}
-	}
-}
-
-// TestEquivalenceReadWeightsInto pins the allocation-free readback used
-// by MappedNetwork.Refresh against the naive oracle, reading into the
-// same reused destination across cold and warm caches.
+// TestEquivalenceReadWeightsInto pins the readback against eq. (4)
+// computed in the test from device state, after every kind of mutation
+// the simulation performs: plain and fault-aware (re)mapping, tuning
+// pulses hitting stuck devices and transient failures, read-disturb
+// and power-law state drift, burn-in stress, aging variability and
+// wear-out faults. Every cell is compared with == (no tolerance).
+//
+// Read-noise bursts draw from the fault injector, so the expected
+// values come from a twin array driven through the identical sequence:
+// the production read consumes one burst decision (and, on a burst, one
+// noise draw per device) from the array under test, and the test
+// consumes exactly the same draws from the twin's injector to build the
+// expected readback. Both arrays therefore stay in lockstep.
 func TestEquivalenceReadWeightsInto(t *testing.T) {
-	const rows, cols = 5, 8
-	p := newEquivPair(t, rows, cols, false, 303)
-	params := p.cached.Params()
-	w := tensor.New(rows, cols)
-	tensor.NewRNG(9).FillNormal(w, 0, 0.5)
-	p.cached.MapWeights(w, params.RminFresh, params.RmaxFresh)
-	p.naive.MapWeights(w, params.RminFresh, params.RmaxFresh)
+	const rows, cols = 9, 7
+	const seed = 303
+	cb, twin := newFaultedCrossbar(t, rows, cols, seed), newFaultedCrossbar(t, rows, cols, seed)
+	rngC, rngT := tensor.NewRNG(seed+1), tensor.NewRNG(seed+1)
+	ops := tensor.NewRNG(seed)
+	params := cb.Params()
+	rLo, rHi := params.RminFresh, params.RmaxFresh
 
 	dst := tensor.New(rows, cols)
-	for rep := 0; rep < 4; rep++ {
-		if rep == 2 {
-			p.cached.Drift(0.03, p.rngC)
-			p.naive.Drift(0.03, p.rngN)
+	var bursts, clean int
+	check := func(step string) {
+		t.Helper()
+		if err := cb.ReadWeightsInto(dst); err != nil {
+			t.Fatalf("%s: %v", step, err)
 		}
-		if err := p.cached.ReadWeightsInto(dst); err != nil {
-			t.Fatal(err)
+		wMin, wMax, _ := twin.WeightRange()
+		lo, hi, _ := twin.MapRange()
+		burst, sigma := twin.inj.ReadBurst()
+		if burst {
+			bursts++
+		} else {
+			clean++
 		}
-		effN, err := p.naive.EffectiveWeightsNaive()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, v := range effN.Data() {
-			if dst.Data()[i] != v {
-				t.Fatalf("rep %d: readback %d differs: %v vs %v", rep, i, dst.Data()[i], v)
+		for i := 0; i < rows; i++ {
+			for j := 0; j < cols; j++ {
+				r := twin.Device(i, j).Resistance()
+				if burst {
+					r *= twin.inj.ReadNoise(sigma)
+				}
+				want := EffectiveWeight(r, wMin, wMax, lo, hi)
+				if got := dst.At(i, j); got != want {
+					t.Fatalf("%s (burst %v): cell (%d,%d) reads %v, want %v", step, burst, i, j, got, want)
+				}
 			}
 		}
 	}
-}
-
-// TestDeviceEscapeHatchInvalidates pins the conservative contract of
-// the public Device accessor: mutating a device through it must be
-// visible on the next cached read.
-func TestDeviceEscapeHatchInvalidates(t *testing.T) {
-	cb := newTestCrossbar(t, 4, 4)
-	p := cb.Params()
-	w := tensor.New(4, 4)
-	tensor.NewRNG(3).FillNormal(w, 0, 0.5)
-	cb.MapWeights(w, p.RminFresh, p.RmaxFresh)
-	before := mustEff(t, cb).Clone() // warm the cache
-
-	d := cb.Device(1, 2)
-	for k := 0; k < 3; k++ {
-		d.Program(p.RminFresh, p.RminFresh, p.RmaxFresh)
-		d.Program(p.RmaxFresh, p.RminFresh, p.RmaxFresh)
+	both := func(f func(c *Crossbar, rng *tensor.RNG)) {
+		f(cb, rngC)
+		f(twin, rngT)
 	}
-	after := mustEff(t, cb)
-	if after.At(1, 2) == before.At(1, 2) {
-		t.Fatal("cached read must reflect device state mutated through the Device escape hatch")
+
+	both(func(c *Crossbar, rng *tensor.RNG) { c.RandomizeAging(0.3, rng) })
+	w := tensor.New(rows, cols)
+	ops.FillNormal(w, 0, 0.5)
+	both(func(c *Crossbar, _ *tensor.RNG) { c.MapWeights(w, rLo, rHi) })
+	check("initial map")
+
+	var stuckSkipped, retries int
+	for round := 0; round < 6; round++ {
+		// Pulse every cell once in a seeded direction, so the list
+		// always reaches the initially stuck devices.
+		steps := make([]Step, 0, rows*cols)
+		for i := 0; i < rows; i++ {
+			for j := 0; j < cols; j++ {
+				dir := 1
+				if ops.Float64() < 0.5 {
+					dir = -1
+				}
+				steps = append(steps, Step{I: i, J: j, Dir: dir})
+			}
+		}
+		sc, st := cb.StepDevices(steps, 2), twin.StepDevices(steps, 2)
+		if sc != st {
+			t.Fatalf("round %d: StepDevices diverged: %+v vs %+v", round, sc, st)
+		}
+		stuckSkipped += sc.StuckSkipped
+		retries += sc.Retries
+		check("pulses")
+
+		both(func(c *Crossbar, rng *tensor.RNG) { c.Drift(0.05, rng) })
+		check("drift")
+		both(func(c *Crossbar, _ *tensor.RNG) { c.StateDrift(0.9) })
+		check("state drift")
+		both(func(c *Crossbar, _ *tensor.RNG) { c.AddStress(5) })
+		check("stress")
+		nc, nt := cb.AdvanceFaults(), twin.AdvanceFaults()
+		if nc != nt {
+			t.Fatalf("round %d: AdvanceFaults diverged: %d vs %d", round, nc, nt)
+		}
+		check("wear-out faults")
+		remapHi := rLo + (0.6+0.1*float64(round%4))*(rHi-rLo)
+		both(func(c *Crossbar, _ *tensor.RNG) { c.MapWeightsFaultAware(w, rLo, remapHi) })
+		check("fault-aware remap")
+		if round%2 == 1 {
+			both(func(c *Crossbar, _ *tensor.RNG) { c.MapWeights(w, rLo, rHi) })
+			check("remap")
+		}
+	}
+	if stuckSkipped == 0 || retries == 0 {
+		t.Fatalf("sequence must pulse stuck devices and retry transient failures: skipped %d, retries %d", stuckSkipped, retries)
+	}
+	if bursts == 0 || clean == 0 {
+		t.Fatalf("sequence must read both with and without a noise burst: %d burst, %d clean reads", bursts, clean)
 	}
 }

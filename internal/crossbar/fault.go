@@ -19,8 +19,6 @@ func (c *Crossbar) SetFaultInjector(inj *fault.Injector) error {
 		return fmt.Errorf("crossbar: injector built for %d devices, array has %d", inj.N(), c.Rows*c.Cols)
 	}
 	c.inj = inj
-	c.tel.invalFaults.Inc()
-	c.invalidate() // initial stuck faults pin device resistances
 	if inj == nil {
 		return nil
 	}
@@ -33,7 +31,7 @@ func (c *Crossbar) SetFaultInjector(inj *fault.Injector) error {
 }
 
 // IsStuck reports whether device (i, j) is permanently stuck.
-func (c *Crossbar) IsStuck(i, j int) bool { return c.at(i, j).Stuck() }
+func (c *Crossbar) IsStuck(i, j int) bool { return c.Device(i, j).Stuck() }
 
 // StuckCounts tallies the permanently stuck devices by polarity.
 func (c *Crossbar) StuckCounts() (lrs, hrs int) {
@@ -64,9 +62,6 @@ func (c *Crossbar) AdvanceFaults() int {
 		}
 		if k := c.inj.WearOutFault(idx, d.Stress()); k != device.FaultNone {
 			d.SetFault(k)
-			// Sticking pins the resistance: patch exactly this cell of
-			// the cached read path.
-			c.patch(idx/c.Cols, idx%c.Cols)
 			newly++
 		}
 	}
@@ -121,8 +116,6 @@ func (c *Crossbar) MapWeightsFaultAware(w *tensor.Tensor, rLo, rHi float64) MapS
 	c.wMin, c.wMax = wMin, wMax
 	c.rLo, c.rHi = rLo, rHi
 	c.mapped = true
-	c.tel.invalMap.Inc()
-	c.invalidate() // ranges and (potentially) every healthy device changed
 
 	conv := newMapConv(wMin, wMax, rLo, rHi)
 	wd := w.Data()
@@ -133,7 +126,7 @@ func (c *Crossbar) MapWeightsFaultAware(w *tensor.Tensor, rLo, rHi float64) MapS
 		errSum := 0.0
 		healthy := 0
 		for i := 0; i < c.Rows; i++ {
-			d := c.at(i, j)
+			d := c.Device(i, j)
 			if d.Stuck() {
 				errSum += conv.eff(d.Resistance()) - wd[i*c.Cols+j]
 			} else {

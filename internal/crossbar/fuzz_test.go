@@ -1,11 +1,8 @@
 package crossbar
 
 import (
-	"fmt"
 	"math"
 	"testing"
-
-	"memlife/internal/tensor"
 )
 
 // FuzzTargetEffectiveRoundTrip checks the eq. (4) pair: for any valid
@@ -66,60 +63,6 @@ func FuzzTargetEffectiveRoundTrip(f *testing.F) {
 		tol := 1e-9*(1+math.Abs(want)) + 1e-12*gMax/(gMax-gMin)*(wMax-wMin)
 		if math.Abs(got-want) > tol {
 			t.Fatalf("round trip drifted: w=%g -> r=%g -> %g (want %g, err %g > tol %g)", w, r, got, want, math.Abs(got-want), tol)
-		}
-	})
-}
-
-// FuzzCacheInvalidation drives a cached and a naive array through a
-// fuzz-chosen operation sequence and requires bit-identical readbacks
-// after every operation — the fuzz twin of TestEquivalenceCachedVsNaive,
-// free to discover operation interleavings the table misses. Pulses go
-// through StepDevices, the cache-patching path production uses.
-func FuzzCacheInvalidation(f *testing.F) {
-	f.Add(int64(1), []byte{0, 1, 2, 3, 4, 5})
-	f.Add(int64(42), []byte{2, 0, 0, 1, 2, 4, 4, 0})
-	f.Add(int64(7), []byte{5, 5, 1, 3, 0, 2})
-	f.Fuzz(func(t *testing.T, seed int64, script []byte) {
-		if len(script) > 64 {
-			script = script[:64]
-		}
-		const rows, cols = 6, 5
-		p := newEquivPair(t, rows, cols, true, seed)
-		params := p.cached.Params()
-		ops := tensor.NewRNG(seed)
-
-		w := tensor.New(rows, cols)
-		ops.FillNormal(w, 0, 0.5)
-		rLo, rHi := params.RminFresh, params.RmaxFresh
-
-		p.cached.MapWeights(w, rLo, rHi)
-		p.naive.MapWeights(w, rLo, rHi)
-
-		for step, op := range script {
-			switch op % 6 {
-			case 0:
-				s := Step{I: ops.Intn(rows), J: ops.Intn(cols), Dir: 1}
-				if op&0x80 != 0 {
-					s.Dir = -1
-				}
-				p.pulse(t, fmt.Sprintf("step %d", step), []Step{s})
-			case 1:
-				p.cached.Drift(0.04, p.rngC)
-				p.naive.Drift(0.04, p.rngN)
-			case 2:
-				p.cached.MapWeights(w, rLo, rHi)
-				p.naive.MapWeights(w, rLo, rHi)
-			case 3:
-				p.cached.AddStress(2)
-				p.naive.AddStress(2)
-			case 4:
-				p.cached.AdvanceFaults()
-				p.naive.AdvanceFaults()
-			case 5:
-				p.cached.MapWeightsFaultAware(w, rLo, rHi)
-				p.naive.MapWeightsFaultAware(w, rLo, rHi)
-			}
-			p.check(t, fmt.Sprintf("step %d (op %d)", step, op%6))
 		}
 	})
 }

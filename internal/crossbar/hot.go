@@ -20,18 +20,17 @@ import (
 //     accumulated stress (given params, model, temperature), so each
 //     device's window is cached keyed by the exact stress value it was
 //     computed at, over an aging.Evaluator that hoists the Arrhenius
-//     exp out of the loop. Stress only changes through the crossbar's
-//     own pulse accounting (and the Device escape hatch, which the
-//     stress-value key detects), so entries self-invalidate by
-//     comparison.
+//     exp out of the loop. An entry is reused only while the device's
+//     stress still equals its key, so a device whose stress moved (a
+//     pulse, burn-in, or a caller programming it through Device) is
+//     recomputed on its next lookup.
 //   - mapConv: the eq. (4) weight<->resistance affine transform with
 //     its range constants precomputed once per mapping pass, in the
 //     exact association of TargetResistance/EffectiveWeight.
 //   - QuantizeWeightsInto writing into a caller-owned buffer (see
 //     DESIGN.md "Scratch arenas & buffer ownership").
 //   - StepDevices: applies a whole pulse list (with per-step
-//     transient-failure retries) in one call, patching the cache per
-//     moved cell and flushing telemetry once.
+//     transient-failure retries) in one call, flushing telemetry once.
 
 // agedBoundsIdx returns the aged window of device idx (row-major)
 // through the memo. Bit-identical to model.Bounds(params, stress,
@@ -140,8 +139,8 @@ type StepStats struct {
 // if permanently stuck, otherwise pulsed with up to retryBudget
 // immediate retries of transient programming failures drawn from the
 // attached fault injector; a failed pulse still costs its full stress —
-// retries are never free. Each pulse that takes patches its cell of the
-// cached read path. Telemetry is flushed once per call. Allocation-free.
+// retries are never free. Telemetry is flushed once per call.
+// Allocation-free.
 func (c *Crossbar) StepDevices(steps []Step, retryBudget int) StepStats {
 	var st StepStats
 	if retryBudget < 0 {
@@ -151,7 +150,7 @@ func (c *Crossbar) StepDevices(steps []Step, retryBudget int) StepStats {
 		if sp.Dir == 0 {
 			continue
 		}
-		d := c.at(sp.I, sp.J)
+		d := c.Device(sp.I, sp.J)
 		if d.Stuck() {
 			st.StuckSkipped++
 			continue
@@ -171,7 +170,6 @@ func (c *Crossbar) StepDevices(steps []Step, retryBudget int) StepStats {
 				}
 				st.Stress += d.Pulse(sp.Dir, lo, hi)
 				st.Pulses++
-				c.patch(sp.I, sp.J)
 				applied = true
 			}
 			if applied || attempt >= retryBudget {

@@ -222,12 +222,12 @@ func TestStepDevicesMatchesStepDeviceLoop(t *testing.T) {
 	for _, retryBudget := range []int{0, 2} {
 		t.Run(fmt.Sprintf("retries=%d", retryBudget), func(t *testing.T) {
 			const rows, cols = 8, 9
-			p := newEquivPair(t, rows, cols, true, 606)
-			params := p.cached.Params()
+			batched, seq := newFaultedCrossbar(t, rows, cols, 606), newFaultedCrossbar(t, rows, cols, 606)
+			params := batched.Params()
 			w := tensor.New(rows, cols)
 			tensor.NewRNG(4).FillNormal(w, 0, 0.5)
-			p.cached.MapWeights(w, params.RminFresh, params.RmaxFresh)
-			p.naive.MapWeights(w, params.RminFresh, params.RmaxFresh)
+			batched.MapWeights(w, params.RminFresh, params.RmaxFresh)
+			seq.MapWeights(w, params.RminFresh, params.RmaxFresh)
 
 			ops := tensor.NewRNG(7)
 			steps := make([]Step, 0, 64)
@@ -239,20 +239,20 @@ func TestStepDevicesMatchesStepDeviceLoop(t *testing.T) {
 				steps = append(steps, Step{I: ops.Intn(rows), J: ops.Intn(cols), Dir: dir})
 			}
 
-			st := p.cached.StepDevices(steps, retryBudget)
+			st := batched.StepDevices(steps, retryBudget)
 
 			var want StepStats
 			for _, sp := range steps {
-				if p.naive.IsStuck(sp.I, sp.J) {
+				if seq.IsStuck(sp.I, sp.J) {
 					want.StuckSkipped++
 					continue
 				}
-				s, applied := p.naive.StepDevice(sp.I, sp.J, sp.Dir)
+				s, applied := seq.StepDevice(sp.I, sp.J, sp.Dir)
 				want.Stress += s
 				want.Pulses++
 				for attempt := 0; !applied && attempt < retryBudget; attempt++ {
 					want.Retries++
-					s, applied = p.naive.StepDevice(sp.I, sp.J, sp.Dir)
+					s, applied = seq.StepDevice(sp.I, sp.J, sp.Dir)
 					want.Stress += s
 					want.Pulses++
 				}
@@ -264,8 +264,13 @@ func TestStepDevicesMatchesStepDeviceLoop(t *testing.T) {
 				t.Fatalf("StepStats differ: batched %+v, sequential %+v", st, want)
 			}
 			// Device state and remaining injector streams must agree: one
-			// readback each through their respective paths.
-			p.check(t, "post-step")
+			// readback of each array, compared cell for cell.
+			readB, readS := mustEff(t, batched), mustEff(t, seq)
+			for i, v := range readS.Data() {
+				if readB.Data()[i] != v {
+					t.Fatalf("post-step readback %d differs: batched %v, sequential %v", i, readB.Data()[i], v)
+				}
+			}
 		})
 	}
 }
@@ -290,7 +295,7 @@ func TestHotPathZeroAlloc(t *testing.T) {
 
 	assertZero := func(name string, f func()) {
 		t.Helper()
-		f() // warm scratch buffers, memo, and cache
+		f() // warm scratch buffers and the aged-bounds memo
 		if allocs := testing.AllocsPerRun(50, f); allocs != 0 {
 			t.Errorf("%s: %v allocs/op, want 0", name, allocs)
 		}

@@ -139,9 +139,8 @@ type MapStatsTotal struct {
 
 // Refresh loads every crossbar's effective weights into the host
 // network, so subsequent Forward calls simulate hardware inference.
-// With warm read caches this is one memcpy per layer. It returns an
-// error (crossbar.ErrNotMapped wrapped per layer) if any crossbar has
-// not been programmed yet.
+// It returns an error (crossbar.ErrNotMapped wrapped per layer) if any
+// crossbar has not been programmed yet.
 func (m *MappedNetwork) Refresh() error {
 	for _, l := range m.Layers {
 		if err := l.Crossbar.ReadWeightsInto(l.Param.W); err != nil {

@@ -2,34 +2,9 @@ package crossbar
 
 import "memlife/internal/tensor"
 
-// Test-only reference implementations: the naive read path, the
-// single-cell tuning pulse and the differential readback. Production
-// code reads through ReadWeightsInto and pulses through StepDevices;
-// these oracles pin both bit-for-bit.
-
-// EffectiveWeightsNaive recomputes the effective weight matrix from
-// per-device resistance state on every call — the original,
-// cache-free read path, kept as the reference oracle the cached
-// ReadWeightsInto is proven bit-identical against. It consumes the
-// same read-burst draws as the cached path, so two identically driven
-// arrays stay in lockstep whichever path reads them.
-func (c *Crossbar) EffectiveWeightsNaive() (*tensor.Tensor, error) {
-	if !c.mapped {
-		return nil, ErrNotMapped
-	}
-	burst, sigma := c.readBurst()
-	out := tensor.New(c.Rows, c.Cols)
-	for i := 0; i < c.Rows; i++ {
-		for j := 0; j < c.Cols; j++ {
-			r := c.at(i, j).Resistance()
-			if burst {
-				r *= c.inj.ReadNoise(sigma)
-			}
-			out.Set(EffectiveWeight(r, c.wMin, c.wMax, c.rLo, c.rHi), i, j)
-		}
-	}
-	return out, nil
-}
+// Test-only reference implementations: the single-cell tuning pulse
+// and the differential readback. Production code pulses through
+// StepDevices; the single-cell oracle pins it bit-for-bit.
 
 // StepDevice applies one online-tuning pulse to device (i, j) — the
 // single-cell reference StepDevices is proven equivalent against: dir
@@ -47,7 +22,7 @@ func (c *Crossbar) StepDevice(i, j, dir int) (stress float64, applied bool) {
 	if dir == 0 {
 		return 0, false
 	}
-	d := c.at(i, j)
+	d := c.Device(i, j)
 	if d.Stuck() {
 		s := d.FailedPulse()
 		c.tel.pulses.Inc()
@@ -70,10 +45,6 @@ func (c *Crossbar) StepDevice(i, j, dir int) (stress float64, applied bool) {
 	stress = d.Pulse(dir, lo, hi)
 	c.tel.pulses.Inc()
 	c.tel.stress.Add(stress)
-	// A pulse that took moved exactly this cell: patch the cached read
-	// path instead of invalidating it (failed pulses leave the
-	// resistance — and therefore the cache — untouched).
-	c.patch(i, j)
 	return stress, true
 }
 
@@ -87,8 +58,8 @@ func (d *DifferentialCrossbar) EffectiveWeights() (*tensor.Tensor, error) {
 	out := tensor.New(d.Pos.Rows, d.Pos.Cols)
 	for i := 0; i < d.Pos.Rows; i++ {
 		for j := 0; j < d.Pos.Cols; j++ {
-			gp := d.Pos.at(i, j).Conductance()
-			gn := d.Neg.at(i, j).Conductance()
+			gp := d.Pos.Device(i, j).Conductance()
+			gn := d.Neg.Device(i, j).Conductance()
 			out.Set((gp-gn)*d.scale, i, j)
 		}
 	}

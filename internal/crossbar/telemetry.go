@@ -15,22 +15,8 @@ import (
 // Naming (see DESIGN.md "Telemetry"): device/* aggregates per-device
 // events observed by the crossbar (the device layer itself stays
 // handle-free — with millions of device instances, per-object handles
-// would dominate memory); crossbar/* covers the cached read path.
-// Instruments recording wall-clock time end in _ns and are excluded
-// from determinism comparisons.
+// would dominate memory).
 type crossbarTel struct {
-	// Cached read path.
-	cacheHits   *telemetry.Counter // reads served by a valid cache
-	cacheMisses *telemetry.Counter // reads that (re)built the cache
-
-	// Cache invalidations by cause.
-	invalMap    *telemetry.Counter
-	invalDrift  *telemetry.Counter
-	invalStress *telemetry.Counter
-	invalAging  *telemetry.Counter
-	invalFaults *telemetry.Counter
-	invalDevice *telemetry.Counter
-
 	// Device wear, aggregated over the devices this crossbar drives.
 	pulses *telemetry.Counter // programming pulses applied (incl. failed)
 	stress *telemetry.Gauge   // accumulated normalized stress (monotone)
@@ -51,18 +37,10 @@ func newCrossbarTel() crossbarTel {
 		return crossbarTel{}
 	}
 	return crossbarTel{
-		cacheHits:   r.Counter("crossbar/cache_hits"),
-		cacheMisses: r.Counter("crossbar/cache_misses"),
-		invalMap:    r.Counter("crossbar/invalidations/map"),
-		invalDrift:  r.Counter("crossbar/invalidations/drift"),
-		invalStress: r.Counter("crossbar/invalidations/stress"),
-		invalAging:  r.Counter("crossbar/invalidations/aging"),
-		invalFaults: r.Counter("crossbar/invalidations/faults"),
-		invalDevice: r.Counter("crossbar/invalidations/device_escape"),
-		pulses:      r.Counter("device/pulses_total"),
-		stress:      r.Gauge("device/stress_total"),
-		usableMean:  r.Gauge("device/usable_levels_mean"),
-		usableMin:   r.Gauge("device/usable_levels_min"),
+		pulses:     r.Counter("device/pulses_total"),
+		stress:     r.Gauge("device/stress_total"),
+		usableMean: r.Gauge("device/usable_levels_mean"),
+		usableMin:  r.Gauge("device/usable_levels_min"),
 	}
 }
 

@@ -27,53 +27,15 @@ func testWeights(rows, cols int, seed int64) *tensor.Tensor {
 	return w
 }
 
-func TestTelemetryCacheAndInvalidationCounters(t *testing.T) {
+// TestTelemetryPulseCounter: programming pulses reach the process-wide
+// device/pulses_total counter.
+func TestTelemetryPulseCounter(t *testing.T) {
 	reg := withRegistry(t)
 	cb := newTestCrossbar(t, 6, 5)
 	w := testWeights(6, 5, 3)
 	cb.MapWeights(w, cb.params.RminFresh, cb.params.RmaxFresh)
-
-	for k := 0; k < 3; k++ {
-		mustEff(t, cb)
-	}
-	snap := reg.Snapshot()
-	count := func(name string) int64 {
-		t.Helper()
-		v, ok := snap.Counter(name)
-		if !ok {
-			t.Fatalf("counter %q not in snapshot", name)
-		}
-		return v
-	}
-	if got := count("crossbar/cache_misses"); got != 1 {
-		t.Fatalf("cache_misses = %d, want 1 (first read builds)", got)
-	}
-	if got := count("crossbar/cache_hits"); got != 2 {
-		t.Fatalf("cache_hits = %d, want 2", got)
-	}
-	if got := count("crossbar/invalidations/map"); got != 1 {
-		t.Fatalf("invalidations/map = %d, want 1", got)
-	}
-	if got := count("device/pulses_total"); got <= 0 {
-		t.Fatalf("pulses_total = %d, want > 0 (mapping programs devices)", got)
-	}
-
-	// Each invalidation cause bumps its own counter.
-	rng := tensor.NewRNG(1)
-	cb.Drift(0.01, rng)
-	cb.AddStress(0.5)
-	cb.RandomizeAging(0.1, rng)
-	cb.Device(0, 0)
-	snap = reg.Snapshot()
-	for _, name := range []string{
-		"crossbar/invalidations/drift",
-		"crossbar/invalidations/stress",
-		"crossbar/invalidations/aging",
-		"crossbar/invalidations/device_escape",
-	} {
-		if v, ok := snap.Counter(name); !ok || v != 1 {
-			t.Fatalf("%s = %d (present %v), want 1", name, v, ok)
-		}
+	if got, ok := reg.Snapshot().Counter("device/pulses_total"); !ok || got <= 0 {
+		t.Fatalf("pulses_total = %d (present %v), want > 0 (mapping programs devices)", got, ok)
 	}
 }
 

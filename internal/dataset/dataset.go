@@ -96,18 +96,6 @@ func (d *Dataset) Batches(batchSize int, rng *tensor.RNG) []Batch {
 	return out
 }
 
-// OneHot converts class indices to a [len(y), classes] indicator tensor.
-func OneHot(y []int, classes int) *tensor.Tensor {
-	out := tensor.New(len(y), classes)
-	for i, c := range y {
-		if c < 0 || c >= classes {
-			panic(fmt.Sprintf("dataset: label %d out of range [0,%d)", c, classes))
-		}
-		out.Set(1, i, c)
-	}
-	return out
-}
-
 // SynthConfig parameterizes a synthetic dataset.
 type SynthConfig struct {
 	Classes int // number of classes
@@ -131,17 +119,6 @@ func (c SynthConfig) Validate() error {
 		return fmt.Errorf("dataset: noise must be non-negative, got %g", c.Noise)
 	}
 	return nil
-}
-
-// Synth10Config mirrors CIFAR-10's shape (10 classes, 32x32x3) at a
-// sample count small enough for CPU experiments.
-func Synth10Config(seed int64) SynthConfig {
-	return SynthConfig{Classes: 10, TrainN: 800, TestN: 200, C: 3, H: 16, W: 16, Noise: 0.25, Seed: seed}
-}
-
-// Synth100Config mirrors CIFAR-100's class count.
-func Synth100Config(seed int64) SynthConfig {
-	return SynthConfig{Classes: 100, TrainN: 3000, TestN: 500, C: 3, H: 16, W: 16, Noise: 0.2, Seed: seed}
 }
 
 // classProto holds the deterministic texture parameters of one class.

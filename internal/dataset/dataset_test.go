@@ -158,25 +158,6 @@ func TestBatchesInvalidSizePanics(t *testing.T) {
 	train.Batches(0, nil)
 }
 
-func TestOneHot(t *testing.T) {
-	oh := OneHot([]int{2, 0}, 3)
-	want := []float64{0, 0, 1, 1, 0, 0}
-	for i, v := range want {
-		if oh.Data()[i] != v {
-			t.Fatalf("OneHot = %v, want %v", oh.Data(), want)
-		}
-	}
-}
-
-func TestOneHotOutOfRangePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for out-of-range label")
-		}
-	}()
-	OneHot([]int{3}, 3)
-}
-
 func TestSubset(t *testing.T) {
 	train, _ := MustGenerate(smallCfg())
 	s := train.Subset(10)
@@ -205,17 +186,5 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		if _, _, err := Generate(cfg); err == nil {
 			t.Fatalf("case %d: config %+v should be rejected", i, cfg)
 		}
-	}
-}
-
-func TestStandardConfigsAreValid(t *testing.T) {
-	if err := Synth10Config(1).Validate(); err != nil {
-		t.Fatalf("Synth10Config invalid: %v", err)
-	}
-	if err := Synth100Config(1).Validate(); err != nil {
-		t.Fatalf("Synth100Config invalid: %v", err)
-	}
-	if Synth10Config(1).Classes != 10 || Synth100Config(1).Classes != 100 {
-		t.Fatal("standard configs must mirror CIFAR class counts")
 	}
 }

@@ -63,6 +63,11 @@ type Params struct {
 	Drift DriftSpec `json:"drift,omitzero"`
 }
 
+// MaxLevels bounds Params.Levels at 64x the paper's finest (64-level)
+// device. Grid builds a per-level table, so an unbounded count would be
+// an unbounded allocation.
+const MaxLevels = 4096
+
 // stressDerate returns the effective derating factor.
 func (p Params) stressDerate() float64 {
 	if p.StressDerate == 0 {
@@ -76,8 +81,8 @@ func (p Params) Validate() error {
 	switch {
 	case p.RminFresh <= 0 || p.RmaxFresh <= p.RminFresh:
 		return fmt.Errorf("device: need 0 < RminFresh < RmaxFresh, got %g/%g", p.RminFresh, p.RmaxFresh)
-	case p.Levels < 2:
-		return fmt.Errorf("device: need at least 2 levels, got %d", p.Levels)
+	case p.Levels < 2 || p.Levels > MaxLevels:
+		return fmt.Errorf("device: levels must be in [2, %d], got %d", MaxLevels, p.Levels)
 	case p.Vprog <= 0 || p.PulseWidth <= 0:
 		return fmt.Errorf("device: programming pulse must have positive amplitude and width, got %gV/%gs", p.Vprog, p.PulseWidth)
 	case p.Vread <= 0 || p.Vread >= p.Vprog:
@@ -123,11 +128,6 @@ func (p Params) LevelResistance(i int) float64 {
 	}
 	return p.RminFresh + float64(i)*p.LevelSpacing()
 }
-
-// LevelConductance returns the conductance of level i. Because levels
-// are uniform in resistance, conductances cluster near GminFresh — the
-// non-uniform grid of Fig. 3(c) that skewed weights exploit.
-func (p Params) LevelConductance(i int) float64 { return 1 / p.LevelResistance(i) }
 
 // NearestLevel returns the level index whose resistance is closest to r,
 // clamped to the grid. It dispatches through the shared Grid LUT — the
@@ -228,7 +228,7 @@ type Device struct {
 	// the Params ones.
 	g *Grid
 	// m is the shared pulse-response model for p (see Model), resolved
-	// once at construction; equal to m.Grid()'s owner for the grid.
+	// once at construction.
 	m Model
 	// noiseSeed keys the device's deterministic pulse-noise streams
 	// (see SeedNoise); d2d is its fixed device-to-device draw and noisy
@@ -263,9 +263,6 @@ func New(p Params) *Device {
 	d.SeedNoise(0)
 	return d
 }
-
-// Model returns the device's shared pulse-response model.
-func (d *Device) Model() Model { return d.m }
 
 // AgingFactor returns the device's endurance-variability factor.
 func (d *Device) AgingFactor() float64 { return d.agingFactor }
@@ -322,7 +319,7 @@ func (d *Device) SetFault(k FaultKind) {
 // for a successful pulse; only the resistance stays put. Retried
 // pulses are therefore never free. It returns the stress added.
 func (d *Device) FailedPulse() float64 {
-	s := d.m.PulseStress(d.r) * d.agingFactor
+	s := d.g.PulseStress(d.r) * d.agingFactor
 	d.stress += s
 	d.pulses++
 	return s
@@ -368,7 +365,7 @@ func (d *Device) Pulse(dir int, lo, hi float64) float64 {
 	if d.Stuck() {
 		return d.FailedPulse()
 	}
-	s := d.m.PulseStress(d.r) * d.agingFactor
+	s := d.g.PulseStress(d.r) * d.agingFactor
 	d.stress += s
 	d.pulses++
 	var c2c float64
@@ -453,7 +450,7 @@ func (d *Device) Program(target, lo, hi float64) ProgramResult {
 	}
 	for lvl := curLvl; lvl != goalLvl; lvl += step {
 		// Pulse applied while the device sits at the current state.
-		s := d.m.PulseStress(d.r) * d.agingFactor
+		s := d.g.PulseStress(d.r) * d.agingFactor
 		d.stress += s
 		res.Stress += s
 		res.Pulses++
@@ -461,7 +458,7 @@ func (d *Device) Program(target, lo, hi float64) ProgramResult {
 		d.r = d.g.LevelResistance(lvl + step)
 	}
 	if res.Pulses == 0 && needsCorrection {
-		s := d.m.PulseStress(d.r) * d.agingFactor
+		s := d.g.PulseStress(d.r) * d.agingFactor
 		d.stress += s
 		res.Stress += s
 		res.Pulses = 1

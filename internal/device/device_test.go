@@ -13,10 +13,17 @@ func TestParamsValidate(t *testing.T) {
 	if err := Params64().Validate(); err != nil {
 		t.Fatalf("Params64 invalid: %v", err)
 	}
+	finest := Params32()
+	finest.Levels = MaxLevels
+	if err := finest.Validate(); err != nil {
+		t.Fatalf("%d levels must be accepted: %v", MaxLevels, err)
+	}
 	bad := []Params{
 		{RminFresh: 0, RmaxFresh: 1e5, Levels: 32, Vprog: 2, PulseWidth: 1e-7, Vread: 0.3},
 		{RminFresh: 1e5, RmaxFresh: 1e4, Levels: 32, Vprog: 2, PulseWidth: 1e-7, Vread: 0.3},
 		{RminFresh: 1e4, RmaxFresh: 1e5, Levels: 1, Vprog: 2, PulseWidth: 1e-7, Vread: 0.3},
+		{RminFresh: 1e4, RmaxFresh: 1e5, Levels: MaxLevels + 1, Vprog: 2, PulseWidth: 1e-7, Vread: 0.3},
+		{RminFresh: 1e4, RmaxFresh: 1e5, Levels: 1_000_000_000_000, Vprog: 2, PulseWidth: 1e-7, Vread: 0.3},
 		{RminFresh: 1e4, RmaxFresh: 1e5, Levels: 32, Vprog: 0, PulseWidth: 1e-7, Vread: 0.3},
 		{RminFresh: 1e4, RmaxFresh: 1e5, Levels: 32, Vprog: 2, PulseWidth: 0, Vread: 0.3},
 		{RminFresh: 1e4, RmaxFresh: 1e5, Levels: 32, Vprog: 2, PulseWidth: 1e-7, Vread: 3},
@@ -46,8 +53,9 @@ func TestLevelConductancesDenseNearGmin(t *testing.T) {
 	// The defining non-uniformity of Fig. 3(c): conductance gaps shrink
 	// towards the high-resistance end.
 	p := Params32()
-	gapLow := p.LevelConductance(0) - p.LevelConductance(1)                    // near Gmax
-	gapHigh := p.LevelConductance(p.Levels-2) - p.LevelConductance(p.Levels-1) // near Gmin
+	g := func(i int) float64 { return 1 / p.LevelResistance(i) }
+	gapLow := g(0) - g(1)                    // near Gmax
+	gapHigh := g(p.Levels-2) - g(p.Levels-1) // near Gmin
 	if gapHigh >= gapLow {
 		t.Fatalf("conductance grid must be denser near Gmin: gaps %g (low R) vs %g (high R)", gapLow, gapHigh)
 	}

@@ -54,14 +54,6 @@ func (m ModelSpec) validate() error {
 	return nil
 }
 
-// KindOrDefault returns the effective kind name ("" resolves to linear).
-func (m ModelSpec) KindOrDefault() string {
-	if m.Kind == "" {
-		return ModelLinear
-	}
-	return m.Kind
-}
-
 // DriftSpec is the "device.drift" block of a scenario spec: a
 // spontaneous conductance state-drift process, independent of
 // programming. Conductance decays toward the device's minimum following
@@ -97,22 +89,17 @@ func (d DriftSpec) DecayFactor(cycle int) float64 {
 }
 
 // Model is the device-physics contract behind every Device: how one
-// tuning pulse moves the conductance, what conductance window the
-// technology can hold, what aging stress a programming pulse costs, and
-// which quantization grid the programming periphery snaps onto.
+// tuning pulse moves the conductance. Everything the models share —
+// the fresh conductance window, the pulse stress, the quantization
+// grid and the variation sigmas — lives on Params and Grid.
 //
 // Implementations are immutable and shared by every device of an array
 // (one instance per Params value, cached like Grid); per-device
-// mutable state stays inside Device, so a Model's methods are pure
-// functions and allocation-free — the tuning hot loop dispatches
-// through this interface millions of times per simulated cycle
+// mutable state stays inside Device, so StepG is a pure function and
+// allocation-free — the tuning hot loop dispatches through this
+// interface millions of times per simulated cycle
 // (TestStochasticPulseZeroAlloc pins the whole path at 0 allocs/op).
 type Model interface {
-	// Name returns the model kind label ("linear", "mms", ...).
-	Name() string
-	// GBounds returns the conductance window [gMin, gMax] a fresh
-	// device of this technology can hold.
-	GBounds() (gMin, gMax float64)
 	// StepG returns the conductance after one tuning pulse in
 	// direction dir (> 0 raises conductance, < 0 lowers it) applied at
 	// conductance g. d2d is the device's fixed device-to-device
@@ -120,15 +107,6 @@ type Model interface {
 	// both are zero when the corresponding ModelSpec sigma is zero,
 	// and deterministic models ignore them.
 	StepG(g float64, dir int, d2d, c2c float64) float64
-	// PulseStress returns the normalized aging stress one programming
-	// pulse costs at resistance r (the eq. (6)/(7) input).
-	PulseStress(r float64) float64
-	// Grid returns the quantization grid the programming periphery
-	// snaps mapping targets onto.
-	Grid() *Grid
-	// Variation returns the (d2d, c2c) sigmas of the model's spec, so
-	// Device can skip noise derivation entirely when both are zero.
-	Variation() (d2d, c2c float64)
 }
 
 // modelCache holds one Model per Params value ever requested, like
@@ -151,9 +129,9 @@ func (p Params) ResolveModel() Model {
 	case "", ModelLinear:
 		m = &LinearModel{g: g, spec: p.Model}
 	case ModelMMS:
-		m = newMMSModel(p, g)
+		m = newMMSModel(p)
 	case ModelYacopcic:
-		m = newYacopcicModel(p, g)
+		m = newYacopcicModel(p)
 	case ModelDiffusive:
 		m = newDiffusiveModel(p, g)
 	default:
@@ -175,14 +153,6 @@ type LinearModel struct {
 	spec ModelSpec
 }
 
-// Name implements Model.
-func (m *LinearModel) Name() string { return ModelLinear }
-
-// GBounds implements Model.
-func (m *LinearModel) GBounds() (gMin, gMax float64) {
-	return m.g.p.GminFresh(), m.g.p.GmaxFresh()
-}
-
 // StepG implements Model: a constant conductance nudge, scaled by the
 // lognormal variation factor only when variation is configured (the
 // default path performs exactly the historical g + sign*deltaG).
@@ -192,15 +162,6 @@ func (m *LinearModel) StepG(g float64, dir int, d2d, c2c float64) float64 {
 	}
 	return g + float64(sign(dir))*m.g.TunePulseDeltaG()*variationScale(m.spec, d2d, c2c)
 }
-
-// PulseStress implements Model.
-func (m *LinearModel) PulseStress(r float64) float64 { return m.g.PulseStress(r) }
-
-// Grid implements Model.
-func (m *LinearModel) Grid() *Grid { return m.g }
-
-// Variation implements Model.
-func (m *LinearModel) Variation() (float64, float64) { return m.spec.D2D, m.spec.C2C }
 
 // variationScale is the shared lognormal pulse-magnitude factor of the
 // stochastic paths: exp(sigmaD2D*zD2D + sigmaC2C*zC2C).
@@ -253,30 +214,23 @@ func stateG(x, gMin, gMax float64) float64 {
 // state-proportional saturation (large steps mid-range, vanishing steps
 // at the rails), not as a different overall tuning rate.
 type MMSModel struct {
-	g          *Grid
 	spec       ModelSpec
 	gMin, gMax float64
 	pOn, pOff  float64 // the saturated switching probabilities at ±Vprog
 }
 
-func newMMSModel(p Params, g *Grid) *MMSModel {
+func newMMSModel(p Params) *MMSModel {
 	// Boltzmann slope at room temperature (the snippet's T = 298.5 K).
 	const beta = 1.602176634e-19 / (1.380649e-23 * 298.5)
 	const uOn, uOff = 0.27, 0.27
 	alpha := 1 / float64(2*p.Levels) // PulseWidth / tau, tau = 2*Levels*PulseWidth
 	return &MMSModel{
-		g: g, spec: p.Model,
+		spec: p.Model,
 		gMin: p.GminFresh(), gMax: p.GmaxFresh(),
 		pOn:  alpha / (1 + math.Exp(-beta*(p.Vprog-uOn))),
 		pOff: alpha * (1 - 1/(1+math.Exp(-beta*(-p.Vprog+uOff)))),
 	}
 }
-
-// Name implements Model.
-func (m *MMSModel) Name() string { return ModelMMS }
-
-// GBounds implements Model.
-func (m *MMSModel) GBounds() (float64, float64) { return m.gMin, m.gMax }
 
 // StepG implements Model: the mean-field metastable-switch update on
 // the normalized state.
@@ -291,17 +245,6 @@ func (m *MMSModel) StepG(g float64, dir int, d2d, c2c float64) float64 {
 	dx *= variationScale(m.spec, d2d, c2c)
 	return stateG(x+dx, m.gMin, m.gMax)
 }
-
-// PulseStress implements Model: stress stays the dissipated programming
-// power of the shared technology (Vprog^2 * g * width, normalized), a
-// function of the operating point rather than the switching physics.
-func (m *MMSModel) PulseStress(r float64) float64 { return m.g.PulseStress(r) }
-
-// Grid implements Model.
-func (m *MMSModel) Grid() *Grid { return m.g }
-
-// Variation implements Model.
-func (m *MMSModel) Variation() (float64, float64) { return m.spec.D2D, m.spec.C2C }
 
 // YacopcicModel is the threshold voltage-controlled model (SNIPPETS.md
 // snippet 3, after Yacopcic et al.): pulses below the programming
@@ -321,7 +264,6 @@ func (m *MMSModel) Variation() (float64, float64) { return m.spec.D2D, m.spec.C2
 // models; the Yacopcic character is the hard threshold plus the
 // strongly asymmetric window decay (alpha_n > alpha_p) near the rails.
 type YacopcicModel struct {
-	g              *Grid
 	spec           ModelSpec
 	gMin, gMax     float64
 	stepP, stepN   float64 // eta * g(±Vprog), normalized drive per pulse
@@ -329,13 +271,13 @@ type YacopcicModel struct {
 	xp, xn         float64
 }
 
-func newYacopcicModel(p Params, g *Grid) *YacopcicModel {
+func newYacopcicModel(p Params) *YacopcicModel {
 	// Snippet constants: Ap = An = 4000, Up = Un = 0.5 V, alpha_p = 1,
 	// alpha_n = 5, xp = xn = 0.3.
 	const ap, an = 4000.0, 4000.0
 	const up, un = 0.5, 0.5
 	m := &YacopcicModel{
-		g: g, spec: p.Model,
+		spec: p.Model,
 		gMin: p.GminFresh(), gMax: p.GmaxFresh(),
 		alphaP: 1, alphaN: 5,
 		xp: 0.3, xn: 0.3,
@@ -360,12 +302,6 @@ func newYacopcicModel(p Params, g *Grid) *YacopcicModel {
 	return m
 }
 
-// Name implements Model.
-func (m *YacopcicModel) Name() string { return ModelYacopcic }
-
-// GBounds implements Model.
-func (m *YacopcicModel) GBounds() (float64, float64) { return m.gMin, m.gMax }
-
 // StepG implements Model: the windowed threshold update.
 func (m *YacopcicModel) StepG(g float64, dir int, d2d, c2c float64) float64 {
 	x := normState(g, m.gMin, m.gMax)
@@ -387,15 +323,6 @@ func (m *YacopcicModel) StepG(g float64, dir int, d2d, c2c float64) float64 {
 	return stateG(x+dx, m.gMin, m.gMax)
 }
 
-// PulseStress implements Model (shared dissipated-power stress).
-func (m *YacopcicModel) PulseStress(r float64) float64 { return m.g.PulseStress(r) }
-
-// Grid implements Model.
-func (m *YacopcicModel) Grid() *Grid { return m.g }
-
-// Variation implements Model.
-func (m *YacopcicModel) Variation() (float64, float64) { return m.spec.D2D, m.spec.C2C }
-
 // DiffusiveModel is the stochastic diffusive memristor (SNIPPETS.md
 // snippets 1-2): filament growth is a noisy process, so each pulse's
 // conductance step carries a lognormal magnitude — a fixed per-device
@@ -406,7 +333,6 @@ func (m *YacopcicModel) Variation() (float64, float64) { return m.spec.D2D, m.sp
 // on every pulse, giving the model a built-in volatility floor on top
 // of the scenario-level power-law state drift (DriftSpec).
 type DiffusiveModel struct {
-	g          *Grid
 	spec       ModelSpec
 	gMin, gMax float64
 	step       float64
@@ -415,18 +341,12 @@ type DiffusiveModel struct {
 
 func newDiffusiveModel(p Params, g *Grid) *DiffusiveModel {
 	return &DiffusiveModel{
-		g: g, spec: p.Model,
+		spec: p.Model,
 		gMin: p.GminFresh(), gMax: p.GmaxFresh(),
 		step:   g.TunePulseDeltaG(),
 		lambda: 0.01,
 	}
 }
-
-// Name implements Model.
-func (m *DiffusiveModel) Name() string { return ModelDiffusive }
-
-// GBounds implements Model.
-func (m *DiffusiveModel) GBounds() (float64, float64) { return m.gMin, m.gMax }
 
 // StepG implements Model: a lognormally scaled conductance nudge plus
 // filament relaxation.
@@ -442,12 +362,3 @@ func (m *DiffusiveModel) StepG(g float64, dir int, d2d, c2c float64) float64 {
 	}
 	return next
 }
-
-// PulseStress implements Model (shared dissipated-power stress).
-func (m *DiffusiveModel) PulseStress(r float64) float64 { return m.g.PulseStress(r) }
-
-// Grid implements Model.
-func (m *DiffusiveModel) Grid() *Grid { return m.g }
-
-// Variation implements Model.
-func (m *DiffusiveModel) Variation() (float64, float64) { return m.spec.D2D, m.spec.C2C }

@@ -48,10 +48,9 @@ func normalFromSeed(h uint64) float64 {
 // seed (draws are never consulted).
 func (d *Device) SeedNoise(seed uint64) {
 	d.noiseSeed = splitmix64(seed)
-	dS, cS := d.m.Variation()
-	d.noisy = cS > 0
+	d.noisy = d.p.Model.C2C > 0
 	d.d2d = 0
-	if dS > 0 {
+	if d.p.Model.D2D > 0 {
 		d.d2d = normalFromSeed(splitmix64(d.noiseSeed ^ 0xD2D0_5EED))
 	}
 }

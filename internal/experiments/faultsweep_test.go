@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"testing"
 
 	"memlife/internal/crossbar"
@@ -85,7 +86,7 @@ func TestFaultSweepLifetimeDeterministic(t *testing.T) {
 				cfg.Mapping.FaultAware = tc.aware
 				cfg.DegradedAccFrac = 0.5
 				snap := net.SnapshotParams()
-				res, err := lifetime.Run(net, b.TrainDS, tc.sc, DeviceParams(), AgingModel(), TempK, cfg)
+				res, err := lifetime.RunCtx(context.Background(), net, b.TrainDS, tc.sc, DeviceParams(), AgingModel(), TempK, cfg)
 				net.RestoreParams(snap)
 				if err != nil {
 					t.Fatal(err)

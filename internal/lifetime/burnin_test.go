@@ -2,6 +2,7 @@ package lifetime
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"memlife/internal/device"
@@ -18,7 +19,7 @@ func TestBurnInShortensLifetime(t *testing.T) {
 	}
 	snap := net.SnapshotParams()
 
-	fresh, err := Run(net, trainDS, TT, device.Params32(), fastAging(), 300, testConfig(target))
+	fresh, err := RunCtx(context.Background(), net, trainDS, TT, device.Params32(), fastAging(), 300, testConfig(target))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +27,7 @@ func TestBurnInShortensLifetime(t *testing.T) {
 
 	cfg := testConfig(target)
 	cfg.BurnInStress = 5
-	burned, err := Run(net, trainDS, TT, device.Params32(), fastAging(), 300, cfg)
+	burned, err := RunCtx(context.Background(), net, trainDS, TT, device.Params32(), fastAging(), 300, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func TestPolicyOverridePlumbing(t *testing.T) {
 	cfg.BurnInStress = 2
 	fresh := mapping.Fresh
 	cfg.PolicyOverride = &fresh
-	overridden, err := Run(net, trainDS, STAT, device.Params32(), fastAging(), 300, cfg)
+	overridden, err := RunCtx(context.Background(), net, trainDS, STAT, device.Params32(), fastAging(), 300, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +71,7 @@ func TestPolicyOverridePlumbing(t *testing.T) {
 
 	cfg2 := testConfig(target)
 	cfg2.BurnInStress = 2
-	stt, err := Run(net, trainDS, STT, device.Params32(), fastAging(), 300, cfg2)
+	stt, err := RunCtx(context.Background(), net, trainDS, STT, device.Params32(), fastAging(), 300, cfg2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +93,7 @@ func TestTraceStridePlumbing(t *testing.T) {
 	cfg := testConfig(target)
 	cfg.TraceStride = 1
 	cfg.MaxCycles = 5
-	res, err := Run(net, trainDS, STAT, device.Params32(), fastAging(), 300, cfg)
+	res, err := RunCtx(context.Background(), net, trainDS, STAT, device.Params32(), fastAging(), 300, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,5 +114,21 @@ func TestSingleCandidateMapping(t *testing.T) {
 	cfg.Mapping.MaxCandidates = 1
 	if _, err := RunCtx(context.Background(), net, trainDS, STAT, device.Params32(), fastAging(), 300, cfg); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSingleMinLevelMappingErrors: with MinLevels 1 and heavy burn-in,
+// traced bounds fall below the fresh minimum and a zero-width range
+// floor would snap the common range to [RminFresh, RminFresh]. The run
+// must return an error, not panic in the crossbar.
+func TestSingleMinLevelMappingErrors(t *testing.T) {
+	net, trainDS := fixture(t, false)
+	cfg := testConfig(0.6)
+	cfg.MaxCycles = 2
+	cfg.BurnInStress = 100000
+	cfg.Mapping.MinLevels = 1
+	_, err := RunCtx(context.Background(), net, trainDS, STAT, device.Params32(), fastAging(), 300, cfg)
+	if err == nil || !strings.Contains(err.Error(), "min levels") {
+		t.Fatalf("MinLevels 1 must fail the run with an error, got %v", err)
 	}
 }

@@ -12,9 +12,7 @@ import (
 
 // silentInstruments lists the registered instruments a lifetime run
 // cannot exercise, each mapped to the experiment that does.
-var silentInstruments = map[string]string{
-	"crossbar/invalidations/device_escape": "differential",
-}
+var silentInstruments = map[string]string{}
 
 // TestNoDeadInstruments runs one short lifetime simulation with
 // telemetry on and requires every registered crossbar/*, device/*,

@@ -276,15 +276,10 @@ type Result struct {
 	FinalAcc float64
 }
 
-// Run simulates the deployment life of net under the scenario. The
+// RunCtx simulates the deployment life of net under the scenario. The
 // network's current weights are the mapping targets; trainDS supplies
-// tuning batches and the evaluation subset.
-func Run(net *nn.Network, trainDS *dataset.Dataset, sc Scenario, p device.Params, model aging.Model, tempK float64, cfg Config) (Result, error) {
-	return RunCtx(context.Background(), net, trainDS, sc, p, model, tempK, cfg)
-}
-
-// RunCtx is Run with cancellation: the simulation checks ctx before
-// the initial mapping and at every deployment cycle, returning
+// tuning batches and the evaluation subset. The simulation checks ctx
+// before the initial mapping and at every deployment cycle, returning
 // ctx.Err() (wrapped) as soon as the context is cancelled or times
 // out. A cancelled run's partial Result is not meaningful.
 //

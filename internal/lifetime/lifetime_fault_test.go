@@ -1,6 +1,7 @@
 package lifetime
 
 import (
+	"context"
 	"testing"
 
 	"memlife/internal/aging"
@@ -23,7 +24,7 @@ func TestGracefulDegradationEngages(t *testing.T) {
 	// well above the floor, well below the target.
 	cfg.Faults = fault.Config{StuckRate: 0.3, LRSFrac: 1.0, Seed: 3}
 
-	res, err := Run(net, ds, TT, device.Params32(), aging.DefaultModel(), 300, cfg)
+	res, err := RunCtx(context.Background(), net, ds, TT, device.Params32(), aging.DefaultModel(), 300, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func TestZeroDegradedFracPreservesHardFailure(t *testing.T) {
 	cfg.Faults = fault.Config{StuckRate: 0.3, LRSFrac: 1.0, Seed: 3}
 	// DegradedAccFrac left at zero.
 
-	res, err := Run(net, ds, TT, device.Params32(), aging.DefaultModel(), 300, cfg)
+	res, err := RunCtx(context.Background(), net, ds, TT, device.Params32(), aging.DefaultModel(), 300, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +104,7 @@ func TestFaultsThreadedThroughRun(t *testing.T) {
 	cfg.Mapping.FaultAware = true
 	cfg.Faults = fault.Config{StuckRate: 0.02, LRSFrac: 1.0, Seed: 3}
 
-	res, err := Run(net, ds, TT, device.Params32(), aging.DefaultModel(), 300, cfg)
+	res, err := RunCtx(context.Background(), net, ds, TT, device.Params32(), aging.DefaultModel(), 300, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

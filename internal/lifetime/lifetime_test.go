@@ -1,6 +1,7 @@
 package lifetime
 
 import (
+	"context"
 	"testing"
 
 	"memlife/internal/aging"
@@ -123,7 +124,7 @@ func TestRunProducesRecordsAndFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(net, trainDS, TT, device.Params32(), fastAging(), 300, testConfig(target))
+	res, err := RunCtx(context.Background(), net, trainDS, TT, device.Params32(), fastAging(), 300, testConfig(target))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +161,7 @@ func TestTuningIterationsRiseTowardsFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(net, trainDS, TT, device.Params32(), fastAging(), 300, testConfig(target))
+	res, err := RunCtx(context.Background(), net, trainDS, TT, device.Params32(), fastAging(), 300, testConfig(target))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +181,7 @@ func TestUpperBoundsDecayMonotonically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(net, trainDS, TT, device.Params32(), fastAging(), 300, testConfig(target))
+	res, err := RunCtx(context.Background(), net, trainDS, TT, device.Params32(), fastAging(), 300, testConfig(target))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +200,7 @@ func TestSkewedOutlivesConventional(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tt, err := Run(ttNet, trainDS, TT, device.Params32(), fastAging(), 300, testConfig(target))
+	tt, err := RunCtx(context.Background(), ttNet, trainDS, TT, device.Params32(), fastAging(), 300, testConfig(target))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +210,7 @@ func TestSkewedOutlivesConventional(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := Run(stNet, trainDS, STT, device.Params32(), fastAging(), 300, testConfig(stTarget))
+	st, err := RunCtx(context.Background(), stNet, trainDS, STT, device.Params32(), fastAging(), 300, testConfig(stTarget))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package lifetime
 
 import (
+	"context"
 	"testing"
 
 	"memlife/internal/device"
@@ -44,7 +45,7 @@ func TestModelWorkersEquivalence(t *testing.T) {
 				net.RestoreParams(snap)
 				c := cfg
 				c.Tuning.Workers = workers
-				res, err := Run(net, trainDS, STAT, p, fastAging(), 300, c)
+				res, err := RunCtx(context.Background(), net, trainDS, STAT, p, fastAging(), 300, c)
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}

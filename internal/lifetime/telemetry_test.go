@@ -2,6 +2,7 @@ package lifetime
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"memlife/internal/device"
@@ -38,7 +39,7 @@ func TestTelemetrySnapshotDeterministic(t *testing.T) {
 		telemetry.SetGlobal(reg)
 		defer telemetry.SetGlobal(nil)
 		net.RestoreParams(snap)
-		res, err := Run(net, trainDS, STAT, device.Params32(), fastAging(), 300, cfg)
+		res, err := RunCtx(context.Background(), net, trainDS, STAT, device.Params32(), fastAging(), 300, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

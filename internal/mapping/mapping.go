@@ -79,7 +79,8 @@ type Config struct {
 	// traced bounds). Zero means 8.
 	MaxCandidates int `json:"max_candidates"`
 	// MinLevels is the smallest number of quantization levels a
-	// selected range may span. Zero means 4.
+	// selected range may span. Zero means 4; 1 is rejected, since a
+	// one-level range has zero width.
 	MinLevels int `json:"min_levels"`
 	// FaultAware makes the mapping tolerate permanently stuck devices
 	// instead of fighting them: the common-range selection draws its
@@ -159,6 +160,9 @@ func Map(mn *crossbar.MappedNetwork, cfg Config, evalX *tensor.Tensor, evalY []i
 func mapNetwork(mn *crossbar.MappedNetwork, cfg Config, evalX *tensor.Tensor, evalY []int) (Result, time.Duration, error) {
 	cfg = cfg.Normalized()
 	res := Result{Policy: cfg.Policy}
+	if cfg.MinLevels < 2 {
+		return res, 0, fmt.Errorf("mapping: min levels must be 0 (default 4) or >= 2, got %d", cfg.MinLevels)
+	}
 	if cfg.Policy == AgingAware {
 		if evalX == nil || len(evalY) == 0 {
 			return res, 0, fmt.Errorf("mapping: aging-aware policy needs evaluation samples")

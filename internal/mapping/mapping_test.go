@@ -2,6 +2,7 @@ package mapping
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"memlife/internal/aging"
@@ -264,6 +265,21 @@ func TestAgingAwareRejectsMismatchedEvalData(t *testing.T) {
 	mn, x, y := fixture(t)
 	if _, err := Map(mn, Config{Policy: AgingAware}, x, y[:len(y)-1]); err == nil {
 		t.Fatal("aging-aware mapping must reject a label count that differs from the batch")
+	}
+}
+
+// TestMapRejectsSingleMinLevel: a one-level range has zero width, so
+// MinLevels 1 is an error under every policy rather than a degenerate
+// mapping range; zero still means the default.
+func TestMapRejectsSingleMinLevel(t *testing.T) {
+	mn, x, y := fixture(t)
+	for _, pol := range []PolicyKind{Fresh, AgingAware} {
+		if _, err := Map(mn, Config{Policy: pol, MinLevels: 1}, x, y); err == nil || !strings.Contains(err.Error(), "min levels") {
+			t.Fatalf("policy %v: MinLevels 1 must be rejected, got %v", pol, err)
+		}
+	}
+	if _, err := Map(mn, Config{Policy: AgingAware}, x, y); err != nil {
+		t.Fatalf("MinLevels 0 must resolve to the default: %v", err)
 	}
 }
 

@@ -91,13 +91,6 @@ func Permanent(err error) error {
 	return &permanentError{err: err}
 }
 
-// IsPermanent reports whether err (or anything it wraps) was marked
-// with Permanent.
-func IsPermanent(err error) bool {
-	var pe *permanentError
-	return errors.As(err, &pe)
-}
-
 // Do runs fn under the policy: attempt, and on failure back off
 // (Delay) and attempt again until the budget is spent, fn succeeds,
 // fn returns a Permanent error, or ctx is cancelled. The returned

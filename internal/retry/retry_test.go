@@ -61,14 +61,15 @@ func TestPermanentStopsImmediately(t *testing.T) {
 	if calls != 1 {
 		t.Fatalf("calls = %d, want 1", calls)
 	}
-	if IsPermanent(err) {
+	var pe *permanentError
+	if errors.As(err, &pe) {
 		t.Fatal("Do should unwrap the Permanent marker")
 	}
 	if Permanent(nil) != nil {
 		t.Fatal("Permanent(nil) must be nil")
 	}
-	if !IsPermanent(Permanent(errBad)) {
-		t.Fatal("IsPermanent(Permanent(err)) must be true")
+	if !errors.As(Permanent(errBad), &pe) {
+		t.Fatal("Permanent(err) must carry the marker")
 	}
 }
 

@@ -289,8 +289,8 @@ func (s Spec) Validate() error {
 	if lt.Mapping.MaxCandidates < 0 {
 		fail("lifetime.mapping.max_candidates", "must be non-negative, got %d", lt.Mapping.MaxCandidates)
 	}
-	if lt.Mapping.MinLevels < 0 {
-		fail("lifetime.mapping.min_levels", "must be non-negative, got %d", lt.Mapping.MinLevels)
+	if lt.Mapping.MinLevels < 0 || lt.Mapping.MinLevels == 1 {
+		fail("lifetime.mapping.min_levels", "must be 0 (default 4) or >= 2, got %d", lt.Mapping.MinLevels)
 	}
 	if err := lt.Faults.Validate(); err != nil {
 		fail("lifetime.faults", "%v", err)

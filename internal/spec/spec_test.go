@@ -232,6 +232,10 @@ func TestValidationFieldTable(t *testing.T) {
 		{"degraded frac one", func(s *Spec) { s.Lifetime.DegradedAccFrac = 1 }, "lifetime.degraded_acc_frac"},
 		{"step frac above one", func(s *Spec) { s.Lifetime.Tuning.StepFrac = 1.5 }, "lifetime.tuning.step_frac"},
 		{"negative candidates", func(s *Spec) { s.Lifetime.Mapping.MaxCandidates = -1 }, "lifetime.mapping.max_candidates"},
+		{"negative min levels", func(s *Spec) { s.Lifetime.Mapping.MinLevels = -1 }, "lifetime.mapping.min_levels"},
+		{"single min level", func(s *Spec) { s.Lifetime.Mapping.MinLevels = 1 }, "lifetime.mapping.min_levels"},
+		{"one level", func(s *Spec) { s.Device.Levels = 1 }, "device"},
+		{"huge level count", func(s *Spec) { s.Device.Levels = 1_000_000_000_000 }, "device"},
 		{"bad fault rate", func(s *Spec) { s.Lifetime.Faults.StuckRate = 2 }, "lifetime.faults"},
 		{"margin one", func(s *Spec) { s.Run.TargetMargin = 1 }, "run.target_margin"},
 		{"zero scale", func(s *Spec) { s.Run.TargetScale = 0 }, "run.target_scale"},

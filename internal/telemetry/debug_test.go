@@ -9,7 +9,7 @@ import (
 
 func TestDebugServerEndpoints(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("crossbar/cache_hits").Add(7)
+	r.Counter("server/cache_hits").Add(7)
 	srv, err := StartDebug("127.0.0.1:0", r)
 	if err != nil {
 		t.Fatal(err)
@@ -43,7 +43,7 @@ func TestDebugServerEndpoints(t *testing.T) {
 	if err := json.Unmarshal(body, &snap); err != nil {
 		t.Fatalf("/metrics/json is not a snapshot: %v\n%s", err, body)
 	}
-	if v, ok := snap.Counter("crossbar/cache_hits"); !ok || v != 7 {
+	if v, ok := snap.Counter("server/cache_hits"); !ok || v != 7 {
 		t.Fatalf("served snapshot lost the counter: %v %v", v, ok)
 	}
 

@@ -42,9 +42,6 @@ func GlobalTracer() *Tracer {
 // C resolves a counter from the global registry (nil when disabled).
 func C(name string) *Counter { return Global().Counter(name) }
 
-// G resolves a gauge from the global registry (nil when disabled).
-func G(name string) *Gauge { return Global().Gauge(name) }
-
 // H resolves a histogram from the global registry (nil when disabled).
 func H(name string, bounds []float64) *Histogram { return Global().Histogram(name, bounds) }
 

@@ -19,7 +19,7 @@
 //     allocations (asserted by TestDisabledFastPathZeroAllocs).
 //
 //   - Names are "layer/name" paths: lowercase [a-z0-9_/.-], at least
-//     one '/', e.g. "crossbar/cache_hits". Registering the same name
+//     one '/', e.g. "device/pulses_total". Registering the same name
 //     twice returns the same instrument; reusing a name across
 //     instrument kinds panics (a programmer error worth failing loud).
 package telemetry

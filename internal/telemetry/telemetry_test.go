@@ -9,7 +9,7 @@ import (
 )
 
 func TestValidName(t *testing.T) {
-	good := []string{"crossbar/cache_hits", "device/pulses_total", "a/b.c-d_e", "layer/sub/name"}
+	good := []string{"server/cache_hits", "device/pulses_total", "a/b.c-d_e", "layer/sub/name"}
 	for _, n := range good {
 		if !ValidName(n) {
 			t.Errorf("ValidName(%q) = false, want true", n)
@@ -263,7 +263,7 @@ func TestGlobalInstallAndReset(t *testing.T) {
 	if got := r.Counter("g/x").Value(); got != 1 {
 		t.Fatalf("global counter = %d, want 1", got)
 	}
-	if H("g/h_ns", NsBounds()) == nil || G("g/g") == nil || T("g/t") == nil {
+	if H("g/h_ns", NsBounds()) == nil || Global().Gauge("g/g") == nil || T("g/t") == nil {
 		t.Fatal("global helpers must resolve instruments once installed")
 	}
 }

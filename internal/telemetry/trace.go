@@ -101,10 +101,6 @@ func (t *Tracer) StartSpan(name string) *Span {
 	return &Span{t: t, name: name, id: t.nextID.Add(1), start: time.Now()}
 }
 
-// Active reports whether the span is real (false on the nil span from
-// a disabled tracer) — the guard call sites use before building attrs.
-func (s *Span) Active() bool { return s != nil }
-
 // End emits the span line with its duration and the given attributes.
 // Safe on the nil span.
 func (s *Span) End(attrs Attrs) {

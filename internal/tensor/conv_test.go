@@ -197,10 +197,4 @@ func TestInitializerScales(t *testing.T) {
 	if math.Abs(std-want) > 0.02 {
 		t.Fatalf("He init std = %g, want ~%g", std, want)
 	}
-	rng.XavierInit(w, 50, 50)
-	limit := math.Sqrt(6.0 / 100.0)
-	mn, mx := w.MinMax()
-	if mn < -limit || mx > limit {
-		t.Fatalf("Xavier init out of [-%g, %g]: min=%g max=%g", limit, limit, mn, mx)
-	}
 }

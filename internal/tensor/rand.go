@@ -50,13 +50,6 @@ func (g *RNG) FillUniform(t *Tensor, lo, hi float64) {
 	}
 }
 
-// XavierInit fills t with Glorot-uniform samples for a layer with the
-// given fan-in and fan-out. Suitable for tanh/sigmoid layers.
-func (g *RNG) XavierInit(t *Tensor, fanIn, fanOut int) {
-	limit := math.Sqrt(6.0 / float64(fanIn+fanOut))
-	g.FillUniform(t, -limit, limit)
-}
-
 // HeInit fills t with He-normal samples for the given fan-in. Suitable
 // for ReLU layers.
 func (g *RNG) HeInit(t *Tensor, fanIn int) {

@@ -139,19 +139,6 @@ func (t *Tensor) Zero() {
 	}
 }
 
-// SameShape reports whether t and u have identical shapes.
-func (t *Tensor) SameShape(u *Tensor) bool {
-	if len(t.shape) != len(u.shape) {
-		return false
-	}
-	for i := range t.shape {
-		if t.shape[i] != u.shape[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // String renders small tensors fully and large ones as a summary.
 func (t *Tensor) String() string {
 	var b strings.Builder
