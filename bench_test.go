@@ -214,10 +214,8 @@ func BenchmarkFig10TuningTrend(b *testing.B) {
 	cfg := benchLifetimeConfig(benchTarget(b, bundle))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		snap := bundle.Normal.SnapshotParams()
 		res, err := lifetime.RunCtx(context.Background(), bundle.Normal, bundle.TrainDS, lifetime.TT,
 			experiments.DeviceParams(), experiments.AgingModel(), experiments.TempK, cfg)
-		bundle.Normal.RestoreParams(snap)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -234,10 +232,8 @@ func BenchmarkFig11ConvVsFC(b *testing.B) {
 	cfg := benchLifetimeConfig(benchTarget(b, bundle))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		snap := bundle.Normal.SnapshotParams()
 		res, err := lifetime.RunCtx(context.Background(), bundle.Normal, bundle.TrainDS, lifetime.TT,
 			experiments.DeviceParams(), experiments.AgingModel(), experiments.TempK, cfg)
-		bundle.Normal.RestoreParams(snap)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -259,10 +255,8 @@ func BenchmarkAblationStressModel(b *testing.B) {
 		for _, uniform := range []bool{false, true} {
 			p := experiments.DeviceParams()
 			p.UniformStress = uniform
-			snap := bundle.Skewed.SnapshotParams()
 			_, err := lifetime.RunCtx(context.Background(), bundle.Skewed, bundle.TrainDS, lifetime.STT,
 				p, experiments.AgingModel(), experiments.TempK, cfg)
-			bundle.Skewed.RestoreParams(snap)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -279,10 +273,8 @@ func BenchmarkAblationTracingDensity(b *testing.B) {
 		for _, stride := range []int{1, 3, 5} {
 			cfg := benchLifetimeConfig(benchTarget(b, bundle))
 			cfg.TraceStride = stride
-			snap := bundle.Skewed.SnapshotParams()
 			_, err := lifetime.RunCtx(context.Background(), bundle.Skewed, bundle.TrainDS, lifetime.STAT,
 				experiments.DeviceParams(), experiments.AgingModel(), experiments.TempK, cfg)
-			bundle.Skewed.RestoreParams(snap)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -298,10 +290,8 @@ func BenchmarkAblationLevels(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, p := range []device.Params{device.Params32(), device.Params64()} {
-			snap := bundle.Skewed.SnapshotParams()
 			_, err := lifetime.RunCtx(context.Background(), bundle.Skewed, bundle.TrainDS, lifetime.STAT,
 				p, experiments.AgingModel(), experiments.TempK, cfg)
-			bundle.Skewed.RestoreParams(snap)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -319,10 +309,8 @@ func BenchmarkAblationRangePolicy(b *testing.B) {
 			cfg := benchLifetimeConfig(benchTarget(b, bundle))
 			p := pol
 			cfg.PolicyOverride = &p
-			snap := bundle.Skewed.SnapshotParams()
 			_, err := lifetime.RunCtx(context.Background(), bundle.Skewed, bundle.TrainDS, lifetime.STAT,
 				experiments.DeviceParams(), experiments.AgingModel(), experiments.TempK, cfg)
-			bundle.Skewed.RestoreParams(snap)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -17,12 +17,12 @@ type MappedLayer struct {
 	// NetIndex is the index in Net.Layers of the layer owning Param.
 	NetIndex int
 	Crossbar *Crossbar
-	// Param is the live network parameter; Refresh overwrites its
-	// weights with the crossbar's effective values so inference runs
-	// through the simulated hardware.
+	// Param is the parameter of the mapped network's own Net; Refresh
+	// overwrites its weights with the crossbar's effective values so
+	// inference runs through the simulated hardware.
 	Param *nn.Param
-	// Target holds the software-trained weights, the source of every
-	// (re)mapping.
+	// Target is the trained network's weight tensor, the source of
+	// every (re)mapping. It is read, never written.
 	Target *tensor.Tensor
 	// Gain is the layer's digital output-scaling factor: Refresh
 	// multiplies the effective weights by it before inference. It is
@@ -35,18 +35,21 @@ type MappedLayer struct {
 
 // MappedNetwork is a neural network deployed onto memristor crossbars:
 // one crossbar per conv/FC weight matrix, with biases kept in digital
-// periphery (the trained bias values remain in the host network).
+// periphery (Net carries the trained bias values).
 type MappedNetwork struct {
 	Net    *nn.Network
 	Layers []*MappedLayer
 }
 
 // NewMappedNetwork builds a crossbar for every weight layer of the
-// trained network. The network's current weights become the mapping
-// targets.
+// trained network. net is never written: Net is a clone of it that
+// owns the inference weights, and net's weight tensors become the
+// read-only mapping targets. Any number of mapped networks may
+// therefore share one trained network, concurrently too.
 func NewMappedNetwork(net *nn.Network, p device.Params, m aging.Model, tempK float64) (*MappedNetwork, error) {
-	mn := &MappedNetwork{Net: net}
-	for _, wl := range net.WeightLayers() {
+	mn := &MappedNetwork{Net: net.Clone()}
+	trained := net.WeightLayers()
+	for i, wl := range mn.Net.WeightLayers() {
 		rows, cols := wl.Param.W.Dim(0), wl.Param.W.Dim(1)
 		cb, err := New(rows, cols, p, m, tempK)
 		if err != nil {
@@ -61,16 +64,16 @@ func NewMappedNetwork(net *nn.Network, p device.Params, m aging.Model, tempK flo
 			NetIndex: wl.Index,
 			Crossbar: cb,
 			Param:    wl.Param,
-			Target:   wl.Param.W.Clone(),
+			Target:   trained[i].Param.W,
 			Gain:     1,
 		})
 	}
 	return mn, nil
 }
 
-// RestoreSoftwareWeights writes the trained target weights back into the
-// host network, undoing any Refresh. Useful for comparing software and
-// hardware accuracy on the same network object.
+// RestoreSoftwareWeights writes the trained target weights back into
+// Net, undoing any Refresh. Useful for comparing software and hardware
+// accuracy on the same network object.
 func (m *MappedNetwork) RestoreSoftwareWeights() {
 	for _, l := range m.Layers {
 		l.Param.W.CopyFrom(l.Target)
@@ -137,10 +140,10 @@ type MapStatsTotal struct {
 	Skipped int
 }
 
-// Refresh loads every crossbar's effective weights into the host
-// network, so subsequent Forward calls simulate hardware inference.
-// It returns an error (crossbar.ErrNotMapped wrapped per layer) if any
-// crossbar has not been programmed yet.
+// Refresh loads every crossbar's effective weights into Net, so
+// subsequent Forward calls simulate hardware inference. It returns an
+// error (crossbar.ErrNotMapped wrapped per layer) if any crossbar has
+// not been programmed yet.
 func (m *MappedNetwork) Refresh() error {
 	for _, l := range m.Layers {
 		if err := l.Crossbar.ReadWeightsInto(l.Param.W); err != nil {

@@ -50,12 +50,23 @@ func TestMappedNetworkLayerStructure(t *testing.T) {
 			t.Fatalf("crossbar %s dims %dx%d do not match weights %v",
 				l.Name, l.Crossbar.Rows, l.Crossbar.Cols, l.Param.W.Shape())
 		}
-		// Targets are snapshots, not aliases.
+		// Param lives in the mapped network's own clone; Target is the
+		// trained network's tensor, which the mapped network never
+		// writes.
 		l.Param.W.Set(123, 0, 0)
 		if l.Target.At(0, 0) == 123 {
-			t.Fatal("targets must be cloned from trained weights")
+			t.Fatal("writing the mapped weights must not reach the trained network")
 		}
 		l.Param.W.CopyFrom(l.Target)
+	}
+	trained := net.WeightParams()
+	for i, l := range mn.Layers {
+		if l.Target != trained[i].W {
+			t.Fatalf("layer %s: Target must be the trained network's weight tensor", l.Name)
+		}
+	}
+	if mn.Net == net {
+		t.Fatal("the mapped network must run on a clone of the trained network")
 	}
 }
 

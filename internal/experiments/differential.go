@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"io"
 
-	"memlife/internal/aging"
 	"memlife/internal/analysis"
 	"memlife/internal/crossbar"
-	"memlife/internal/device"
 	"memlife/internal/nn"
 )
 
@@ -38,15 +36,7 @@ func Differential(opt Options) ([]DifferentialRow, error) {
 	}
 	p := DeviceParams()
 	m := AgingModel()
-
 	var rows []DifferentialRow
-	err = b.Exclusive(func() error { // reads live weights; lock out lifetime sims
-		return differentialRows(b, p, m, &rows)
-	})
-	return rows, err
-}
-
-func differentialRows(b *Bundle, p device.Params, m aging.Model, rows *[]DifferentialRow) error {
 	for _, variant := range []struct {
 		name string
 		net  *nn.Network
@@ -56,7 +46,7 @@ func differentialRows(b *Bundle, p device.Params, m aging.Model, rows *[]Differe
 
 			single, err := crossbar.New(w.Dim(0), w.Dim(1), p, m, TempK)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			single.MapWeights(w, p.RminFresh, p.RmaxFresh)
 			gMin, gMax := p.GminFresh(), p.GmaxFresh()
@@ -67,7 +57,7 @@ func differentialRows(b *Bundle, p device.Params, m aging.Model, rows *[]Differe
 					n++
 				}
 			}
-			*rows = append(*rows, DifferentialRow{
+			rows = append(rows, DifferentialRow{
 				Network: b.Name, Weights: variant.name, Scheme: "single (eq. 4)",
 				Devices:            1,
 				MeanRelConductance: rel / float64(n),
@@ -76,10 +66,10 @@ func differentialRows(b *Bundle, p device.Params, m aging.Model, rows *[]Differe
 
 			diff, err := crossbar.NewDifferential(w.Dim(0), w.Dim(1), p, m, TempK)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			diff.MapWeights(w)
-			*rows = append(*rows, DifferentialRow{
+			rows = append(rows, DifferentialRow{
 				Network: b.Name, Weights: variant.name, Scheme: "differential pair",
 				Devices:            2,
 				MeanRelConductance: diff.MeanRelConductance(),
@@ -87,7 +77,7 @@ func differentialRows(b *Bundle, p device.Params, m aging.Model, rows *[]Differe
 			})
 		}
 	}
-	return nil
+	return rows, nil
 }
 
 func init() {

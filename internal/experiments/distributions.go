@@ -86,12 +86,7 @@ func Fig3(opt Options) (DistributionResult, error) {
 	if err != nil {
 		return DistributionResult{}, err
 	}
-	var out DistributionResult
-	b.Exclusive(func() error { // reads race with concurrent lifetime sims
-		out = distributions(b.Normal, b.Name, false)
-		return nil
-	})
-	return out, nil
+	return distributions(b.Normal, b.Name, false), nil
 }
 
 // Fig6 reproduces Fig. 6: distributions after skewed training.
@@ -100,12 +95,7 @@ func Fig6(opt Options) (DistributionResult, error) {
 	if err != nil {
 		return DistributionResult{}, err
 	}
-	var out DistributionResult
-	b.Exclusive(func() error {
-		out = distributions(b.Skewed, b.Name, true)
-		return nil
-	})
-	return out, nil
+	return distributions(b.Skewed, b.Name, true), nil
 }
 
 func renderDistributions(w io.Writer, fig string, d DistributionResult) {
@@ -140,26 +130,17 @@ func Fig7(opt Options) (Fig7Result, error) {
 	if err != nil {
 		return Fig7Result{}, err
 	}
-	var (
-		beta       float64
-		wMin, wMax float64
-		weightHist analysis.Histogram
-	)
-	b.Exclusive(func() error {
-		stats := train.NetworkStats(b.Normal)
-		beta = b.Skew.BetaFactor * stats[0].Std
-		wp := b.Normal.WeightParams()[0]
-		wMin, wMax = wp.W.MinMax()
-		weightHist = analysis.NewHistogram(wp.W.Data(), 16)
-		return nil
-	})
+	stats := train.NetworkStats(b.Normal)
+	beta := b.Skew.BetaFactor * stats[0].Std
+	wp := b.Normal.WeightParams()[0]
+	wMin, wMax := wp.W.MinMax()
 	reg, err := train.NewSkewed(b.Skew.Lambda1, b.Skew.Lambda2, nil)
 	if err != nil {
 		return Fig7Result{}, err
 	}
 	out := Fig7Result{
 		Beta: beta, Lambda1: b.Skew.Lambda1, Lambda2: b.Skew.Lambda2,
-		WeightHist: weightHist,
+		WeightHist: analysis.NewHistogram(wp.W.Data(), 16),
 	}
 	out.Penalty.Name = "two-segment penalty R1/R2"
 	const samples = 41
@@ -186,21 +167,15 @@ func Fig9(opt Options) (Fig9Result, error) {
 	if err != nil {
 		return Fig9Result{}, err
 	}
-	var out Fig9Result
-	b.Exclusive(func() error {
-		layers := b.Skewed.WeightLayers()
-		third := layers[2] // conv3, the paper's example layer
-		w := third.Param.W.Data()
-		out = Fig9Result{
-			Network:  b.Name,
-			Layer:    third.Param.Name,
-			Hist:     analysis.NewHistogram(w, 16),
-			Mean:     third.Param.W.Mean(),
-			Skewness: train.SkewnessOf(w),
-		}
-		return nil
-	})
-	return out, nil
+	third := b.Skewed.WeightLayers()[2] // conv3, the paper's example layer
+	w := third.Param.W.Data()
+	return Fig9Result{
+		Network:  b.Name,
+		Layer:    third.Param.Name,
+		Hist:     analysis.NewHistogram(w, 16),
+		Mean:     third.Param.W.Mean(),
+		Skewness: train.SkewnessOf(w),
+	}, nil
 }
 
 func init() {

@@ -85,9 +85,7 @@ func TestFaultSweepLifetimeDeterministic(t *testing.T) {
 				cfg.Faults = FaultSweepFaults(tc.rate, testOpt.Seed)
 				cfg.Mapping.FaultAware = tc.aware
 				cfg.DegradedAccFrac = 0.5
-				snap := net.SnapshotParams()
 				res, err := lifetime.RunCtx(context.Background(), net, b.TrainDS, tc.sc, DeviceParams(), AgingModel(), TempK, cfg)
-				net.RestoreParams(snap)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -28,49 +28,40 @@ func Fig8(opt Options) (Fig8Result, error) {
 	if err != nil {
 		return Fig8Result{}, err
 	}
-	var out Fig8Result
-	err = b.Exclusive(func() error {
-		// Mapping refreshes the live network weights; restore the
-		// trained state afterwards so the shared bundle stays pristine.
-		snap := b.Skewed.SnapshotParams()
-		defer b.Skewed.RestoreParams(snap)
-		mn, err := crossbar.NewMappedNetwork(b.Skewed, DeviceParams(), AgingModel(), TempK)
-		if err != nil {
-			return err
-		}
-		// Age layer 0 with spatially varying intensity: device (i,j)
-		// gets cycled proportionally to its row index, like the
-		// M1/M2/M3 sketch of Fig. 8 where traced devices have degraded
-		// by different amounts.
-		cb := mn.Layers[0].Crossbar
-		p := cb.Params()
-		rng := tensor.NewRNG(opt.Seed)
-		for i := 0; i < cb.Rows; i++ {
-			cycles := 1 + (3*i)/cb.Rows + rng.Intn(2)
-			for j := 0; j < cb.Cols; j++ {
-				d := cb.Device(i, j)
-				for k := 0; k < cycles; k++ {
-					d.Program(p.RminFresh, p.RminFresh, p.RmaxFresh)
-					d.Program(p.RmaxFresh, p.RminFresh, p.RmaxFresh)
-				}
+	mn, err := crossbar.NewMappedNetwork(b.Skewed, DeviceParams(), AgingModel(), TempK)
+	if err != nil {
+		return Fig8Result{}, err
+	}
+	// Age layer 0 with spatially varying intensity: device (i,j)
+	// gets cycled proportionally to its row index, like the
+	// M1/M2/M3 sketch of Fig. 8 where traced devices have degraded
+	// by different amounts.
+	cb := mn.Layers[0].Crossbar
+	p := cb.Params()
+	rng := tensor.NewRNG(opt.Seed)
+	for i := 0; i < cb.Rows; i++ {
+		cycles := 1 + (3*i)/cb.Rows + rng.Intn(2)
+		for j := 0; j < cb.Cols; j++ {
+			d := cb.Device(i, j)
+			for k := 0; k < cycles; k++ {
+				d.Program(p.RminFresh, p.RminFresh, p.RmaxFresh)
+				d.Program(p.RmaxFresh, p.RminFresh, p.RmaxFresh)
 			}
 		}
-		evalDS := b.TrainDS.Subset(96)
-		eb := evalDS.Batches(evalDS.Len(), nil)[0]
-		res, err := mapping.Map(mn, mapping.Config{Policy: mapping.AgingAware}, eb.X, eb.Y)
-		if err != nil {
-			return err
-		}
-		sel := res.Selections[0]
-		out = Fig8Result{
-			Layer:      sel.Layer,
-			Candidates: sel.Candidates,
-			ChosenRHi:  sel.RHi,
-			FreshRHi:   p.RmaxFresh,
-		}
-		return nil
-	})
-	return out, err
+	}
+	evalDS := b.TrainDS.Subset(96)
+	eb := evalDS.Batches(evalDS.Len(), nil)[0]
+	res, err := mapping.Map(mn, mapping.Config{Policy: mapping.AgingAware}, eb.X, eb.Y)
+	if err != nil {
+		return Fig8Result{}, err
+	}
+	sel := res.Selections[0]
+	return Fig8Result{
+		Layer:      sel.Layer,
+		Candidates: sel.Candidates,
+		ChosenRHi:  sel.RHi,
+		FreshRHi:   p.RmaxFresh,
+	}, nil
 }
 
 func init() {

@@ -22,10 +22,9 @@ import (
 // The key is spec.FixtureFingerprint — a canonical hash of everything
 // that shapes training (fixture name, skew constants, fast flag, seed)
 // — so two configurations that differ in any fixture parameter can
-// never share a cached bundle. Consumers that mutate the cached
-// networks (the lifetime simulations overwrite live weights) do so
-// under Bundle.Exclusive, snapshotting and restoring around their use,
-// as all drivers do.
+// never share a cached bundle. The cached networks are read-only: every
+// mapped network (lifetime runs, range selection, target probes) runs
+// on its own clone, so drivers share a bundle without locking.
 var bundleCache = struct {
 	sync.Mutex
 	m map[string]*bundleEntry
@@ -90,20 +89,17 @@ type Bundle struct {
 	// transform per experiment arm).
 	Spec spec.Spec
 
-	// mu serializes access to the live networks. Bundles are shared by
-	// every experiment of a (fast, seed) configuration, and both the
-	// lifetime simulations (which overwrite live weights and restore a
-	// snapshot afterwards) and the distribution readers touch the same
-	// parameter tensors — unguarded concurrent use would race.
+	// mu backs Exclusive. The library itself never takes it, since it
+	// never writes Normal or Skewed.
 	mu sync.Mutex
 }
 
-// Exclusive runs f while holding the bundle's network lock. Every
-// driver window that mounts, mutates, or reads the cached networks
-// runs under it, which is what makes experiments safe to execute
-// concurrently (campaign shards, parallel -all) while keeping their
-// output identical to a sequential run. The lock is not reentrant: do
-// not nest Exclusive calls.
+// Exclusive runs f while holding the bundle's network lock. The
+// library never mutates bundle networks (mapped networks run on their
+// own clones) and never takes this lock; it serves only callers that
+// do mutate Normal or Skewed directly, such as running a training
+// forward/backward pass on them, and that share the bundle with other
+// goroutines. The lock is not reentrant: do not nest Exclusive calls.
 func (b *Bundle) Exclusive(f func() error) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -257,8 +253,7 @@ func makeBundle(name, dsName string, trainDS, testDS *dataset.Dataset,
 // using the bundle's trained networks: the scenario picks the weights
 // (T+T serves the conventionally trained network, ST+* the skewed one)
 // and the spec supplies device, aging, temperature and the full
-// lifetime budget. It runs under the bundle's network lock, leaving the
-// weights untouched.
+// lifetime budget. The run maps a clone, leaving the bundle untouched.
 func runSpec(b *Bundle, s spec.Spec, opt Options, target float64) (lifetime.Result, error) {
 	sc, err := s.ScenarioKind()
 	if err != nil {
@@ -268,16 +263,7 @@ func runSpec(b *Bundle, s spec.Spec, opt Options, target float64) (lifetime.Resu
 	if sc != lifetime.TT {
 		net = b.Skewed
 	}
-	cfg := s.LifetimeConfig(target)
-	var res lifetime.Result
-	err = b.Exclusive(func() error {
-		snap := net.SnapshotParams()
-		defer net.RestoreParams(snap)
-		var err error
-		res, err = lifetime.RunCtx(opt.Context(), net, b.TrainDS, sc, s.Device, s.Aging, s.TempK, cfg)
-		return err
-	})
-	return res, err
+	return lifetime.RunCtx(opt.Context(), net, b.TrainDS, sc, s.Device, s.Aging, s.TempK, s.LifetimeConfig(target))
 }
 
 // ScenarioTarget picks one target accuracy per bundle, achievable by
@@ -295,18 +281,11 @@ func specTarget(b *Bundle, s spec.Spec) (float64, error) {
 	}
 	margin := s.Run.TargetMargin
 	evalN := s.Lifetime.EvalN
-	var tn, ts float64
-	err := b.Exclusive(func() error {
-		// SuggestTarget maps the network (overwriting live weights
-		// before restoring its snapshot), so it needs the lock.
-		var err error
-		tn, err = lifetime.SuggestTarget(b.Normal, b.TrainDS, s.Device, s.Aging, s.TempK, evalN, margin)
-		if err != nil {
-			return err
-		}
-		ts, err = lifetime.SuggestTarget(b.Skewed, b.TrainDS, s.Device, s.Aging, s.TempK, evalN, margin)
-		return err
-	})
+	tn, err := lifetime.SuggestTarget(b.Normal, b.TrainDS, s.Device, s.Aging, s.TempK, evalN, margin)
+	if err != nil {
+		return 0, err
+	}
+	ts, err := lifetime.SuggestTarget(b.Skewed, b.TrainDS, s.Device, s.Aging, s.TempK, evalN, margin)
 	if err != nil {
 		return 0, err
 	}

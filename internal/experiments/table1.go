@@ -55,14 +55,7 @@ func Table1BundleWithConfig(b *Bundle, opt Options, cfg lifetime.Config) (Table1
 		{lifetime.STAT, b.Skewed},
 	}
 	for _, r := range runs {
-		var res lifetime.Result
-		err := b.Exclusive(func() error {
-			snap := r.net.SnapshotParams()
-			defer r.net.RestoreParams(snap)
-			var err error
-			res, err = lifetime.RunCtx(opt.Context(), r.net, b.TrainDS, r.sc, b.Spec.Device, b.Spec.Aging, b.Spec.TempK, cfg)
-			return err
-		})
+		res, err := lifetime.RunCtx(opt.Context(), r.net, b.TrainDS, r.sc, b.Spec.Device, b.Spec.Aging, b.Spec.TempK, cfg)
 		if err != nil {
 			return row, fmt.Errorf("experiments: table1 %s %s: %w", b.Name, r.sc, err)
 		}

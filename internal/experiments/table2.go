@@ -32,12 +32,8 @@ func Table2(opt Options) ([]Table2Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		var normalStats, skewedStats []train.LayerStats
-		b.Exclusive(func() error { // reads race with concurrent lifetime sims
-			normalStats = train.NetworkStats(b.Normal)
-			skewedStats = train.NetworkStats(b.Skewed)
-			return nil
-		})
+		normalStats := train.NetworkStats(b.Normal)
+		skewedStats := train.NetworkStats(b.Skewed)
 		for i, ns := range normalStats {
 			rows = append(rows, Table2Row{
 				Network:    b.Name,

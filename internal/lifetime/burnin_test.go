@@ -17,13 +17,11 @@ func TestBurnInShortensLifetime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := net.SnapshotParams()
 
 	fresh, err := RunCtx(context.Background(), net, trainDS, TT, device.Params32(), fastAging(), 300, testConfig(target))
 	if err != nil {
 		t.Fatal(err)
 	}
-	net.RestoreParams(snap)
 
 	cfg := testConfig(target)
 	cfg.BurnInStress = 5
@@ -31,7 +29,6 @@ func TestBurnInShortensLifetime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net.RestoreParams(snap)
 
 	if burned.Lifetime > fresh.Lifetime {
 		t.Fatalf("burn-in must not extend lifetime: %d vs %d", burned.Lifetime, fresh.Lifetime)
@@ -57,7 +54,6 @@ func TestPolicyOverridePlumbing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := net.SnapshotParams()
 
 	cfg := testConfig(target)
 	cfg.BurnInStress = 2
@@ -67,7 +63,6 @@ func TestPolicyOverridePlumbing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net.RestoreParams(snap)
 
 	cfg2 := testConfig(target)
 	cfg2.BurnInStress = 2
@@ -75,7 +70,6 @@ func TestPolicyOverridePlumbing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net.RestoreParams(snap)
 
 	if overridden.Lifetime != stt.Lifetime {
 		t.Fatalf("STAT overridden to fresh must behave like ST+T: %d vs %d", overridden.Lifetime, stt.Lifetime)

@@ -278,10 +278,13 @@ type Result struct {
 
 // RunCtx simulates the deployment life of net under the scenario. The
 // network's current weights are the mapping targets; trainDS supplies
-// tuning batches and the evaluation subset. The simulation checks ctx
-// before the initial mapping and at every deployment cycle, returning
-// ctx.Err() (wrapped) as soon as the context is cancelled or times
-// out. A cancelled run's partial Result is not meaningful.
+// tuning batches and the evaluation subset. net is never written: the
+// run maps and tunes a private clone (crossbar.NewMappedNetwork), so
+// any number of runs may share one trained network, concurrently too.
+// The simulation checks ctx before the initial mapping and at every
+// deployment cycle, returning ctx.Err() (wrapped) as soon as the
+// context is cancelled or times out. A cancelled run's partial Result
+// is not meaningful.
 //
 // Every run emits one "lifetime/run" trace span and, per deployment
 // cycle, one record on the "lifetime/timeline" instrument plus a
@@ -445,9 +448,8 @@ func runCtx(ctx context.Context, net *nn.Network, trainDS *dataset.Dataset, sc S
 // hardware accuracy right after an ideal fresh mapping of the trained
 // network, minus margin. Matching the paper's setup, the target is
 // chosen so a healthy array converges within a handful of iterations.
+// Like RunCtx, it maps a private clone and never writes net.
 func SuggestTarget(net *nn.Network, trainDS *dataset.Dataset, p device.Params, model aging.Model, tempK float64, evalN int, margin float64) (float64, error) {
-	snap := net.SnapshotParams()
-	defer net.RestoreParams(snap)
 	mn, err := crossbar.NewMappedNetwork(net, p, model, tempK)
 	if err != nil {
 		return 0, err

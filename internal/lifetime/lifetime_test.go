@@ -2,6 +2,8 @@ package lifetime
 
 import (
 	"context"
+	"reflect"
+	"sync"
 	"testing"
 
 	"memlife/internal/aging"
@@ -65,6 +67,15 @@ func testConfig(target float64) Config {
 	}
 }
 
+// tuneAndRemapConfig is a short budget whose target sits just below
+// the fixture's fresh accuracy, so every scenario drifts, tunes, remaps
+// and fails within its six cycles.
+func tuneAndRemapConfig() Config {
+	cfg := testConfig(0.86)
+	cfg.MaxCycles = 6
+	return cfg
+}
+
 func TestScenarioStringsAndPolicies(t *testing.T) {
 	if TT.String() != "T+T" || STT.String() != "ST+T" || STAT.String() != "ST+AT" {
 		t.Fatal("scenario labels must match the paper")
@@ -98,22 +109,92 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-func TestSuggestTargetRestoresWeights(t *testing.T) {
+// TestRunsLeaveNetworkUntouched pins the ownership rule: a trained
+// network is a read-only input. SuggestTarget and RunCtx map and tune a
+// private clone, so the network's parameters are bit-identical after
+// they return, and a second identical run reproduces the first.
+func TestRunsLeaveNetworkUntouched(t *testing.T) {
 	net, trainDS := fixture(t, false)
 	before := net.SnapshotParams()
-	target, err := SuggestTarget(net, trainDS, device.Params32(), aging.DefaultModel(), 300, 64, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if target <= 0 || target > 1 {
-		t.Fatalf("suggested target %g out of range", target)
-	}
-	after := net.SnapshotParams()
-	for i := range before {
-		for j := range before[i] {
-			if before[i][j] != after[i][j] {
-				t.Fatal("SuggestTarget must leave the network untouched")
+	untouched := func(t *testing.T) {
+		t.Helper()
+		after := net.SnapshotParams()
+		for i := range before {
+			for j := range before[i] {
+				if before[i][j] != after[i][j] {
+					t.Fatalf("parameter tensor %d element %d changed: %v -> %v", i, j, before[i][j], after[i][j])
+				}
 			}
+		}
+	}
+
+	t.Run("SuggestTarget", func(t *testing.T) {
+		target, err := SuggestTarget(net, trainDS, device.Params32(), aging.DefaultModel(), 300, 64, 0.05)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if target <= 0 || target > 1 {
+			t.Fatalf("suggested target %g out of range", target)
+		}
+		untouched(t)
+	})
+
+	t.Run("RunCtx twice", func(t *testing.T) {
+		cfg := tuneAndRemapConfig()
+		run := func() Result {
+			t.Helper()
+			res, err := RunCtx(context.Background(), net, trainDS, STAT, device.Params32(), fastAging(), 300, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			untouched(t)
+			return res
+		}
+		first, second := run(), run()
+		if !reflect.DeepEqual(first, second) {
+			t.Fatalf("second run on the same network diverged:\nfirst  %+v\nsecond %+v", first, second)
+		}
+	})
+}
+
+// TestConcurrentRunsShareNetwork runs T+T, ST+T and two ST+AT
+// simulations concurrently on one trained network; each must return
+// exactly its serial Result. CI runs it under -race, which also checks
+// that runs only read the shared network.
+func TestConcurrentRunsShareNetwork(t *testing.T) {
+	net, trainDS := fixture(t, false)
+	cfg := tuneAndRemapConfig()
+	scenarios := []Scenario{TT, STT, STAT, STAT}
+	run := func(sc Scenario) (Result, error) {
+		return RunCtx(context.Background(), net, trainDS, sc, device.Params32(), fastAging(), 300, cfg)
+	}
+
+	want := make([]Result, len(scenarios))
+	for i, sc := range scenarios {
+		res, err := run(sc)
+		if err != nil {
+			t.Fatalf("serial %s: %v", sc, err)
+		}
+		want[i] = res
+	}
+
+	got := make([]Result, len(scenarios))
+	errs := make([]error, len(scenarios))
+	var wg sync.WaitGroup
+	for i, sc := range scenarios {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = run(sc)
+		}()
+	}
+	wg.Wait()
+	for i, sc := range scenarios {
+		if errs[i] != nil {
+			t.Fatalf("concurrent run %d (%s): %v", i, sc, errs[i])
+		}
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Fatalf("concurrent run %d (%s) diverged from its serial result:\ngot  %+v\nwant %+v", i, sc, got[i], want[i])
 		}
 	}
 }

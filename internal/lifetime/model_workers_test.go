@@ -16,7 +16,6 @@ import (
 // runs at 1, 2 and 8 workers must agree record by record, bit by bit.
 func TestModelWorkersEquivalence(t *testing.T) {
 	net, trainDS := fixture(t, false)
-	snap := net.SnapshotParams()
 
 	cases := []struct {
 		name   string
@@ -42,7 +41,6 @@ func TestModelWorkersEquivalence(t *testing.T) {
 
 			run := func(workers int) Result {
 				t.Helper()
-				net.RestoreParams(snap)
 				c := cfg
 				c.Tuning.Workers = workers
 				res, err := RunCtx(context.Background(), net, trainDS, STAT, p, fastAging(), 300, c)

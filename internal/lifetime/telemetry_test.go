@@ -30,7 +30,6 @@ func sameResult(a, b Result) bool {
 // excluded) with the expected cycle-by-cycle timeline.
 func TestTelemetrySnapshotDeterministic(t *testing.T) {
 	net, trainDS := fixture(t, false)
-	snap := net.SnapshotParams()
 	cfg := testConfig(0.6)
 	cfg.MaxCycles = 6
 
@@ -38,7 +37,6 @@ func TestTelemetrySnapshotDeterministic(t *testing.T) {
 		t.Helper()
 		telemetry.SetGlobal(reg)
 		defer telemetry.SetGlobal(nil)
-		net.RestoreParams(snap)
 		res, err := RunCtx(context.Background(), net, trainDS, STAT, device.Params32(), fastAging(), 300, cfg)
 		if err != nil {
 			t.Fatal(err)

@@ -18,7 +18,6 @@ import (
 // simulation's mutation pattern.
 func TestWorkersEquivalence(t *testing.T) {
 	net, trainDS := fixture(t, false)
-	snap := net.SnapshotParams()
 
 	cfg := testConfig(0.6)
 	cfg.MaxCycles = 6 // enough cycles to hit drift, tuning, and remap paths
@@ -33,7 +32,6 @@ func TestWorkersEquivalence(t *testing.T) {
 
 	run := func(workers int) Result {
 		t.Helper()
-		net.RestoreParams(snap)
 		c := cfg
 		c.Tuning.Workers = workers
 		res, err := RunCtx(context.Background(), net, trainDS, STAT, device.Params32(), fastAging(), 300, c)

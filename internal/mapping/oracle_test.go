@@ -172,7 +172,7 @@ func TestMapMatchesFullForwardScoring(t *testing.T) {
 						assertRefreshed(t, mn)
 						mn.AddStress(20)
 					}
-					return results, net.SnapshotParams()
+					return results, mn.Net.SnapshotParams()
 				}
 				got, gotW := run(Map)
 				want, wantW := run(referenceMap)

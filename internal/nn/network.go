@@ -82,23 +82,32 @@ func (n *Network) SetForwardWorkers(workers int) {
 	}
 }
 
-// ForwardWorkers reports the configured forward-pass parallelism (the
-// maximum over layers; 0 when every layer is serial).
-func (n *Network) ForwardWorkers() int {
-	w := 0
-	for _, l := range n.Layers {
+// Clone returns a deep copy of the network: every parameter gets a
+// copy of its weights and a zeroed gradient, each layer keeps its
+// forward parallelism, and no layer carries forward state. The copy
+// shares no mutable memory with n, so it can be run, tuned and
+// overwritten while n stays untouched.
+func (n *Network) Clone() *Network {
+	layers := make([]Layer, len(n.Layers))
+	for i, l := range n.Layers {
 		switch t := l.(type) {
-		case *Dense:
-			if t.workers > w {
-				w = t.workers
-			}
 		case *Conv2D:
-			if t.workers > w {
-				w = t.workers
-			}
+			layers[i] = &Conv2D{name: t.name, Geom: t.Geom, OutC: t.OutC,
+				Weight: t.Weight.clone(), Bias: t.Bias.clone(), workers: t.workers}
+		case *Dense:
+			layers[i] = &Dense{name: t.name, In: t.In, Out: t.Out,
+				Weight: t.Weight.clone(), Bias: t.Bias.clone(), workers: t.workers}
+		case *MaxPool2D:
+			layers[i] = &MaxPool2D{name: t.name, Geom: t.Geom}
+		case *ReLU:
+			layers[i] = &ReLU{}
+		case *Flatten:
+			layers[i] = &Flatten{}
+		default:
+			panic(fmt.Sprintf("nn: cannot clone layer %q of type %T", l.Name(), l))
 		}
 	}
-	return w
+	return &Network{Name: n.Name, InputSize: n.InputSize, Layers: layers}
 }
 
 // Forward runs the batch x through all layers and returns logits.
@@ -162,8 +171,8 @@ func (n *Network) AccuracyFrom(k int, act *tensor.Tensor, y []int) float64 {
 }
 
 // SnapshotParams deep-copies every parameter tensor (weights and
-// biases), so a trained state can be restored after hardware simulation
-// overwrote the live weights.
+// biases), so a caller that writes the network's weights (a training
+// step, say) can restore them afterwards.
 func (n *Network) SnapshotParams() [][]float64 {
 	var out [][]float64
 	for _, p := range n.Params() {

@@ -36,5 +36,8 @@ func newParam(name string, kind ParamKind, w *tensor.Tensor) *Param {
 	return &Param{Name: name, Kind: kind, W: w, Grad: tensor.New(w.Shape()...)}
 }
 
+// clone copies the parameter's weights under a fresh zeroed gradient.
+func (p *Param) clone() *Param { return newParam(p.Name, p.Kind, p.W.Clone()) }
+
 // ZeroGrad clears the gradient accumulator.
 func (p *Param) ZeroGrad() { p.Grad.Zero() }

@@ -17,8 +17,8 @@ type serverTel struct {
 	cacheMisses   *telemetry.Counter // submissions that had to run
 	queueDepth    *telemetry.Gauge
 	runningJobs   *telemetry.Gauge
-	stateDone     *telemetry.Gauge // jobs currently terminal-done in the job table
-	stateFailed   *telemetry.Gauge // jobs currently terminal-failed in the job table
+	stateDone     *telemetry.Gauge     // jobs currently terminal-done in the job table
+	stateFailed   *telemetry.Gauge     // jobs currently terminal-failed in the job table
 	jobNs         *telemetry.Histogram // per-job wall time (success only)
 	drainNs       *telemetry.Gauge     // duration of the last graceful drain
 }

@@ -43,13 +43,6 @@ func (g *RNG) FillNormal(t *Tensor, mean, std float64) {
 	}
 }
 
-// FillUniform fills t with uniform samples in [lo, hi).
-func (g *RNG) FillUniform(t *Tensor, lo, hi float64) {
-	for i := range t.data {
-		t.data[i] = g.Uniform(lo, hi)
-	}
-}
-
 // HeInit fills t with He-normal samples for the given fan-in. Suitable
 // for ReLU layers.
 func (g *RNG) HeInit(t *Tensor, fanIn int) {

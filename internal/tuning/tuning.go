@@ -177,9 +177,9 @@ func tune(mn *crossbar.MappedNetwork, ds *dataset.Dataset, evalX *tensor.Tensor,
 	stressBefore := mn.TotalStress()
 
 	if cfg.Workers > 1 {
-		prev := mn.Net.ForwardWorkers()
+		// mn.Net is the mapped network's own clone, so the setting
+		// needs no undoing.
 		mn.Net.SetForwardWorkers(cfg.Workers)
-		defer mn.Net.SetForwardWorkers(prev)
 	}
 
 	batches := ds.Batches(cfg.BatchSize, rng)
