@@ -36,7 +36,7 @@ func main() {
 			fmt.Sprintf("%.2f", d.Stress()),
 			fmt.Sprintf("%.0f", lo),
 			fmt.Sprintf("%.0f", hi),
-			fmt.Sprintf("%d", p.UsableLevels(lo, hi)),
+			fmt.Sprintf("%d", p.Grid().UsableLevels(lo, hi)),
 		})
 		for k := 0; k < 10; k++ {
 			lo, hi := m.Bounds(p, d.Stress(), 300)
@@ -70,6 +70,6 @@ func main() {
 	fmt.Println("\ntemperature acceleration (same 50 cycles of stress):")
 	for _, tK := range []float64{280, 300, 320, 340, 360} {
 		lo, hi := m.Bounds(p, lowR.Stress(), tK)
-		fmt.Printf("  T=%3.0fK accel=%.2fx usable levels=%d\n", tK, m.Accel(tK), p.UsableLevels(lo, hi))
+		fmt.Printf("  T=%3.0fK accel=%.2fx usable levels=%d\n", tK, m.Accel(tK), p.Grid().UsableLevels(lo, hi))
 	}
 }

@@ -48,10 +48,11 @@ func run(fast bool) error {
 	// Where do these weights land in resistance space? (Fig. 6b)
 	p := experiments.DeviceParams()
 	wMin, wMax := third.Param.W.MinMax()
+	g := p.Grid()
 	var res []float64
 	for _, w := range third.Param.W.Data() {
 		target := crossbar.TargetResistance(w, wMin, wMax, p.RminFresh, p.RmaxFresh)
-		res = append(res, p.LevelResistance(p.NearestLevel(target)))
+		res = append(res, g.LevelResistance(g.NearestLevel(target)))
 	}
 	sum := analysis.Summarize(res)
 	fmt.Printf("\nmapped resistances: median %.0f Ohm (range %.0f..%.0f); higher is better for aging\n",

@@ -82,7 +82,7 @@ func TestUsableLevelCountDecays(t *testing.T) {
 	prev := p.Levels
 	for _, stress := range []float64{0, 5, 20, 80, 320} {
 		lo, hi := m.Bounds(p, stress, 300)
-		n := p.UsableLevels(lo, hi)
+		n := p.Grid().UsableLevels(lo, hi)
 		if n > prev {
 			t.Fatalf("usable levels increased with stress: %d -> %d at stress %g", prev, n, stress)
 		}
@@ -94,7 +94,7 @@ func TestUsableLevelCountDecays(t *testing.T) {
 	// A fully worn device slides below the fresh grid entirely: zero
 	// usable levels is the end-of-life state.
 	lo, hi := m.Bounds(p, 1e6, 300)
-	if p.UsableLevels(lo, hi) != 0 {
+	if p.Grid().UsableLevels(lo, hi) != 0 {
 		t.Fatal("extreme stress must leave no usable levels")
 	}
 }

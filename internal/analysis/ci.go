@@ -4,7 +4,7 @@ import "math"
 
 // MeanCI holds the mean of a sample together with its dispersion and
 // the 95% confidence half-width of the mean — the aggregate the
-// multi-seed campaign runs report per metric.
+// multi-seed campaign runs report per metric (see Online).
 type MeanCI struct {
 	N    int
 	Mean float64
@@ -14,24 +14,6 @@ type MeanCI struct {
 	// CI95 is the half-width of the two-sided 95% confidence interval
 	// of the mean (Student-t); 0 for a single observation.
 	CI95 float64
-}
-
-// MeanCI95 computes the sample mean, sample standard deviation and the
-// 95% confidence half-width of the mean. It panics on empty input; a
-// single observation yields Std = CI95 = 0.
-//
-// It is a thin wrapper over the Online streaming accumulator: buffered
-// and streaming aggregation share one implementation, so their results
-// are bit-identical by construction (see Online).
-func MeanCI95(data []float64) MeanCI {
-	if len(data) == 0 {
-		panic("analysis: MeanCI95 of empty data")
-	}
-	var o Online
-	for _, v := range data {
-		o.Add(v)
-	}
-	return o.MeanCI()
 }
 
 // tCrit95 returns the two-sided 95% critical value of the Student-t

@@ -5,6 +5,35 @@ import (
 	"testing"
 )
 
+// MeanCI95 is the buffered reference for Online: the textbook
+// two-pass formula — the mean as sum/n, then the sample variance from
+// the summed squared deviations about that mean. It shares no
+// arithmetic with Online's Welford recurrence beyond the final
+// t-scaling, so agreement between the two is evidence, not tautology.
+// It panics on empty input; a single observation yields Std = CI95 = 0.
+func MeanCI95(data []float64) MeanCI {
+	if len(data) == 0 {
+		panic("analysis: MeanCI95 of empty data")
+	}
+	n := len(data)
+	sum := 0.0
+	for _, v := range data {
+		sum += v
+	}
+	out := MeanCI{N: n, Mean: sum / float64(n)}
+	if n < 2 {
+		return out
+	}
+	ss := 0.0
+	for _, v := range data {
+		d := v - out.Mean
+		ss += d * d
+	}
+	out.Std = math.Sqrt(ss / float64(n-1))
+	out.CI95 = tCrit95(n-1) * out.Std / math.Sqrt(float64(n))
+	return out
+}
+
 func TestMeanCI95(t *testing.T) {
 	// 0..4: mean 2, sample std sqrt(2.5), df=4 -> t=2.776.
 	got := MeanCI95([]float64{0, 1, 2, 3, 4})

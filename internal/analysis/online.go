@@ -2,18 +2,16 @@ package analysis
 
 import "math"
 
-// Online is a constant-memory streaming accumulator for the same
-// statistics MeanCI95 computes from a buffered sample: mean, sample
-// standard deviation, 95% confidence half-width, and the observed
-// range.
+// Online is a constant-memory streaming accumulator for the statistics
+// of a sample: mean, sample standard deviation, 95% confidence
+// half-width, and the observed range.
 //
-// The mean is a plain running sum divided by n — the exact summation
-// MeanCI95 performs — and the dispersion is Welford's online M2
-// recurrence. MeanCI95 itself is implemented on top of Online, so
-// feeding the same values in the same order through either path yields
-// bit-identical results: this is what lets the campaign engine's
-// streaming aggregation replace the buffered one without changing a
-// single output byte.
+// The mean is a plain running sum divided by n — the summation order
+// of a two-pass formula — and the dispersion is Welford's online M2
+// recurrence. Results depend only on the values and their order, so
+// feeding the same values in the same order always yields the same
+// bits: the campaign engine folds shards in index order to make its
+// output schedule-independent.
 //
 // The zero value is an empty accumulator, ready for Add.
 type Online struct {
@@ -55,7 +53,7 @@ func (o *Online) Max() float64 { return o.max }
 
 // MeanCI returns the accumulated statistics. It panics when no
 // observation has been added; a single observation yields
-// Std = CI95 = 0, mirroring MeanCI95.
+// Std = CI95 = 0.
 func (o *Online) MeanCI() MeanCI {
 	if o.n == 0 {
 		panic("analysis: MeanCI of empty Online accumulator")

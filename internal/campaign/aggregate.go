@@ -22,8 +22,8 @@ type Aggregate struct {
 	Min        float64 `json:"min"`
 	Max        float64 `json:"max"`
 	// Quantiles is the sketch summary of the metric's distribution,
-	// present only for streaming campaigns (Config.Stream): the
-	// buffered path keeps its historical byte-exact output.
+	// present only for streaming campaigns (Config.Stream), so
+	// buffered output keeps its historical bytes.
 	Quantiles *Quantiles `json:"quantiles,omitempty"`
 }
 
@@ -37,26 +37,52 @@ type Quantiles struct {
 	P99 float64 `json:"p99"`
 }
 
-// aggregate reduces shard metrics to per-(experiment, metric)
-// statistics. Shards must already be in index order; samples are
-// accumulated in that order so floating-point results are identical
-// across schedules.
-func aggregate(shards []ShardResult) []Aggregate {
-	type key struct{ exp, metric string }
-	samples := map[key][]float64{}
-	for _, s := range shards {
-		names := make([]string, 0, len(s.Metrics))
-		for name := range s.Metrics {
-			names = append(names, name)
+// aggregator folds completed shards into per-(experiment, metric)
+// Online accumulators and quantile sketches — O(metrics x buckets)
+// memory however many seeds the campaign runs. The engine's drain feeds
+// it every shard, resumed or fresh, in index order, so each metric's
+// values reach its accumulator in the same order whatever the worker
+// count, completion order or resume history: the output bytes are
+// schedule-independent.
+type aggregator struct {
+	stats map[aggKey]*aggStat
+}
+
+type aggKey struct{ exp, metric string }
+
+type aggStat struct {
+	online analysis.Online
+	sketch *analysis.Sketch
+}
+
+func newAggregator() *aggregator {
+	return &aggregator{stats: make(map[aggKey]*aggStat)}
+}
+
+// add folds one shard's metrics in. Map iteration order is irrelevant:
+// each metric name feeds its own accumulator exactly once per shard,
+// so every per-key sequence is ordered by shard index alone. Steady
+// state (every key seen) allocates nothing.
+func (a *aggregator) add(exp string, m Metrics) {
+	for name, v := range m {
+		k := aggKey{exp, name}
+		st, ok := a.stats[k]
+		if !ok {
+			st = &aggStat{sketch: analysis.NewSketch()}
+			a.stats[k] = st
 		}
-		sort.Strings(names)
-		for _, name := range names {
-			k := key{s.Experiment, name}
-			samples[k] = append(samples[k], s.Metrics[name])
-		}
+		st.online.Add(v)
+		st.sketch.Add(v)
 	}
-	keys := make([]key, 0, len(samples))
-	for k := range samples {
+}
+
+// aggregates renders the canonical aggregate list, ordered by
+// (experiment, metric). The sketch's quantile summary is attached only
+// when quantiles is set (streaming campaigns), so buffered output keeps
+// its historical bytes.
+func (a *aggregator) aggregates(quantiles bool) []Aggregate {
+	keys := make([]aggKey, 0, len(a.stats))
+	for k := range a.stats {
 		keys = append(keys, k)
 	}
 	sort.Slice(keys, func(i, j int) bool {
@@ -67,27 +93,27 @@ func aggregate(shards []ShardResult) []Aggregate {
 	})
 	out := make([]Aggregate, 0, len(keys))
 	for _, k := range keys {
-		data := samples[k]
-		ci := analysis.MeanCI95(data)
-		min, max := data[0], data[0]
-		for _, v := range data[1:] {
-			if v < min {
-				min = v
-			}
-			if v > max {
-				max = v
-			}
-		}
-		out = append(out, Aggregate{
+		st := a.stats[k]
+		ci := st.online.MeanCI()
+		agg := Aggregate{
 			Experiment: k.exp,
 			Metric:     k.metric,
 			N:          ci.N,
 			Mean:       ci.Mean,
 			Std:        ci.Std,
 			CI95:       ci.CI95,
-			Min:        min,
-			Max:        max,
-		})
+			Min:        st.online.Min(),
+			Max:        st.online.Max(),
+		}
+		if quantiles {
+			agg.Quantiles = &Quantiles{
+				P01: st.sketch.Quantile(0.01),
+				P50: st.sketch.Quantile(0.50),
+				P90: st.sketch.Quantile(0.90),
+				P99: st.sketch.Quantile(0.99),
+			}
+		}
+		out = append(out, agg)
 	}
 	return out
 }

@@ -274,6 +274,45 @@ func TestResumeRejectsForeignCheckpoint(t *testing.T) {
 	}
 }
 
+// TestResumeChecksJournalAgainstSpec: the drain checks every journaled
+// shard against the spec's shard at its index, in both modes. A record
+// naming another experiment is rejected; a record past the last shard
+// is ignored rather than crashing the drain.
+func TestResumeChecksJournalAgainstSpec(t *testing.T) {
+	spec := testSpec()
+	n := len(spec.Shards())
+	for _, stream := range []bool{false, true} {
+		clean, err := Run(context.Background(), spec, Config{Workers: 2, Resolve: fakeResolver(nil), Stream: stream})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := t.TempDir()
+
+		mismatched := filepath.Join(dir, "mismatched.jsonl")
+		rec := testRecord(spec.Fingerprint(), 0)
+		rec.Experiment = "beta" // the spec's shard 0 is alpha
+		writeRecords(t, mismatched, rec)
+		_, err = Run(context.Background(), spec, Config{
+			Workers: 2, Resolve: fakeResolver(nil), Stream: stream, CheckpointPath: mismatched, Resume: true,
+		})
+		if err == nil || !strings.Contains(err.Error(), "spec says") {
+			t.Fatalf("stream=%v: mismatched journal shard must be rejected, got err=%v", stream, err)
+		}
+
+		beyond := filepath.Join(dir, "beyond.jsonl")
+		writeRecords(t, beyond, testRecord(spec.Fingerprint(), n))
+		res, err := Run(context.Background(), spec, Config{
+			Workers: 2, Resolve: fakeResolver(nil), Stream: stream, CheckpointPath: beyond, Resume: true,
+		})
+		if err != nil {
+			t.Fatalf("stream=%v: out-of-range journal record: %v", stream, err)
+		}
+		if !bytes.Equal(mustJSON(t, clean), mustJSON(t, res)) {
+			t.Fatalf("stream=%v: out-of-range journal record changed the result", stream)
+		}
+	}
+}
+
 func TestCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	release := make(chan struct{})

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"maps"
 	"runtime"
 	"sync"
 	"time"
@@ -30,13 +31,14 @@ type Config struct {
 	// Log receives the shards' experiment logs, multiplexed line-by-
 	// line with shard prefixes; nil silences them.
 	Log io.Writer
-	// Stream selects constant-memory aggregation: completed shards are
-	// folded into per-metric streaming accumulators (online mean/CI +
-	// quantile sketches) through a bounded reorder window instead of
-	// being buffered, so memory is O(window + metrics x buckets)
-	// rather than O(seeds). The Result then has empty Shards and its
-	// Aggregates carry Quantiles; mean/std/ci95/min/max are
-	// bit-identical to the buffered path (see stream.go).
+	// Stream selects constant-memory collection. Every campaign folds
+	// its shards into per-metric accumulators (online mean/CI + quantile
+	// sketches) in index order; a streaming one also bounds how far
+	// dispatch runs ahead of that fold with a reorder window and keeps
+	// no shard list, so memory is O(window + metrics x buckets) rather
+	// than O(seeds). The Result then has empty Shards and its
+	// Aggregates carry Quantiles; mean/std/ci95/min/max are the same
+	// bits either way.
 	Stream bool
 
 	// testPending, when set, observes the reorder window's occupancy
@@ -55,8 +57,9 @@ type ShardResult struct {
 // ordered by index, aggregates ordered by (experiment, metric), and no
 // timing or scheduling information — the same spec produces the same
 // bytes whatever the worker count, completion order, or resume
-// history. Streaming campaigns (Config.Stream) keep the same
-// guarantee with Shards empty and per-metric Quantiles attached.
+// history. Streaming campaigns (Config.Stream) leave Shards empty and
+// attach per-metric Quantiles; their other aggregate fields are
+// bit-identical to a buffered campaign's.
 type Result struct {
 	Fingerprint string        `json:"fingerprint"`
 	Spec        Spec          `json:"spec"`
@@ -144,22 +147,26 @@ func run(ctx context.Context, spec Spec, cfg Config) (*Result, error) {
 		}
 	}
 
-	// Streaming state: completed shards park in pendingDone until the
-	// drain pointer (next) reaches their index, then fold into agg in
-	// strict index order — the same summation order as the buffered
-	// path, whatever the completion order. The room channel bounds how
-	// far dispatch may run ahead of the drain pointer, capping
-	// pendingDone at the window size. (Resumed shards are preloaded
-	// and drained immediately; loadCheckpoint already held them in
+	// Every shard, resumed or fresh, parks in pendingDone until the drain
+	// pointer (next) reaches its index, then folds into agg in strict
+	// index order, whatever the completion order. A buffered campaign
+	// also keeps each drained shard in out.Shards; a streaming one keeps
+	// none and takes a room token per dispatch, so dispatch runs at most
+	// a window ahead of the drain pointer and pendingDone stays bounded.
+	// (Resumed shards are preloaded; loadCheckpoint already held them in
 	// memory, so they don't change the bound's character.)
+	out := &Result{Fingerprint: fp, Spec: spec, Shards: []ShardResult{}}
+	if !cfg.Stream {
+		out.Shards = make([]ShardResult, 0, len(shards))
+	}
 	var (
-		agg         *streamAgg
-		pendingDone map[int]ShardResult
+		agg         = newAggregator()
+		pendingDone = maps.Clone(done)
 		next        int
 		room        chan struct{}
 	)
 	drainLocked := func() error {
-		for {
+		for next < len(shards) {
 			r, ok := pendingDone[next]
 			if !ok {
 				return nil
@@ -170,22 +177,19 @@ func run(ctx context.Context, spec Spec, cfg Config) (*Result, error) {
 					next, r.Experiment, r.Seed, s.Experiment, s.Seed)
 			}
 			delete(pendingDone, next)
-			agg.add(r.Experiment, r.Metrics)
+			agg.add(s.Experiment, r.Metrics)
+			if !cfg.Stream {
+				out.Shards = append(out.Shards, ShardResult{Shard: s, Metrics: r.Metrics})
+			}
 			if _, resumed := done[next]; !resumed && room != nil {
 				<-room // release the window token taken at dispatch (never blocks)
 			}
 			next++
 		}
+		return nil
 	}
-	if cfg.Stream {
-		agg = newStreamAgg()
-		pendingDone = make(map[int]ShardResult, len(done))
-		for idx, r := range done {
-			pendingDone[idx] = r
-		}
-		if err := drainLocked(); err != nil {
-			return nil, err
-		}
+	if err := drainLocked(); err != nil {
+		return nil, err
 	}
 
 	workers := cfg.Workers
@@ -216,8 +220,7 @@ func run(ctx context.Context, spec Spec, cfg Config) (*Result, error) {
 	defer cancel()
 
 	var (
-		mu        sync.Mutex // guards results, firstErr, completed
-		results   = make([]ShardResult, 0, len(pending))
+		mu        sync.Mutex // guards the drain state, firstErr, completed
 		firstErr  error
 		completed = len(done)
 		total     = len(shards)
@@ -277,18 +280,14 @@ func run(ctx context.Context, spec Spec, cfg Config) (*Result, error) {
 					}
 				}
 				mu.Lock()
-				if cfg.Stream {
-					pendingDone[s.Index] = ShardResult{Shard: s, Metrics: m}
-					if cfg.testPending != nil {
-						cfg.testPending(len(pendingDone))
-					}
-					if err := drainLocked(); err != nil {
-						mu.Unlock()
-						fail(err)
-						return
-					}
-				} else {
-					results = append(results, ShardResult{Shard: s, Metrics: m})
+				pendingDone[s.Index] = ShardResult{Shard: s, Metrics: m}
+				if cfg.testPending != nil {
+					cfg.testPending(len(pendingDone))
+				}
+				if err := drainLocked(); err != nil {
+					mu.Unlock()
+					fail(err)
+					return
 				}
 				completed++
 				doneN := completed
@@ -328,51 +327,12 @@ feed:
 		return nil, fmt.Errorf("campaign: interrupted (completed shards are checkpointed): %w", err)
 	}
 
-	if cfg.Stream {
-		// Streaming: every shard was folded in index order as it
-		// completed; all that remains is to render the accumulators.
-		if next != len(shards) {
-			return nil, fmt.Errorf("campaign: shard %d missing after run (corrupt checkpoint?)", next)
-		}
-		out := &Result{
-			Fingerprint: fp,
-			Spec:        spec,
-			Shards:      []ShardResult{},
-			Aggregates:  agg.aggregates(),
-			Resumed:     len(shards) - len(pending),
-			Elapsed:     time.Since(start),
-		}
-		rep.CampaignDone(out.Elapsed)
-		return out, nil
+	if next != len(shards) {
+		return nil, fmt.Errorf("campaign: shard %d missing after run (corrupt checkpoint?)", next)
 	}
-
-	// Assemble the canonical result: journaled + fresh shards in index
-	// order. Aggregation consumes them in this order, so float
-	// summation order — and therefore the output bytes — are schedule-
-	// independent.
-	for _, r := range results {
-		done[r.Index] = r
-	}
-	out := &Result{
-		Fingerprint: fp,
-		Spec:        spec,
-		Shards:      make([]ShardResult, 0, len(shards)),
-		Resumed:     len(shards) - len(pending),
-		Elapsed:     time.Since(start),
-	}
-	for _, s := range shards {
-		r, ok := done[s.Index]
-		if !ok {
-			return nil, fmt.Errorf("campaign: shard %d missing after run (corrupt checkpoint?)", s.Index)
-		}
-		if r.Experiment != s.Experiment || r.Seed != s.Seed {
-			return nil, fmt.Errorf("campaign: checkpoint shard %d is %s seed %d, spec says %s seed %d",
-				s.Index, r.Experiment, r.Seed, s.Experiment, s.Seed)
-		}
-		r.Fast = s.Fast
-		out.Shards = append(out.Shards, r)
-	}
-	out.Aggregates = aggregate(out.Shards)
+	out.Aggregates = agg.aggregates(cfg.Stream)
+	out.Resumed = len(shards) - len(pending)
+	out.Elapsed = time.Since(start)
 	rep.CampaignDone(out.Elapsed)
 	return out, nil
 }

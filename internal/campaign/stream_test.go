@@ -7,9 +7,9 @@ import (
 	"testing"
 )
 
-// TestStreamMatchesBufferedBitwise: streaming aggregation must produce
-// the same mean/std/ci95/min/max bits as the buffered path — the
-// equivalence the shared analysis.Online implementation guarantees.
+// TestStreamMatchesBufferedBitwise: a streaming campaign must produce
+// the same mean/std/ci95/min/max bits as a buffered one — both fold
+// their shards through one aggregator in index order.
 func TestStreamMatchesBufferedBitwise(t *testing.T) {
 	spec := Spec{Experiments: []string{"alpha", "beta"}, Seeds: 40, BaseSeed: 42}
 	buffered, err := Run(context.Background(), spec, Config{Workers: 4, Resolve: fakeResolver(nil)})
@@ -107,7 +107,7 @@ func TestStreamWindowBoundsMemory(t *testing.T) {
 // exists, folding in further shards allocates nothing, so aggregation
 // memory is O(metrics x buckets) — independent of the seed count.
 func TestStreamAggSteadyStateZeroAlloc(t *testing.T) {
-	agg := newStreamAgg()
+	agg := newAggregator()
 	m := Metrics{"value": 1.5, "sqrt": 2.5, "seedmod": 3.5}
 	agg.add("alpha", m) // create the keys
 	allocs := testing.AllocsPerRun(1000, func() {

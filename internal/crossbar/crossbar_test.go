@@ -90,7 +90,7 @@ func TestMapWeightsQuantizesOntoGrid(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		for j := 0; j < 4; j++ {
 			r := cb.Device(i, j).Resistance()
-			lvl := p.NearestLevel(r)
+			lvl := p.Grid().NearestLevel(r)
 			if math.Abs(p.LevelResistance(lvl)-r) > 1e-6 {
 				t.Fatalf("device (%d,%d) resistance %g not on level grid", i, j, r)
 			}

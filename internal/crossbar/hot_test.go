@@ -204,7 +204,7 @@ func TestQuantizeWeightsIntoMatchesDirect(t *testing.T) {
 		wMin, wMax := w.MinMax()
 		for i, v := range w.Data() {
 			target := TargetResistance(v, wMin, wMax, rLo, rHi)
-			lvl := p.NearestLevelIn(target, rLo, rHi)
+			lvl := p.Grid().NearestLevelIn(target, rLo, rHi)
 			want := EffectiveWeight(p.LevelResistance(lvl), wMin, wMax, rLo, rHi)
 			if dst.Data()[i] != want {
 				t.Fatalf("range [%g,%g], element %d: got %v, want %v", rLo, rHi, i, dst.Data()[i], want)

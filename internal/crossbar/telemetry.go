@@ -59,7 +59,7 @@ func (u *usableAccum) observe(p device.Params, lo, hi float64) {
 	if !u.track {
 		return
 	}
-	n := p.UsableLevels(lo, hi)
+	n := p.Grid().UsableLevels(lo, hi)
 	if u.n == 0 || n < u.min {
 		u.min = n
 	}

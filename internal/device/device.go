@@ -129,26 +129,6 @@ func (p Params) LevelResistance(i int) float64 {
 	return p.RminFresh + float64(i)*p.LevelSpacing()
 }
 
-// NearestLevel returns the level index whose resistance is closest to r,
-// clamped to the grid. It dispatches through the shared Grid LUT — the
-// single home of the level-selection arithmetic (the direct formula
-// lives in Grid.NearestLevel, fuzz-pinned against a reference
-// implementation by FuzzQuantLUTMatchesDirect).
-func (p Params) NearestLevel(r float64) int { return p.Grid().NearestLevel(r) }
-
-// NearestLevelIn returns the level index closest to r among levels whose
-// resistance lies within [lo, hi]. When no level falls inside the
-// window it returns the level nearest to the window. This implements
-// the clipping of Fig. 4: a target of Level 7 on a device aged down to
-// three usable levels lands on Level 2. Dispatches through the Grid LUT
-// (see NearestLevel).
-func (p Params) NearestLevelIn(r, lo, hi float64) int { return p.Grid().NearestLevelIn(r, lo, hi) }
-
-// UsableLevels counts the levels of the fresh grid that remain inside
-// the aged range [lo, hi] (Fig. 4's level-count decay). Dispatches
-// through the Grid LUT (see NearestLevel).
-func (p Params) UsableLevels(lo, hi float64) int { return p.Grid().UsableLevels(lo, hi) }
-
 // TunePulseDeltaG returns the conductance change of one online-tuning
 // pulse. Tuning pulses are small constant-amplitude nudges (eq. (5))
 // that move the analog conductance by a fraction of a level, unlike the
@@ -163,25 +143,6 @@ func (p Params) TunePulseDeltaG() float64 {
 // technology-portable.
 func (p Params) refPulseEnergy() float64 {
 	return p.Vprog * p.Vprog * p.GmaxFresh() * p.PulseWidth
-}
-
-// PulseStress returns the normalized stress contributed by one
-// programming pulse applied while the device sits at resistance r:
-// (Vprog^2 / r * width) / refPulseEnergy = RminFresh / r. A pulse into
-// a fully-resistive (skewed-regime) device costs RminFresh/RmaxFresh of
-// a full-current pulse — the aging advantage of Section IV-A.
-func (p Params) PulseStress(r float64) float64 {
-	if r <= 0 {
-		panic(fmt.Sprintf("device: non-positive resistance %g", r))
-	}
-	if p.UniformStress {
-		// Conductance-independent ablation: every pulse costs the
-		// stress of a pulse through the geometric-mean resistance, so
-		// the total budget is comparable to the physical model while
-		// the skewed-weight advantage is removed.
-		return math.Sqrt(p.RminFresh/p.RmaxFresh) * p.stressDerate()
-	}
-	return (p.Vprog * p.Vprog / r * p.PulseWidth) / p.refPulseEnergy() * p.stressDerate()
 }
 
 // FaultKind classifies the permanent fault state of a device. Stuck-at

@@ -64,14 +64,14 @@ func TestLevelConductancesDenseNearGmin(t *testing.T) {
 func TestNearestLevelRoundTrip(t *testing.T) {
 	p := Params32()
 	for i := 0; i < p.Levels; i++ {
-		if p.NearestLevel(p.LevelResistance(i)) != i {
+		if p.Grid().NearestLevel(p.LevelResistance(i)) != i {
 			t.Fatalf("NearestLevel(LevelResistance(%d)) != %d", i, i)
 		}
 	}
-	if p.NearestLevel(0) != 0 {
+	if p.Grid().NearestLevel(0) != 0 {
 		t.Fatal("below-range resistance must clamp to level 0")
 	}
-	if p.NearestLevel(1e9) != p.Levels-1 {
+	if p.Grid().NearestLevel(1e9) != p.Levels-1 {
 		t.Fatal("above-range resistance must clamp to top level")
 	}
 }
@@ -80,17 +80,17 @@ func TestNearestLevelInClipsToWindow(t *testing.T) {
 	p := Params32()
 	// Aged window keeps only the lowest 3 levels.
 	lo, hi := p.RminFresh, p.LevelResistance(2)
-	got := p.NearestLevelIn(p.RmaxFresh, lo, hi) // "program to Level 31"
+	got := p.Grid().NearestLevelIn(p.RmaxFresh, lo, hi) // "program to Level 31"
 	if got != 2 {
 		t.Fatalf("clipped level = %d, want 2 (Fig. 4 behaviour)", got)
 	}
 	// A target inside the window is untouched.
-	if p.NearestLevelIn(p.LevelResistance(1), lo, hi) != 1 {
+	if p.Grid().NearestLevelIn(p.LevelResistance(1), lo, hi) != 1 {
 		t.Fatal("in-window target must not be clipped")
 	}
 	// Empty window: nearest grid point to midpoint.
 	mid := p.LevelResistance(5) + p.LevelSpacing()*0.3
-	lvl := p.NearestLevelIn(p.RmaxFresh, mid, mid)
+	lvl := p.Grid().NearestLevelIn(p.RmaxFresh, mid, mid)
 	if lvl != 5 && lvl != 6 {
 		t.Fatalf("empty-window fallback level = %d", lvl)
 	}
@@ -98,13 +98,13 @@ func TestNearestLevelInClipsToWindow(t *testing.T) {
 
 func TestUsableLevels(t *testing.T) {
 	p := Params32()
-	if got := p.UsableLevels(p.RminFresh, p.RmaxFresh); got != 32 {
+	if got := p.Grid().UsableLevels(p.RminFresh, p.RmaxFresh); got != 32 {
 		t.Fatalf("fresh usable levels = %d, want 32", got)
 	}
-	if got := p.UsableLevels(p.RminFresh, p.LevelResistance(2)); got != 3 {
+	if got := p.Grid().UsableLevels(p.RminFresh, p.LevelResistance(2)); got != 3 {
 		t.Fatalf("aged usable levels = %d, want 3", got)
 	}
-	if got := p.UsableLevels(p.RmaxFresh+1, p.RmaxFresh+2); got != 0 {
+	if got := p.Grid().UsableLevels(p.RmaxFresh+1, p.RmaxFresh+2); got != 0 {
 		t.Fatalf("out-of-grid window usable levels = %d, want 0", got)
 	}
 }
@@ -112,13 +112,13 @@ func TestUsableLevels(t *testing.T) {
 func TestPulseStressScalesWithConductance(t *testing.T) {
 	p := Params32()
 	// A pulse at RminFresh (max conductance) is the reference: 1.0.
-	if math.Abs(p.PulseStress(p.RminFresh)-1) > 1e-12 {
-		t.Fatalf("reference pulse stress = %g, want 1", p.PulseStress(p.RminFresh))
+	if math.Abs(p.Grid().PulseStress(p.RminFresh)-1) > 1e-12 {
+		t.Fatalf("reference pulse stress = %g, want 1", p.Grid().PulseStress(p.RminFresh))
 	}
 	// A pulse at RmaxFresh costs Rmin/Rmax of that.
 	want := p.RminFresh / p.RmaxFresh
-	if math.Abs(p.PulseStress(p.RmaxFresh)-want) > 1e-12 {
-		t.Fatalf("high-R pulse stress = %g, want %g", p.PulseStress(p.RmaxFresh), want)
+	if math.Abs(p.Grid().PulseStress(p.RmaxFresh)-want) > 1e-12 {
+		t.Fatalf("high-R pulse stress = %g, want %g", p.Grid().PulseStress(p.RmaxFresh), want)
 	}
 }
 
@@ -127,7 +127,7 @@ func TestUniformStressAblation(t *testing.T) {
 	p.UniformStress = true
 	want := math.Sqrt(p.RminFresh / p.RmaxFresh)
 	for _, r := range []float64{p.RminFresh, (p.RminFresh + p.RmaxFresh) / 2, p.RmaxFresh} {
-		if got := p.PulseStress(r); math.Abs(got-want) > 1e-12 {
+		if got := p.Grid().PulseStress(r); math.Abs(got-want) > 1e-12 {
 			t.Fatalf("uniform stress at R=%g is %g, want conductance-independent %g", r, got, want)
 		}
 	}
@@ -317,7 +317,7 @@ func TestProgramAlwaysLandsOnGridProperty(t *testing.T) {
 		target := p.RminFresh + math.Mod(math.Abs(rawTarget), p.RmaxFresh-p.RminFresh)
 		d := New(p)
 		res := d.Program(target, lo, hi)
-		lvl := p.NearestLevel(res.Achieved)
+		lvl := p.Grid().NearestLevel(res.Achieved)
 		if math.Abs(p.LevelResistance(lvl)-res.Achieved) > 1e-6 {
 			return false // not on grid
 		}

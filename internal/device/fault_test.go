@@ -88,10 +88,10 @@ func TestStressDerateZeroMeansNoDerating(t *testing.T) {
 	half := Params32()
 	half.StressDerate = 0.5
 
-	if got, want := base.PulseStress(base.RminFresh), unit.PulseStress(unit.RminFresh); got != want {
+	if got, want := base.Grid().PulseStress(base.RminFresh), unit.Grid().PulseStress(unit.RminFresh); got != want {
 		t.Fatalf("zero StressDerate must equal factor 1: %g vs %g", got, want)
 	}
-	if got, want := half.PulseStress(half.RminFresh), 0.5*base.PulseStress(base.RminFresh); got != want {
+	if got, want := half.Grid().PulseStress(half.RminFresh), 0.5*base.Grid().PulseStress(base.RminFresh); got != want {
 		t.Fatalf("StressDerate=0.5 must halve pulse stress: %g vs %g", got, want)
 	}
 }

@@ -7,19 +7,19 @@ import (
 )
 
 // Grid is the precomputed quantization/level lookup table of one device
-// technology: the level-resistance grid materialized once, plus every
-// derived constant the programming hot loops recompute on the Params
-// methods (level spacing, tuning-pulse delta, pulse-stress reference
-// energy). Grids are cached process-wide per Params value — Params is a
-// small comparable struct, and a simulation uses a handful of
-// technologies across millions of devices — so every device of a
-// crossbar shares one table.
+// technology and the one home of its level arithmetic: the
+// level-resistance grid materialized once, plus every derived constant
+// the programming hot loops would otherwise recompute (level spacing,
+// tuning-pulse delta, pulse-stress reference energy). Grids are cached
+// process-wide per Params value — Params is a small comparable struct,
+// and a simulation uses a handful of technologies across millions of
+// devices — so every device of a crossbar shares one table.
 //
-// Every method is bit-identical to its Params counterpart: the table
-// entries are computed by exactly the formula of LevelResistance, and
-// the scalar constants are single precomputed values fed through the
-// same arithmetic associations (FuzzQuantLUTMatchesDirect pins this
-// over random technologies and inputs).
+// The table entries are computed by exactly the formula of
+// Params.LevelResistance, and the scalar constants are single
+// precomputed values fed through the direct formulas' arithmetic
+// associations (FuzzQuantLUTMatchesDirect pins every method against
+// reference spellings over random technologies and inputs).
 type Grid struct {
 	p       Params
 	spacing float64   // LevelSpacing()
@@ -27,10 +27,10 @@ type Grid struct {
 
 	tuneDeltaG float64 // TunePulseDeltaG()
 
-	// Pulse-stress constants (see Params.PulseStress): the derated
+	// Pulse-stress constants (see PulseStress): the derated
 	// uniform-stress cost and the constants of the physical form
 	// ((vprogSq/r)*width)/refEnergy*derate, kept separate so the
-	// association matches the Params method exactly.
+	// association matches the direct formula exactly.
 	uniformStress float64
 	vprogSq       float64
 	width         float64
@@ -83,7 +83,8 @@ func (g *Grid) LevelResistance(i int) float64 {
 	return g.levelR[i]
 }
 
-// NearestLevel is Params.NearestLevel over the precomputed spacing.
+// NearestLevel returns the level index whose resistance is closest to r,
+// clamped to the grid.
 func (g *Grid) NearestLevel(r float64) int {
 	i := int(math.Round((r - g.p.RminFresh) / g.spacing))
 	if i < 0 {
@@ -113,7 +114,11 @@ func (g *Grid) WindowLevels(lo, hi float64) (loLvl, hiLvl int, ok bool) {
 	return loLvl, hiLvl, loLvl <= hiLvl
 }
 
-// NearestLevelIn is Params.NearestLevelIn through the table.
+// NearestLevelIn returns the level index closest to r among levels whose
+// resistance lies within [lo, hi]. When no level falls inside the
+// window it returns the level nearest to the window. This implements
+// the clipping of Fig. 4: a target of Level 7 on a device aged down to
+// three usable levels lands on Level 2.
 func (g *Grid) NearestLevelIn(r, lo, hi float64) int {
 	loLvl, hiLvl, ok := g.WindowLevels(lo, hi)
 	if !ok {
@@ -129,7 +134,8 @@ func (g *Grid) NearestLevelIn(r, lo, hi float64) int {
 	return i
 }
 
-// UsableLevels is Params.UsableLevels through the table.
+// UsableLevels counts the levels of the fresh grid that remain inside
+// the aged range [lo, hi] (Fig. 4's level-count decay).
 func (g *Grid) UsableLevels(lo, hi float64) int {
 	loLvl, hiLvl, ok := g.WindowLevels(lo, hi)
 	if !ok {
@@ -141,8 +147,15 @@ func (g *Grid) UsableLevels(lo, hi float64) int {
 // TunePulseDeltaG returns the precomputed tuning-pulse conductance step.
 func (g *Grid) TunePulseDeltaG() float64 { return g.tuneDeltaG }
 
-// PulseStress is Params.PulseStress over the precomputed constants,
-// with the arithmetic association preserved.
+// PulseStress returns the normalized stress contributed by one
+// programming pulse applied while the device sits at resistance r:
+// (Vprog^2 / r * width) / refPulseEnergy = RminFresh / r. A pulse into
+// a fully-resistive (skewed-regime) device costs RminFresh/RmaxFresh of
+// a full-current pulse — the aging advantage of Section IV-A. Under the
+// UniformStress ablation every pulse costs the stress of a pulse
+// through the geometric-mean resistance, so the total budget is
+// comparable to the physical model while the skewed-weight advantage
+// is removed.
 func (g *Grid) PulseStress(r float64) float64 {
 	if r <= 0 {
 		panic(fmt.Sprintf("device: non-positive resistance %g", r))

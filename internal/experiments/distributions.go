@@ -16,12 +16,12 @@ import (
 // resistances — the data behind Fig. 3(b) and Fig. 6(b).
 func quantizedResistances(net *nn.Network, p device.Params) []float64 {
 	var out []float64
+	g := p.Grid()
 	for _, wp := range net.WeightParams() {
 		wMin, wMax := wp.W.MinMax()
 		for _, w := range wp.W.Data() {
 			target := crossbar.TargetResistance(w, wMin, wMax, p.RminFresh, p.RmaxFresh)
-			lvl := p.NearestLevel(target)
-			out = append(out, p.LevelResistance(lvl))
+			out = append(out, g.LevelResistance(g.NearestLevel(target)))
 		}
 	}
 	return out

@@ -34,7 +34,7 @@ func Fig4(opt Options) ([]Fig4Point, error) {
 	step := 1.0
 	for i := 0; i < points; i++ {
 		lo, hi := m.Bounds(p, stress, TempK)
-		n := p.UsableLevels(lo, hi)
+		n := p.Grid().UsableLevels(lo, hi)
 		out = append(out, Fig4Point{
 			Stress:       stress,
 			UpperBound:   hi,

@@ -4,16 +4,16 @@
 // p99-accuracy-under-load results (ROADMAP item 3, after the DNN-Life
 // framing of aging mitigation as a fleet/energy problem).
 //
-// The simulator is event-driven and deterministic: a binary heap of
-// (time, sequence) ordered events carries maintenance completions and
-// a recurring traffic tick; all randomness comes from one splitmix64
-// stream derived from the run seed (the same seeding discipline as
-// internal/campaign). Given equal (Config, device, model, tempK,
+// The simulator runs on a deterministic integer tick clock: each tick
+// first completes every instance whose maintenance falls due on it,
+// then routes and serves that tick's traffic. All randomness comes
+// from one splitmix64 stream derived from the run seed (the same
+// seeding discipline as internal/campaign). Given equal (Config, device, model, tempK,
 // seed), two runs produce identical results whatever the host, worker
 // count, or wall clock — the campaign engine's byte-identity guarantee
 // extends through fleet shards unchanged.
 //
-// The aging loop closed on the event clock:
+// The aging loop closed on the tick clock:
 //
 //	load -> inference count -> read-disturb drift -> retune ->
 //	programming stress -> window shrink (aging.Model.Bounds) ->
@@ -46,7 +46,7 @@ const (
 type Config struct {
 	// Instances is the crossbar population size.
 	Instances int `json:"instances"`
-	// Ticks is the simulation horizon in event-clock ticks.
+	// Ticks is the simulation horizon in clock ticks.
 	Ticks int `json:"ticks"`
 	// Balancer selects the routing policy: "round-robin",
 	// "least-aged" (fill the lowest-stress instance first) or

@@ -222,9 +222,9 @@ func TestCancellation(t *testing.T) {
 	}
 }
 
-// TestTickSteadyStateZeroAlloc pins the event loop at zero heap
-// allocations per tick. The heap, routing scratch, sketches and RNG are
-// all preallocated at New.
+// TestTickSteadyStateZeroAlloc pins the tick loop at zero heap
+// allocations per tick. The instance table, routing scratch, sketches
+// and RNG are all preallocated at New.
 func TestTickSteadyStateZeroAlloc(t *testing.T) {
 	cfg := Defaults(10, true)
 	cfg.Balancer = BalLeastAged // the policy with the most per-tick scratch work

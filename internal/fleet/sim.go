@@ -10,31 +10,6 @@ import (
 	"memlife/internal/device"
 )
 
-// Event kinds. evDone events (maintenance/replacement completions) are
-// scheduled at least one tick ahead, so at any time t every completion
-// pops before the tick event — an instance is back online before that
-// tick's arrivals route.
-const (
-	evTick uint8 = iota
-	evDone
-)
-
-// event is one heap entry; value type, never heap-allocated
-// individually.
-type event struct {
-	at   int64
-	seq  uint64 // FIFO tie-break: (at, seq) totally orders the heap
-	kind uint8
-	inst int32
-}
-
-func (e event) before(o event) bool {
-	if e.at != o.at {
-		return e.at < o.at
-	}
-	return e.seq < o.seq
-}
-
 // Instance lifecycle states.
 const (
 	stServing uint8 = iota
@@ -60,6 +35,7 @@ type instance struct {
 	postTune     float64 // delivered accuracy right after the last tune
 	acc          float64 // current delivered accuracy (postTune - drift)
 	pendingIters float64 // tuning iterations of the in-flight maintenance
+	doneAt       int64   // tick the in-flight maintenance completes
 	alive        bool    // original cohort member not yet dead
 	gen          int32   // replacement generation
 }
@@ -121,9 +97,9 @@ func (r Result) Metrics() map[string]float64 {
 	}
 }
 
-// Sim is a running fleet simulation. Drive it with Tick (one event-
-// clock tick per call) and harvest with Finish, or use Run. Steady-
-// state ticking performs no heap allocation: the event heap, routing
+// Sim is a running fleet simulation. Drive it with Tick (one clock
+// tick per call) and harvest with Finish, or use Run. Steady-state
+// ticking performs no heap allocation: the instance table, routing
 // scratch, sketches and RNG are all preallocated at New.
 type Sim struct {
 	cfg   Config
@@ -134,9 +110,7 @@ type Sim struct {
 	traf  *traffic
 	tel   *fleetTel
 
-	events []event // binary min-heap by (at, seq)
-	seq    uint64
-	clock  int64
+	clock int64
 
 	insts    []instance
 	order    []int32 // least-aged fill order (scratch)
@@ -205,10 +179,6 @@ func New(cfg Config, p device.Params, m aging.Model, tempK float64, seed int64) 
 		in.alive = true
 	}
 	s.order = make([]int32, 0, cfg.Instances)
-	// Each instance carries at most one in-flight completion event,
-	// plus the recurring tick event: a fixed-capacity heap.
-	s.events = make([]event, 0, cfg.Instances+2)
-	s.push(event{at: 1, kind: evTick})
 	s.sampleEvery = int64(cfg.Ticks / cfg.SamplePoints)
 	if s.sampleEvery < 1 {
 		s.sampleEvery = 1
@@ -223,7 +193,7 @@ func New(cfg Config, p device.Params, m aging.Model, tempK float64, seed int64) 
 // stress and counts the surviving quantization levels.
 func (s *Sim) usableLevels(stress float64) int {
 	lo, hi := s.model.Bounds(s.p, stress, s.tempK)
-	return s.p.UsableLevels(lo, hi)
+	return s.p.Grid().UsableLevels(lo, hi)
 }
 
 // postTuneAcc is the delivered accuracy right after a tune at the
@@ -233,60 +203,20 @@ func (s *Sim) postTuneAcc(usable int) float64 {
 	return s.cfg.Wear.BaseAcc - s.cfg.Wear.LevelPenalty*(1-frac)
 }
 
-// --- event heap (manual, allocation-free) ---
-
-func (s *Sim) push(e event) {
-	s.seq++
-	e.seq = s.seq
-	s.events = append(s.events, e)
-	i := len(s.events) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !s.events[i].before(s.events[parent]) {
-			break
-		}
-		s.events[i], s.events[parent] = s.events[parent], s.events[i]
-		i = parent
-	}
-}
-
-func (s *Sim) pop() event {
-	top := s.events[0]
-	last := len(s.events) - 1
-	s.events[0] = s.events[last]
-	s.events = s.events[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < last && s.events[l].before(s.events[smallest]) {
-			smallest = l
-		}
-		if r < last && s.events[r].before(s.events[smallest]) {
-			smallest = r
-		}
-		if smallest == i {
-			break
-		}
-		s.events[i], s.events[smallest] = s.events[smallest], s.events[i]
-		i = smallest
-	}
-	return top
-}
-
-// Tick advances the event clock through exactly one traffic tick,
-// first delivering every completion event due at or before it.
+// Tick advances the clock by one tick: every instance whose
+// maintenance is due completes first, so it is back online before the
+// tick's arrivals route, and then the tick's traffic runs. Completions
+// are always scheduled at least one tick ahead (down >= 1), and each
+// touches only its own instance, so their order within a tick is
+// immaterial.
 func (s *Sim) Tick() {
-	for {
-		ev := s.pop()
-		s.clock = ev.at
-		if ev.kind == evTick {
-			s.doTick()
-			s.push(event{at: s.clock + 1, kind: evTick})
-			return
+	s.clock++
+	for i := range s.insts {
+		if s.insts[i].doneAt == s.clock {
+			s.complete(int32(i))
 		}
-		s.complete(ev.inst)
 	}
+	s.doTick()
 }
 
 // doTick runs one tick: route arrivals, sample the latency proxy,
@@ -424,7 +354,7 @@ func (s *Sim) routeRR(qcap int64) int32 {
 }
 
 // startMaintenance decides retune vs remap vs death for instance i and
-// schedules the completion event. Tuning cost grows as the usable
+// sets the tick its maintenance completes. Tuning cost grows as the usable
 // window shrinks relative to the last map:
 // iters = BaseIters * (remapUsable/usable)^CostExponent.
 func (s *Sim) startMaintenance(i int32) {
@@ -453,7 +383,7 @@ func (s *Sim) startMaintenance(i int32) {
 		s.tuneIters += iters
 	}
 	s.downtime += down
-	s.push(event{at: s.clock + down, kind: evDone, inst: i})
+	in.doneAt = s.clock + down
 }
 
 // ticksFor converts tuning iterations to downtime ticks (minimum 1).
@@ -487,7 +417,7 @@ func (s *Sim) die(i int32) {
 	s.cost += s.cfg.Replace.Cost
 	down := int64(s.cfg.Replace.Ticks)
 	s.downtime += down
-	s.push(event{at: s.clock + down, kind: evDone, inst: i})
+	in.doneAt = s.clock + down
 }
 
 // complete finishes instance i's in-flight maintenance: stress lands,

@@ -14,7 +14,7 @@ const maxQueueGauges = 16
 // fleetTel holds the simulator's telemetry handles, resolved once at
 // New from the global registry (all nil when telemetry is disabled;
 // every Set below is then a no-op). Gauges reflect simulation state on
-// the event clock, not wall time, so snapshots stay deterministic.
+// the tick clock, not wall time, so snapshots stay deterministic.
 type fleetTel struct {
 	live         *telemetry.Gauge // instances currently serving
 	queueTotal   *telemetry.Gauge // fleet-wide backlog

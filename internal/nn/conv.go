@@ -18,7 +18,8 @@ type Conv2D struct {
 	Weight *Param
 	Bias   *Param
 
-	// Per-sample im2col patch matrices cached for the backward pass.
+	// Per-sample im2col patch matrices a training forward caches for
+	// the backward pass.
 	cols []*tensor.Tensor
 
 	workers int // forward-pass parallelism (see Network.SetForwardWorkers)
@@ -60,7 +61,9 @@ func (l *Conv2D) OutputSize(in int) int {
 }
 
 // Forward implements Layer. Each output row holds the channel-major
-// (OutC, OutH, OutW) volume of one sample.
+// (OutC, OutH, OutW) volume of one sample. Only a training forward
+// keeps state for Backward; an eval forward writes nothing to the
+// layer, so eval forwards may run concurrently.
 func (l *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	b := x.Dim(0)
 	if x.Dim(1) != l.InputSize() {
@@ -71,22 +74,31 @@ func (l *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	patch := l.Geom.InC * l.Geom.KH * l.Geom.KW
 
 	out := tensor.New(b, l.OutC*positions)
-	if cap(l.cols) < b {
-		l.cols = make([]*tensor.Tensor, b)
+	if train {
+		if cap(l.cols) < b {
+			l.cols = make([]*tensor.Tensor, b)
+		}
+		l.cols = l.cols[:b]
 	}
-	l.cols = l.cols[:b]
 
 	// Samples are independent, so chunking them over workers leaves the
 	// output bit-identical for every worker count. Each chunk owns a
-	// private position-major scratch buffer.
+	// private position-major scratch buffer; an eval forward also reuses
+	// one im2col scratch per chunk instead of keeping a matrix per sample.
 	tensor.ParallelRows(b, l.workers, func(s0, s1 int) {
 		pos := tensor.New(positions, l.OutC)
+		var cols *tensor.Tensor
 		for s := s0; s < s1; s++ {
-			if l.cols[s] == nil {
-				l.cols[s] = tensor.New(positions, patch)
+			if train {
+				if l.cols[s] == nil {
+					l.cols[s] = tensor.New(positions, patch)
+				}
+				cols = l.cols[s]
+			} else if cols == nil {
+				cols = tensor.New(positions, patch)
 			}
-			tensor.Im2Col(l.cols[s], x.RowSlice(s), l.Geom)
-			tensor.MatMulInto(pos, l.cols[s], l.Weight.W)
+			tensor.Im2Col(cols, x.RowSlice(s), l.Geom)
+			tensor.MatMulInto(pos, cols, l.Weight.W)
 			// Transpose position-major [positions, OutC] into the
 			// channel-major output row, adding the per-channel bias.
 			row := out.RowSlice(s).Data()

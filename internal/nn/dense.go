@@ -16,7 +16,7 @@ type Dense struct {
 	Weight  *Param
 	Bias    *Param
 
-	x       *tensor.Tensor // cached forward input
+	x       *tensor.Tensor // forward input cached by a training forward
 	workers int            // forward-pass parallelism (see Network.SetForwardWorkers)
 }
 
@@ -48,12 +48,15 @@ func (l *Dense) OutputSize(in int) int {
 	return l.Out
 }
 
-// Forward implements Layer.
+// Forward implements Layer; only a training forward keeps x for
+// Backward.
 func (l *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if x.Dim(1) != l.In {
 		panic(fmt.Sprintf("nn: dense %q forward input width %d, want %d", l.name, x.Dim(1), l.In))
 	}
-	l.x = x
+	if train {
+		l.x = x
+	}
 	out := tensor.New(x.Dim(0), l.Out)
 	tensor.MatMulWorkersInto(out, x, l.Weight.W, l.workers)
 	out.AddRowVector(l.Bias.W)

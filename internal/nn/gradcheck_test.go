@@ -26,7 +26,7 @@ func numericalGrad(net *Network, x *tensor.Tensor, y []int, theta *tensor.Tensor
 func checkGrads(t *testing.T, net *Network, x *tensor.Tensor, y []int) {
 	t.Helper()
 	net.ZeroGrads()
-	logits := net.Forward(x, false)
+	logits := net.Forward(x, true)
 	_, dlogits := SoftmaxCrossEntropy(logits, y)
 	net.Backward(dlogits)
 
@@ -85,7 +85,7 @@ func TestGradCheckInputGradient(t *testing.T) {
 	y := []int{0, 2}
 
 	net.ZeroGrads()
-	_, dlogits := SoftmaxCrossEntropy(net.Forward(x, false), y)
+	_, dlogits := SoftmaxCrossEntropy(net.Forward(x, true), y)
 	dx := net.Backward(dlogits)
 
 	const eps = 1e-5

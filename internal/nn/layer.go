@@ -6,7 +6,8 @@ import "memlife/internal/tensor"
 // produces [B, D] batch tensors; Backward consumes the gradient with
 // respect to the forward output and returns the gradient with respect to
 // the forward input, accumulating parameter gradients along the way.
-// Backward must be called after the Forward whose activations it needs.
+// Backward must be called after the training Forward (train true)
+// whose activations it needs; an eval Forward keeps no layer state.
 type Layer interface {
 	Name() string
 	Forward(x *tensor.Tensor, train bool) *tensor.Tensor
@@ -35,19 +36,23 @@ func (l *ReLU) Params() []*Param { return nil }
 // OutputSize implements Layer.
 func (l *ReLU) OutputSize(in int) int { return in }
 
-// Forward implements Layer.
+// Forward implements Layer; only a training forward writes the mask
+// Backward reads.
 func (l *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	out := x.Clone()
 	d := out.Data()
-	if cap(l.mask) < len(d) {
-		l.mask = make([]bool, len(d))
+	if train {
+		if cap(l.mask) < len(d) {
+			l.mask = make([]bool, len(d))
+		}
+		l.mask = l.mask[:len(d)]
 	}
-	l.mask = l.mask[:len(d)]
 	for i, v := range d {
-		if v > 0 {
-			l.mask[i] = true
-		} else {
-			l.mask[i] = false
+		keep := v > 0
+		if train {
+			l.mask[i] = keep
+		}
+		if !keep {
 			d[i] = 0
 		}
 	}

@@ -12,7 +12,9 @@ type MaxPool2D struct {
 	name string
 	Geom tensor.ConvGeom // KH/KW are the window, InC channels pooled independently
 
-	argmax []int // flat input index chosen for each output element
+	// Written by a training forward for Backward: the flat input index
+	// chosen for each output element, and the input width.
+	argmax []int
 	inSize int
 }
 
@@ -42,19 +44,22 @@ func (l *MaxPool2D) OutputSize(in int) int {
 	return l.Geom.InC * l.Geom.OutH() * l.Geom.OutW()
 }
 
-// Forward implements Layer.
+// Forward implements Layer; only a training forward writes the
+// argmax Backward reads.
 func (l *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	b := x.Dim(0)
 	g := l.Geom
 	outH, outW := g.OutH(), g.OutW()
 	outPerSample := g.InC * outH * outW
-	l.inSize = x.Dim(1)
 
 	out := tensor.New(b, outPerSample)
-	if cap(l.argmax) < b*outPerSample {
-		l.argmax = make([]int, b*outPerSample)
+	if train {
+		l.inSize = x.Dim(1)
+		if cap(l.argmax) < b*outPerSample {
+			l.argmax = make([]int, b*outPerSample)
+		}
+		l.argmax = l.argmax[:b*outPerSample]
 	}
-	l.argmax = l.argmax[:b*outPerSample]
 
 	for s := 0; s < b; s++ {
 		in := x.RowSlice(s).Data()
@@ -86,7 +91,9 @@ func (l *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 						}
 					}
 					o[oi] = best
-					l.argmax[s*outPerSample+oi] = bestIdx
+					if train {
+						l.argmax[s*outPerSample+oi] = bestIdx
+					}
 					oi++
 				}
 			}
