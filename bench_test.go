@@ -89,10 +89,11 @@ func vggBundle(b *testing.B) *experiments.Bundle {
 // (T+T vs ST+T vs ST+AT) on the LeNet-5 case at bench scale.
 func BenchmarkTable1Lifetime(b *testing.B) {
 	bundle := leNetBundle(b)
-	target := benchTarget(b, bundle)
+	base := bundle.Spec
+	base.Lifetime = benchLifetimeConfig(benchTarget(b, bundle))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		row, err := experiments.Table1BundleWithConfig(bundle, benchOpt, benchLifetimeConfig(target))
+		row, err := experiments.Table1Bundle(bundle, base, benchOpt)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -487,8 +488,7 @@ func BenchmarkStepDevicesBatch(b *testing.B) {
 func BenchmarkModelPulse(b *testing.B) {
 	p := device.Params32()
 	p.Model = device.ModelSpec{Kind: device.ModelDiffusive, D2D: 0.05, C2C: 0.02}
-	d := device.New(p)
-	d.SeedNoise(42)
+	d := device.New(p.Grid(), 42)
 	lo, hi := p.RminFresh, p.RmaxFresh
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -26,7 +26,7 @@ func main() {
 
 	// 1. Range decay under full-range cycling (worst case).
 	fmt.Println("full-range cycling (LRS <-> HRS), one device:")
-	d := device.New(p)
+	d := device.New(p.Grid(), 0)
 	var rows [][]string
 	for cycle := 0; cycle <= 50; cycle += 10 {
 		lo, hi := m.Bounds(p, d.Stress(), 300)
@@ -51,8 +51,8 @@ func main() {
 	// 2. The conductance dependence: cycling between two adjacent
 	// levels at the low-R end vs the high-R end.
 	fmt.Println("\nconductance dependence (100 pulses each):")
-	lowR := device.New(p) // high conductance corner
-	highR := device.New(p)
+	lowR := device.New(p.Grid(), 0) // high conductance corner
+	highR := device.New(p.Grid(), 0)
 	for k := 0; k < 50; k++ {
 		lowR.Program(p.LevelResistance(0), p.RminFresh, p.RmaxFresh)
 		lowR.Program(p.LevelResistance(1), p.RminFresh, p.RmaxFresh)

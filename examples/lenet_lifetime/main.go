@@ -33,7 +33,7 @@ func run(fast bool) error {
 	}
 	fmt.Printf("\nsoftware accuracy: conventional %.3f, skewed %.3f\n", bundle.NormalAcc, bundle.SkewedAcc)
 
-	row, err := experiments.Table1Bundle(bundle, opt)
+	row, err := experiments.Table1Bundle(bundle, bundle.Spec, opt)
 	if err != nil {
 		return err
 	}

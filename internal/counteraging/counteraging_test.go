@@ -37,8 +37,8 @@ func TestApplyPulseShapeReducesStress(t *testing.T) {
 			t.Fatalf("%v params invalid: %v", shape, err)
 		}
 		// Same level walk on both devices.
-		dBase := device.New(base)
-		dShaped := device.New(shaped)
+		dBase := device.New(base.Grid(), 0)
+		dShaped := device.New(shaped.Grid(), 0)
 		dBase.Program(base.RminFresh, base.RminFresh, base.RmaxFresh)
 		dShaped.Program(shaped.RminFresh, shaped.RminFresh, shaped.RmaxFresh)
 		if dShaped.Stress() >= dBase.Stress() {

@@ -85,8 +85,7 @@ func New(rows, cols int, p device.Params, m aging.Model, tempK float64) (*Crossb
 		bEval:       m.Evaluator(p, tempK),
 	}
 	for i := range cb.devices {
-		cb.devices[i] = device.New(p)
-		cb.devices[i].SeedNoise(uint64(i))
+		cb.devices[i] = device.New(cb.grid, uint64(i))
 	}
 	return cb, nil
 }

@@ -184,12 +184,10 @@ func (k FaultKind) String() string {
 // plus its irreversible programming history.
 type Device struct {
 	p Params
-	// g is the shared quantization/pulse lookup table for p, resolved
-	// once at construction (see Grid); its methods are bit-identical to
-	// the Params ones.
+	// g is the shared quantization/pulse lookup table for p (see
+	// Grid); its methods are bit-identical to the Params ones.
 	g *Grid
-	// m is the shared pulse-response model for p (see Model), resolved
-	// once at construction.
+	// m is g's pulse-response model (see Model).
 	m Model
 	// noiseSeed keys the device's deterministic pulse-noise streams
 	// (see SeedNoise); d2d is its fixed device-to-device draw and noisy
@@ -214,14 +212,14 @@ type Device struct {
 	fault FaultKind
 }
 
-// New returns a fresh device initialized to its highest resistance
-// (lowest conductance) state.
-func New(p Params) *Device {
-	if err := p.Validate(); err != nil {
-		panic(err)
-	}
-	d := &Device{p: p, g: p.Grid(), m: p.ResolveModel(), r: p.RmaxFresh, agingFactor: 1}
-	d.SeedNoise(0)
+// New returns a fresh device of the technology g was built for,
+// initialized to its highest resistance (lowest conductance) state,
+// with its noise streams derived from seed (see SeedNoise). g carries
+// the resolved level table and pulse-response model, so a crossbar
+// resolves its technology once and passes it to all its devices.
+func New(g *Grid, seed uint64) *Device {
+	d := &Device{p: g.p, g: g, m: g.model, r: g.p.RmaxFresh, agingFactor: 1}
+	d.SeedNoise(seed)
 	return d
 }
 

@@ -134,7 +134,7 @@ func TestUniformStressAblation(t *testing.T) {
 }
 
 func TestAddStressScalesWithAgingFactor(t *testing.T) {
-	d := New(Params32())
+	d := New(Params32().Grid(), 0)
 	d.SetAgingFactor(2)
 	d.AddStress(3)
 	if d.Stress() != 6 {
@@ -150,7 +150,7 @@ func TestAddStressScalesWithAgingFactor(t *testing.T) {
 
 func TestPulseMovesConductanceByDelta(t *testing.T) {
 	p := Params32()
-	d := New(p)
+	d := New(p.Grid(), 0)
 	d.Program(p.LevelResistance(15), p.RminFresh, p.RmaxFresh)
 	g0 := d.Conductance()
 	s := d.Pulse(+1, p.RminFresh, p.RmaxFresh)
@@ -179,7 +179,7 @@ func TestPulseMovesConductanceByDelta(t *testing.T) {
 }
 
 func TestNewDeviceStartsFreshAtHRS(t *testing.T) {
-	d := New(Params32())
+	d := New(Params32().Grid(), 0)
 	if d.Resistance() != Params32().RmaxFresh {
 		t.Fatalf("fresh device R = %g, want HRS %g", d.Resistance(), Params32().RmaxFresh)
 	}
@@ -193,7 +193,7 @@ func TestNewDeviceStartsFreshAtHRS(t *testing.T) {
 
 func TestProgramReachesTargetLevel(t *testing.T) {
 	p := Params32()
-	d := New(p)
+	d := New(p.Grid(), 0)
 	target := p.LevelResistance(10)
 	res := d.Program(target, p.RminFresh, p.RmaxFresh)
 	if res.Achieved != target {
@@ -212,7 +212,7 @@ func TestProgramReachesTargetLevel(t *testing.T) {
 
 func TestProgramSameLevelIsFree(t *testing.T) {
 	p := Params32()
-	d := New(p)
+	d := New(p.Grid(), 0)
 	res := d.Program(p.RmaxFresh, p.RminFresh, p.RmaxFresh)
 	if res.Pulses != 0 || res.Stress != 0 {
 		t.Fatalf("programming the held level must be free, got %d pulses", res.Pulses)
@@ -221,7 +221,7 @@ func TestProgramSameLevelIsFree(t *testing.T) {
 
 func TestProgramClipsToAgedWindow(t *testing.T) {
 	p := Params32()
-	d := New(p)
+	d := New(p.Grid(), 0)
 	d.Program(p.LevelResistance(0), p.RminFresh, p.RmaxFresh) // drive to LRS first
 	agedHi := p.LevelResistance(5)
 	res := d.Program(p.RmaxFresh, p.RminFresh, agedHi)
@@ -235,7 +235,7 @@ func TestProgramClipsToAgedWindow(t *testing.T) {
 
 func TestProgramStressMonotonicallyAccumulates(t *testing.T) {
 	p := Params32()
-	d := New(p)
+	d := New(p.Grid(), 0)
 	prev := 0.0
 	targets := []int{0, 31, 0, 31, 15}
 	for _, lvl := range targets {
@@ -256,8 +256,8 @@ func TestProgramStressMonotonicallyAccumulates(t *testing.T) {
 // low-resistance levels.
 func TestLowConductanceProgrammingAgesLess(t *testing.T) {
 	p := Params32()
-	low := New(p)  // cycles in the high-R (low-g) half
-	high := New(p) // cycles in the low-R (high-g) half
+	low := New(p.Grid(), 0)  // cycles in the high-R (low-g) half
+	high := New(p.Grid(), 0) // cycles in the low-R (high-g) half
 	for i := 0; i < 10; i++ {
 		low.Program(p.LevelResistance(p.Levels-2), p.RminFresh, p.RmaxFresh)
 		low.Program(p.LevelResistance(p.Levels-1), p.RminFresh, p.RmaxFresh)
@@ -271,7 +271,7 @@ func TestLowConductanceProgrammingAgesLess(t *testing.T) {
 
 func TestDriftStaysInWindowAndCorrectivePulse(t *testing.T) {
 	p := Params32()
-	d := New(p)
+	d := New(p.Grid(), 0)
 	d.Program(p.LevelResistance(10), p.RminFresh, p.RmaxFresh)
 	d.Drift(1e12, p.RminFresh, p.RmaxFresh)
 	if d.Resistance() != p.RmaxFresh {
@@ -295,7 +295,7 @@ func TestDriftStaysInWindowAndCorrectivePulse(t *testing.T) {
 }
 
 func TestProgramInvertedWindowPanics(t *testing.T) {
-	d := New(Params32())
+	d := New(Params32().Grid(), 0)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic on inverted window")
@@ -315,7 +315,7 @@ func TestProgramAlwaysLandsOnGridProperty(t *testing.T) {
 			lo, hi = hi, lo
 		}
 		target := p.RminFresh + math.Mod(math.Abs(rawTarget), p.RmaxFresh-p.RminFresh)
-		d := New(p)
+		d := New(p.Grid(), 0)
 		res := d.Program(target, lo, hi)
 		lvl := p.Grid().NearestLevel(res.Achieved)
 		if math.Abs(p.LevelResistance(lvl)-res.Achieved) > 1e-6 {

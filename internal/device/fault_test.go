@@ -4,7 +4,7 @@ import "testing"
 
 func TestSetFaultPinsResistance(t *testing.T) {
 	p := Params32()
-	d := New(p)
+	d := New(p.Grid(), 0)
 	d.SetFault(FaultStuckLRS)
 	if !d.Stuck() || d.Fault() != FaultStuckLRS {
 		t.Fatalf("device must report its fault state, got %v", d.Fault())
@@ -28,7 +28,7 @@ func TestSetFaultPinsResistance(t *testing.T) {
 
 func TestStuckDevicePulseFailsButAges(t *testing.T) {
 	p := Params32()
-	d := New(p)
+	d := New(p.Grid(), 0)
 	d.SetFault(FaultStuckLRS)
 	r0, stress0, pulses0 := d.Resistance(), d.Stress(), d.Pulses()
 	s := d.Pulse(+1, p.RminFresh, p.RmaxFresh)
@@ -48,7 +48,7 @@ func TestStuckDevicePulseFailsButAges(t *testing.T) {
 
 func TestStuckDeviceDriftNoOp(t *testing.T) {
 	p := Params32()
-	d := New(p)
+	d := New(p.Grid(), 0)
 	d.SetFault(FaultStuckHRS)
 	d.Drift(-500, p.RminFresh, p.RmaxFresh)
 	if d.Resistance() != p.RmaxFresh {
@@ -58,7 +58,7 @@ func TestStuckDeviceDriftNoOp(t *testing.T) {
 
 func TestProgramStuckDevice(t *testing.T) {
 	p := Params32()
-	d := New(p)
+	d := New(p.Grid(), 0)
 	d.SetFault(FaultStuckLRS)
 	res := d.Program(p.RmaxFresh, p.RminFresh, p.RmaxFresh)
 	if !res.Stuck {

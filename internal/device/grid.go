@@ -10,10 +10,12 @@ import (
 // technology and the one home of its level arithmetic: the
 // level-resistance grid materialized once, plus every derived constant
 // the programming hot loops would otherwise recompute (level spacing,
-// tuning-pulse delta, pulse-stress reference energy). Grids are cached
-// process-wide per Params value — Params is a small comparable struct,
-// and a simulation uses a handful of technologies across millions of
-// devices — so every device of a crossbar shares one table.
+// tuning-pulse delta, pulse-stress reference energy), plus the
+// technology's pulse-response model. Grids are cached process-wide per
+// Params value — Params is a small comparable struct, and a simulation
+// uses a handful of technologies across millions of devices — so every
+// device of a crossbar shares one table and one model. A Grid exists
+// only for valid Params.
 //
 // The table entries are computed by exactly the formula of
 // Params.LevelResistance, and the scalar constants are single
@@ -36,13 +38,16 @@ type Grid struct {
 	width         float64
 	refEnergy     float64
 	derate        float64
+
+	// model is the technology's pulse-response model (see newModel).
+	model Model
 }
 
 // gridCache holds one Grid per Params value ever requested.
 var gridCache sync.Map // Params -> *Grid
 
 // Grid returns the shared lookup table for this technology, building it
-// on first use. p must be valid (it panics on invalid Params, like New).
+// on first use. p must be valid (it panics on invalid Params).
 func (p Params) Grid() *Grid {
 	if g, ok := gridCache.Load(p); ok {
 		return g.(*Grid)
@@ -64,6 +69,7 @@ func (p Params) Grid() *Grid {
 	for i := range g.levelR {
 		g.levelR[i] = p.RminFresh + float64(i)*g.spacing
 	}
+	g.model = newModel(p, g)
 	actual, _ := gridCache.LoadOrStore(p, g)
 	return actual.(*Grid)
 }

@@ -3,7 +3,6 @@ package device
 import (
 	"fmt"
 	"math"
-	"sync"
 )
 
 // Model kind labels, the values of ModelSpec.Kind. The empty string
@@ -109,36 +108,21 @@ type Model interface {
 	StepG(g float64, dir int, d2d, c2c float64) float64
 }
 
-// modelCache holds one Model per Params value ever requested, like
-// gridCache (Params is small and comparable).
-var modelCache sync.Map // Params -> Model
-
-// ResolveModel returns the shared pulse-response model for this
-// technology, building it on first use. p must be valid (it panics on
-// invalid Params, like New and Grid).
-func (p Params) ResolveModel() Model {
-	if m, ok := modelCache.Load(p); ok {
-		return m.(Model)
-	}
-	if err := p.Validate(); err != nil {
-		panic(err)
-	}
-	g := p.Grid()
-	var m Model
+// newModel builds the pulse-response model of valid technology p over
+// its grid g; Grid resolves it once per Params value.
+func newModel(p Params, g *Grid) Model {
 	switch p.Model.Kind {
 	case "", ModelLinear:
-		m = &LinearModel{g: g, spec: p.Model}
+		return &LinearModel{g: g, spec: p.Model}
 	case ModelMMS:
-		m = newMMSModel(p)
+		return newMMSModel(p)
 	case ModelYacopcic:
-		m = newYacopcicModel(p)
+		return newYacopcicModel(p)
 	case ModelDiffusive:
-		m = newDiffusiveModel(p, g)
+		return newDiffusiveModel(p, g)
 	default:
 		panic(fmt.Sprintf("device: unknown model kind %q", p.Model.Kind))
 	}
-	actual, _ := modelCache.LoadOrStore(p, m)
-	return actual.(Model)
 }
 
 // LinearModel is the paper's device: constant conductance steps of

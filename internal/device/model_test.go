@@ -26,7 +26,7 @@ var testDraws = []float64{-3, -1, -0.2, 0, 0.4, 1.5, 3}
 // g + sign(dir)*TunePulseDeltaG exactly, bit for bit.
 func TestModelLinearDefaultBitIdentical(t *testing.T) {
 	for _, p := range []Params{Params32(), Params64()} {
-		m := p.ResolveModel()
+		m := p.Grid().model
 		g := p.Grid()
 		for _, gv := range []float64{p.GminFresh(), (p.GminFresh() + p.GmaxFresh()) / 2, p.GmaxFresh(), 1.23e-5} {
 			for _, dir := range []int{-3, -1, 1, 7} {
@@ -51,7 +51,7 @@ func TestModelBounds(t *testing.T) {
 		}
 		p := Params32()
 		p.Model = spec
-		m := p.ResolveModel()
+		m := p.Grid().model
 		gMin, gMax := p.GminFresh(), p.GmaxFresh()
 		for _, x := range []float64{0, 1e-6, 0.2, 0.5, 0.8, 1 - 1e-6, 1} {
 			g := gMin + x*(gMax-gMin)
@@ -81,7 +81,7 @@ func TestModelMonotoneDirection(t *testing.T) {
 	for _, spec := range modelKinds {
 		p := Params32()
 		p.Model = spec
-		m := p.ResolveModel()
+		m := p.Grid().model
 		gMin, gMax := p.GminFresh(), p.GmaxFresh()
 		for _, x := range []float64{0, 0.25, 0.5, 0.75, 1} {
 			g := gMin + x*(gMax-gMin)
@@ -113,7 +113,7 @@ func TestModelThresholdSaturation(t *testing.T) {
 	for _, kind := range []string{ModelMMS, ModelYacopcic} {
 		p := Params32()
 		p.Model = ModelSpec{Kind: kind}
-		m := p.ResolveModel()
+		m := p.Grid().model
 		gMin, gMax := p.GminFresh(), p.GmaxFresh()
 		mid := gMin + 0.5*(gMax-gMin)
 		hi := gMin + 0.95*(gMax-gMin)
@@ -140,8 +140,7 @@ func TestDeviceNoiseDeterminism(t *testing.T) {
 	dirs := []int{1, 1, -1, 1, -1, -1, 1, 1, 1, -1, 1, -1}
 
 	trajectory := func(seed uint64) []float64 {
-		d := New(p)
-		d.SeedNoise(seed)
+		d := New(p.Grid(), seed)
 		out := make([]float64, 0, len(dirs))
 		for _, dir := range dirs {
 			d.Pulse(dir, lo, hi)
@@ -191,8 +190,7 @@ func TestDeviceNoiseDeterminism(t *testing.T) {
 func TestStochasticPulseZeroAlloc(t *testing.T) {
 	p := Params32()
 	p.Model = ModelSpec{Kind: ModelDiffusive, D2D: 0.05, C2C: 0.02}
-	d := New(p)
-	d.SeedNoise(42)
+	d := New(p.Grid(), 42)
 	lo, hi := p.RminFresh, p.RmaxFresh
 	dir := 1
 	pulse := func() {
@@ -209,12 +207,12 @@ func TestStochasticPulseZeroAlloc(t *testing.T) {
 func TestModelCacheIdentity(t *testing.T) {
 	p := Params32()
 	p.Model = ModelSpec{Kind: ModelYacopcic}
-	if p.ResolveModel() != p.ResolveModel() {
-		t.Fatal("ResolveModel must return the cached instance per Params value")
+	if p.Grid().model != p.Grid().model {
+		t.Fatal("the grid must hold one cached model per Params value")
 	}
 	q := p
 	q.Model.Kind = ModelMMS
-	if p.ResolveModel() == q.ResolveModel() {
+	if p.Grid().model == q.Grid().model {
 		t.Fatal("different model kinds must resolve to different models")
 	}
 }

@@ -8,214 +8,122 @@ import (
 	"memlife/internal/device"
 	"memlife/internal/lifetime"
 	"memlife/internal/mapping"
+	"memlife/internal/spec"
 )
 
-// AblationRow is one configuration of an ablation sweep.
-type AblationRow struct {
-	Variant  string
-	Scenario string
-	Lifetime int64
-	Censored bool
+// ablation is one ablation sweep of the LeNet-5 case: a table of
+// variant rows, each one arm.
+type ablation struct {
+	id, title, heading string
+	rows               []ablationRow
 }
 
-// AblationStressModel compares the power-proportional stress model (the
+// ablationRow is one configuration of an ablation sweep: the variant
+// and scenario cells it prints, and its edit of the base spec.
+type ablationRow struct {
+	variant, scenario string
+	edit              func(*spec.Spec)
+}
+
+// burnIn pre-ages the arrays so the initial aging-aware mapping depends
+// on the compared mechanism: on a fresh array every range selection
+// picks the same (fresh) range and the comparison would be vacuous.
+func burnIn(s *spec.Spec) { s.Lifetime.BurnInStress = 3 }
+
+// stressRow is one arm of the stress-model ablation.
+func stressRow(variant string, uniform bool, sc lifetime.Scenario) ablationRow {
+	return ablationRow{variant, sc.String(), func(s *spec.Spec) {
+		s.Scenario = sc.String()
+		s.Device.UniformStress = uniform
+	}}
+}
+
+// stressRows compares the power-proportional stress model (the
 // mechanism that lets skewed weights slow aging) against uniform
 // per-pulse stress. Under uniform stress the ST+T advantage over T+T
 // should shrink to the quantization benefit alone.
-func AblationStressModel(opt Options) ([]AblationRow, error) {
-	b, err := LeNetBundle(opt)
-	if err != nil {
-		return nil, err
+func stressRows() []ablationRow {
+	return []ablationRow{
+		stressRow("power-proportional stress", false, lifetime.TT),
+		stressRow("power-proportional stress", false, lifetime.STT),
+		stressRow("uniform per-pulse stress", true, lifetime.TT),
+		stressRow("uniform per-pulse stress", true, lifetime.STT),
 	}
-	target, err := specTarget(b, b.Spec)
-	if err != nil {
-		return nil, err
-	}
-
-	var rows []AblationRow
-	for _, variant := range []struct {
-		name    string
-		uniform bool
-	}{
-		{"power-proportional stress", false},
-		{"uniform per-pulse stress", true},
-	} {
-		for _, sc := range []lifetime.Scenario{lifetime.TT, lifetime.STT} {
-			s := b.Spec
-			s.Scenario = sc.String()
-			s.Device.UniformStress = variant.uniform
-			res, err := runSpec(b, s, opt, target)
-			if err != nil {
-				return nil, err
-			}
-			rows = append(rows, AblationRow{
-				Variant: variant.name, Scenario: sc.String(),
-				Lifetime: res.Lifetime, Censored: !res.Failed,
-			})
-		}
-	}
-	return rows, nil
 }
 
-// AblationTracingDensity sweeps the representative-tracing stride of
-// Section IV-B: 1 (trace everything), 3 (the paper's 1-of-9), 5
-// (1-of-25). The arrays start from a burn-in (pre-aged) state so the
-// initial aging-aware mapping actually depends on the traced estimates;
-// sparser tracing estimates the common range from fewer devices.
-func AblationTracingDensity(opt Options) ([]AblationRow, error) {
-	b, err := LeNetBundle(opt)
-	if err != nil {
-		return nil, err
-	}
-	target, err := specTarget(b, b.Spec)
-	if err != nil {
-		return nil, err
-	}
-	var rows []AblationRow
+// tracingRows sweeps the representative-tracing stride of Section
+// IV-B: 1 (trace everything), 3 (the paper's 1-of-9), 5 (1-of-25) on
+// pre-aged arrays; sparser tracing estimates the common range from
+// fewer devices.
+func tracingRows() []ablationRow {
+	var rows []ablationRow
 	for _, stride := range []int{1, 3, 5} {
-		s := b.Spec
-		s.Scenario = lifetime.STAT.String()
-		s.Lifetime.TraceStride = stride
-		s.Lifetime.BurnInStress = 3
-		res, err := runSpec(b, s, opt, target)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, AblationRow{
-			Variant: fmt.Sprintf("trace 1-of-%d (stride %d)", stride*stride, stride), Scenario: "ST+AT",
-			Lifetime: res.Lifetime, Censored: !res.Failed,
-		})
+		rows = append(rows, ablationRow{fmt.Sprintf("trace 1-of-%d (stride %d)", stride*stride, stride), "ST+AT", func(s *spec.Spec) {
+			s.Scenario = lifetime.STAT.String()
+			s.Lifetime.TraceStride = stride
+			burnIn(s)
+		}})
 	}
-	return rows, nil
+	return rows
 }
 
-// AblationLevels compares the 32-level device of [14] against the
-// 64-level device of [15]. More levels quantize more accurately but
-// each level step is smaller, so aged ranges lose levels faster.
-func AblationLevels(opt Options) ([]AblationRow, error) {
-	b, err := LeNetBundle(opt)
-	if err != nil {
-		return nil, err
-	}
-	target, err := specTarget(b, b.Spec)
-	if err != nil {
-		return nil, err
-	}
-	var rows []AblationRow
-	for _, variant := range []struct {
+// levelRows compares the 32-level device of [14] against the 64-level
+// device of [15]. More levels quantize more accurately but each level
+// step is smaller, so aged ranges lose levels faster.
+func levelRows() []ablationRow {
+	var rows []ablationRow
+	for _, v := range []struct {
 		name string
 		p    device.Params
-	}{
-		{"32 levels [14]", device.Params32()},
-		{"64 levels [15]", device.Params64()},
-	} {
-		s := b.Spec
-		s.Scenario = lifetime.STAT.String()
-		s.Device = variant.p
-		res, err := runSpec(b, s, opt, target)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, AblationRow{
-			Variant: variant.name, Scenario: "ST+AT",
-			Lifetime: res.Lifetime, Censored: !res.Failed,
-		})
+	}{{"32 levels [14]", device.Params32()}, {"64 levels [15]", device.Params64()}} {
+		rows = append(rows, ablationRow{v.name, "ST+AT", func(s *spec.Spec) {
+			s.Scenario = lifetime.STAT.String()
+			s.Device = v.p
+		}})
 	}
-	return rows, nil
+	return rows
 }
 
-// AblationRangePolicy compares the iterative accuracy-driven selection
-// of Section IV-B against the simpler worst-case, mean-bound and fresh
-// policies, all under skewed weights. The arrays start from a burn-in
-// (pre-aged) state: on a fresh array every policy selects the same
-// (fresh) range and the comparison would be vacuous.
-func AblationRangePolicy(opt Options) ([]AblationRow, error) {
-	b, err := LeNetBundle(opt)
-	if err != nil {
-		return nil, err
-	}
-	target, err := specTarget(b, b.Spec)
-	if err != nil {
-		return nil, err
-	}
-	var rows []AblationRow
+// policyRows compares the iterative accuracy-driven selection of
+// Section IV-B against the simpler worst-case, mean-bound and fresh
+// policies, all under skewed weights on pre-aged arrays.
+func policyRows() []ablationRow {
+	var rows []ablationRow
 	for _, pol := range []mapping.PolicyKind{mapping.AgingAware, mapping.WorstCase, mapping.MeanBound, mapping.Fresh} {
-		s := b.Spec
-		s.Scenario = lifetime.STAT.String()
-		s.Policy = pol.String()
-		s.Lifetime.BurnInStress = 3
-		res, err := runSpec(b, s, opt, target)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, AblationRow{
-			Variant: pol.String(), Scenario: "ST+<policy>",
-			Lifetime: res.Lifetime, Censored: !res.Failed,
-		})
+		rows = append(rows, ablationRow{pol.String(), "ST+<policy>", func(s *spec.Spec) {
+			s.Scenario = lifetime.STAT.String()
+			s.Policy = pol.String()
+			burnIn(s)
+		}})
 	}
-	return rows, nil
-}
-
-func renderAblation(w io.Writer, title string, rows []AblationRow) {
-	var cells [][]string
-	for _, r := range rows {
-		life := fmt.Sprintf("%d", r.Lifetime)
-		if r.Censored {
-			life = ">=" + life
-		}
-		cells = append(cells, []string{r.Variant, r.Scenario, life})
-	}
-	fmt.Fprintln(w, title)
-	fmt.Fprint(w, analysis.Table([]string{"variant", "scenario", "lifetime (apps)"}, cells))
+	return rows
 }
 
 func init() {
-	register(Experiment{
-		ID:    "ablation-stress",
-		Title: "Ablation: power-proportional vs uniform per-pulse aging stress",
-		Run: func(w io.Writer, opt Options) error {
-			rows, err := AblationStressModel(opt)
-			if err != nil {
-				return err
-			}
-			renderAblation(w, "Ablation — stress model", rows)
-			return nil
-		},
-	})
-	register(Experiment{
-		ID:    "ablation-tracing",
-		Title: "Ablation: representative-tracing density (1-of-1/9/25)",
-		Run: func(w io.Writer, opt Options) error {
-			rows, err := AblationTracingDensity(opt)
-			if err != nil {
-				return err
-			}
-			renderAblation(w, "Ablation — tracing density", rows)
-			return nil
-		},
-	})
-	register(Experiment{
-		ID:    "ablation-levels",
-		Title: "Ablation: 32-level vs 64-level devices",
-		Run: func(w io.Writer, opt Options) error {
-			rows, err := AblationLevels(opt)
-			if err != nil {
-				return err
-			}
-			renderAblation(w, "Ablation — quantization levels", rows)
-			return nil
-		},
-	})
-	register(Experiment{
-		ID:    "ablation-policy",
-		Title: "Ablation: aged-range selection policy",
-		Run: func(w io.Writer, opt Options) error {
-			rows, err := AblationRangePolicy(opt)
-			if err != nil {
-				return err
-			}
-			renderAblation(w, "Ablation — range-selection policy", rows)
-			return nil
-		},
-	})
+	for _, a := range []ablation{
+		{"ablation-stress", "Ablation: power-proportional vs uniform per-pulse aging stress", "Ablation — stress model", stressRows()},
+		{"ablation-tracing", "Ablation: representative-tracing density (1-of-1/9/25)", "Ablation — tracing density", tracingRows()},
+		{"ablation-levels", "Ablation: 32-level vs 64-level devices", "Ablation — quantization levels", levelRows()},
+		{"ablation-policy", "Ablation: aged-range selection policy", "Ablation — range-selection policy", policyRows()},
+	} {
+		arms := make([]arm, len(a.rows))
+		for i, r := range a.rows {
+			arms[i] = arm{r.variant + " " + r.scenario, r.edit}
+		}
+		registerArms(armExperiment{
+			id:       a.id,
+			title:    a.title,
+			fixtures: []string{spec.FixtureLeNet},
+			arms:     arms,
+			render: func(w io.Writer, runs []armRun) {
+				var cells [][]string
+				for i, r := range a.rows {
+					res := runs[0].res[i]
+					cells = append(cells, []string{r.variant, r.scenario, lifeCell(res.Lifetime, !res.Failed)})
+				}
+				fmt.Fprintln(w, a.heading)
+				fmt.Fprint(w, analysis.Table([]string{"variant", "scenario", "lifetime (apps)"}, cells))
+			},
+		})
+	}
 }

@@ -6,16 +6,18 @@ import (
 
 	"memlife/internal/analysis"
 	"memlife/internal/device"
+	"memlife/internal/lifetime"
+	"memlife/internal/spec"
 )
 
-// crossModelArms enumerates the device-physics models the cross-model
+// crossModelDevices enumerates the device-physics models the cross-model
 // table sweeps. The linear model is the paper's abstraction and the
 // Table I baseline; the threshold models (MMS, Yacopcic) have state-
 // dependent pulse responses that compress near the conductance rails;
 // the diffusive model adds lognormal device-to-device and cycle-to-
 // cycle variation plus spontaneous relaxation. Sigmas are moderate
 // literature-typical values, not fitted constants.
-var crossModelArms = []struct {
+var crossModelDevices = []struct {
 	label string
 	model device.ModelSpec
 }{
@@ -47,78 +49,67 @@ type CrossModelPoint struct {
 	MeanIters float64
 }
 
-// CrossModelTable1 reruns the Table I flagship scenario (ST+AT,
-// LeNet-5) across the device-model zoo and the drift-adaptive tuning
-// policies: 4 models x 3 policies under the moderate point of the fault
-// sweep (1% stuck, fault-aware remapping, graceful degradation) with
-// power-law conductance state drift enabled. It asks the robustness
-// question behind the whole zoo: do the paper's lifetime conclusions
-// survive when the idealized linear pulse response is replaced by
-// nonlinear and stochastic device physics, and how much lifetime do the
-// drift-adaptive policies buy on each?
-func CrossModelTable1(opt Options) ([]CrossModelPoint, error) {
-	b, err := LeNetBundle(opt)
-	if err != nil {
-		return nil, err
-	}
-	// Same serving posture as the fault sweep: a relaxed service-level
-	// target so model physics, not target tightness, sets the lifetime.
-	base := b.Spec
-	base.Run.TargetScale = 0.9
-	target, err := specTarget(b, base)
-	if err != nil {
-		return nil, err
-	}
-
-	var points []CrossModelPoint
-	for _, m := range crossModelArms {
+// crossModelArms lays out the cross-model table: the Table I flagship
+// scenario (ST+AT, LeNet-5) across the device-model zoo and the
+// drift-adaptive tuning policies, 4 models x 3 policies, under the
+// moderate point of the fault sweep (1% stuck, fault-aware remapping,
+// graceful degradation) with power-law conductance state drift
+// enabled. It asks the robustness question behind the whole zoo: do
+// the paper's lifetime conclusions survive when the idealized linear
+// pulse response is replaced by nonlinear and stochastic device
+// physics, and how much lifetime do the drift-adaptive policies buy on
+// each? Each arm's label is its campaign metric key prefix.
+func crossModelArms() []arm {
+	var arms []arm
+	for _, m := range crossModelDevices {
 		for _, pol := range crossModelPolicies {
-			s := base
-			s.Device.Model = m.model
-			// Power-law state relaxation toward Gmin, one interval per
-			// deployment cycle — the disturbance the recalib policy is
-			// built to absorb.
-			s.Device.Drift = device.DriftSpec{Nu: 0.05}
-			s.Lifetime.Tuning.Policy = pol
-			s.Lifetime.Faults = FaultSweepFaults(0.01, s.Run.Seed)
-			s.Lifetime.Mapping.FaultAware = true
-			s.Lifetime.DegradedAccFrac = 0.5
-			res, err := runSpec(b, s, opt, target)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: crossmodel %s/%s: %w", m.label, pol, err)
-			}
+			arms = append(arms, arm{m.label + "/" + pol, func(s *spec.Spec) {
+				s.Device.Model = m.model
+				// Power-law state relaxation toward Gmin, one interval per
+				// deployment cycle — the disturbance the recalib policy is
+				// built to absorb.
+				s.Device.Drift = device.DriftSpec{Nu: 0.05}
+				s.Lifetime.Tuning.Policy = pol
+				s.Lifetime.Faults = FaultSweepFaults(0.01, s.Run.Seed)
+				s.Lifetime.Mapping.FaultAware = true
+				s.Lifetime.DegradedAccFrac = 0.5
+			}})
+		}
+	}
+	return arms
+}
+
+// crossModelPoints maps the results, in crossModelArms order, to
+// table cells.
+func crossModelPoints(res []lifetime.Result) []CrossModelPoint {
+	var points []CrossModelPoint
+	for _, m := range crossModelDevices {
+		for _, pol := range crossModelPolicies {
+			r := res[len(points)] // crossModelArms order
 			iters := 0.0
-			for _, rec := range res.Records {
+			for _, rec := range r.Records {
 				iters += float64(rec.TuneIters)
 			}
-			if n := len(res.Records); n > 0 {
+			if n := len(r.Records); n > 0 {
 				iters /= float64(n)
-			}
-			if opt.Log != nil {
-				fmt.Fprintf(opt.Log, "crossmodel: model=%s policy=%s lifetime=%d acc=%.3f degradedAt=%d meanIters=%.1f\n",
-					m.label, pol, res.Lifetime, res.FinalAcc, res.DegradedAtCycle, iters)
 			}
 			points = append(points, CrossModelPoint{
 				Model:      m.label,
 				Policy:     pol,
-				Lifetime:   res.Lifetime,
-				Censored:   !res.Failed,
-				FinalAcc:   res.FinalAcc,
-				DegradedAt: res.DegradedAtCycle,
+				Lifetime:   r.Lifetime,
+				Censored:   !r.Failed,
+				FinalAcc:   r.FinalAcc,
+				DegradedAt: r.DegradedAtCycle,
 				MeanIters:  iters,
 			})
 		}
 	}
-	return points, nil
+	return points
 }
 
-func renderCrossModel(w io.Writer, points []CrossModelPoint) {
+func renderCrossModel(w io.Writer, runs []armRun) {
 	var cells [][]string
-	for _, p := range points {
-		life := fmt.Sprintf("%d", p.Lifetime)
-		if p.Censored {
-			life = ">=" + life
-		}
+	for _, p := range crossModelPoints(runs[0].res) {
 		degraded := "-"
 		if p.DegradedAt > 0 {
 			degraded = fmt.Sprintf("cycle %d", p.DegradedAt)
@@ -126,7 +117,7 @@ func renderCrossModel(w io.Writer, points []CrossModelPoint) {
 		cells = append(cells, []string{
 			p.Model,
 			p.Policy,
-			life,
+			lifeCell(p.Lifetime, p.Censored),
 			fmt.Sprintf("%.3f", p.FinalAcc),
 			degraded,
 			fmt.Sprintf("%.1f", p.MeanIters),
@@ -143,34 +134,29 @@ func renderCrossModel(w io.Writer, points []CrossModelPoint) {
 // crossModelMetrics flattens the cross-model table into per-cell
 // metrics; the (model, policy) grid is fixed, so each cell aggregates
 // into its own distribution across campaign seeds.
-func crossModelMetrics(opt Options) (map[string]float64, error) {
-	points, err := CrossModelTable1(opt)
-	if err != nil {
-		return nil, err
-	}
+func crossModelMetrics(runs []armRun) map[string]float64 {
 	m := make(map[string]float64)
-	for _, pt := range points {
+	for _, pt := range crossModelPoints(runs[0].res) {
 		k := pt.Model + "/" + pt.Policy
 		m[k+"/life"] = float64(pt.Lifetime)
 		m[k+"/final_acc"] = pt.FinalAcc
 		m[k+"/degraded_at"] = float64(pt.DegradedAt)
 		m[k+"/mean_iters"] = pt.MeanIters
 	}
-	return m, nil
+	return m
 }
 
 func init() {
-	register(Experiment{
-		ID:      "crossmodel-table1",
-		Title:   "Cross-model Table I: lifetime vs device-physics model and tuning policy",
-		Metrics: crossModelMetrics,
-		Run: func(w io.Writer, opt Options) error {
-			points, err := CrossModelTable1(opt)
-			if err != nil {
-				return err
-			}
-			renderCrossModel(w, points)
-			return nil
-		},
+	registerArms(armExperiment{
+		id:       "crossmodel-table1",
+		title:    "Cross-model Table I: lifetime vs device-physics model and tuning policy",
+		fixtures: []string{spec.FixtureLeNet},
+		// Same serving posture as the fault sweep: a relaxed
+		// service-level target so model physics, not target tightness,
+		// sets the lifetime.
+		base:    func(s *spec.Spec) { s.Run.TargetScale = 0.9 },
+		arms:    crossModelArms(),
+		render:  renderCrossModel,
+		metrics: crossModelMetrics,
 	})
 }

@@ -184,17 +184,15 @@ func TestTable1BundleOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	target, err := specTarget(b, b.Spec)
-	if err != nil {
+	base := b.Spec
+	if base.Lifetime.TargetAcc, err = specTarget(b, b.Spec); err != nil {
 		t.Fatal(err)
 	}
-	cfg := lifetime.DefaultConfig()
-	cfg.TargetAcc = target
-	cfg.AppsPerCycle = 1000
-	cfg.MaxCycles = 25
-	cfg.Tuning.MaxIters = 25
-	cfg.EvalN = 48
-	row, err := Table1BundleWithConfig(b, testOpt, cfg)
+	base.Lifetime.AppsPerCycle = 1000
+	base.Lifetime.MaxCycles = 25
+	base.Lifetime.Tuning.MaxIters = 25
+	base.Lifetime.EvalN = 48
+	row, err := Table1Bundle(b, base, testOpt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,49 +204,53 @@ func TestTable1BundleOrdering(t *testing.T) {
 	}
 }
 
-func TestFig10SeriesShape(t *testing.T) {
-	r, err := Fig10(testOpt)
+// runArmExperiment runs a registered arm experiment's arms on its
+// first fixture.
+func runArmExperiment(t *testing.T, id string) []lifetime.Result {
+	t.Helper()
+	e, ok := armExperiments[id]
+	if !ok {
+		t.Fatalf("%s is not an arm experiment", id)
+	}
+	runs, err := e.run(testOpt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.TT.X) == 0 || len(r.STAT.X) == 0 {
+	return runs[0].res
+}
+
+func TestFig10SeriesShape(t *testing.T) {
+	res := runArmExperiment(t, "fig10")
+	tt, stat := res[0], res[1]
+	if len(tt.Records) == 0 || len(stat.Records) == 0 {
 		t.Fatal("both scenario series must have points")
 	}
-	if r.LifeSTAT < r.LifeTT {
-		t.Fatalf("ST+AT lifetime %d must be >= T+T %d", r.LifeSTAT, r.LifeTT)
+	if stat.Lifetime < tt.Lifetime {
+		t.Fatalf("ST+AT lifetime %d must be >= T+T %d", stat.Lifetime, tt.Lifetime)
 	}
 }
 
 func TestFig11ConvAgesFaster(t *testing.T) {
-	r, err := Fig11(testOpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Conv.Y) == 0 {
+	recs := runArmExperiment(t, "fig11")[0].Records
+	if len(recs) == 0 {
 		t.Fatal("conv series must have points")
 	}
-	last := len(r.Conv.Y) - 1
-	if r.Conv.Y[last] >= r.FC.Y[last] {
-		t.Fatalf("conv layers must age faster: conv upper %.0f vs fc %.0f", r.Conv.Y[last], r.FC.Y[last])
+	last := recs[len(recs)-1]
+	if last.ConvUpper >= last.FCUpper {
+		t.Fatalf("conv layers must age faster: conv upper %.0f vs fc %.0f", last.ConvUpper, last.FCUpper)
 	}
 }
 
 func TestAblationStressModelKillsSkewAdvantage(t *testing.T) {
-	rows, err := AblationStressModel(testOpt)
-	if err != nil {
-		t.Fatal(err)
+	res := runArmExperiment(t, "ablation-stress")
+	if len(res) != 4 {
+		t.Fatalf("stress ablation rows = %d, want 4", len(res))
 	}
-	if len(rows) != 4 {
-		t.Fatalf("stress ablation rows = %d, want 4", len(rows))
-	}
-	byKey := map[string]int64{}
-	for _, r := range rows {
-		byKey[r.Variant+"/"+r.Scenario] = r.Lifetime
-	}
-	// With power-proportional stress ST+T beats T+T; with uniform
-	// stress the advantage must shrink (ratio closer to 1).
-	powered := float64(byKey["power-proportional stress/ST+T"]) / float64(max64(1, byKey["power-proportional stress/T+T"]))
-	uniform := float64(byKey["uniform per-pulse stress/ST+T"]) / float64(max64(1, byKey["uniform per-pulse stress/T+T"]))
+	// Arms: power-proportional T+T, ST+T, then uniform T+T, ST+T. With
+	// power-proportional stress ST+T beats T+T; with uniform stress the
+	// advantage must shrink (ratio closer to 1).
+	powered := float64(res[1].Lifetime) / float64(max64(1, res[0].Lifetime))
+	uniform := float64(res[3].Lifetime) / float64(max64(1, res[2].Lifetime))
 	if powered <= uniform {
 		t.Fatalf("removing the power coupling must shrink the skew advantage: %0.2f vs %0.2f", powered, uniform)
 	}

@@ -7,6 +7,7 @@ import (
 	"memlife/internal/analysis"
 	"memlife/internal/fault"
 	"memlife/internal/lifetime"
+	"memlife/internal/spec"
 )
 
 // faultSweepRates are the stuck-device rates the sweep evaluates.
@@ -61,87 +62,65 @@ type FaultSweepPoint struct {
 	Stuck int
 }
 
-// FaultSweep measures lifetime and delivered accuracy versus the
-// stuck-device rate for the three scenarios of Table I, with
+// faultSweepGrid lays out the sweep: lifetime and delivered accuracy
+// versus the stuck-device rate for the three scenarios of Table I, with
 // fault-tolerant operation enabled (retry budget, stuck-skip, fault-
 // aware remapping, graceful degradation to a 50% accuracy floor). At
 // the highest rate it adds one ablation arm with fault-aware remapping
-// disabled, quantifying what the tolerance mechanisms buy.
-func FaultSweep(opt Options) ([]FaultSweepPoint, error) {
-	b, err := LeNetBundle(opt)
-	if err != nil {
-		return nil, err
-	}
-	// The clean-array target of Table I sits a hair under the fresh
-	// hardware accuracy; on a defective array that tightness turns every
-	// small fault deficit into a tuning/remap death spiral. The sweep
-	// therefore serves at a relaxed service-level target (90% of the
-	// clean target, expressed as the spec's run.target_scale), leaving
-	// the tolerance mechanisms an operating band in which defect density
-	// — not target tightness — sets the lifetime.
-	base := b.Spec
-	base.Run.TargetScale = 0.9
-	target, err := specTarget(b, base)
-	if err != nil {
-		return nil, err
-	}
-
-	type arm struct {
-		rate  float64
-		sc    lifetime.Scenario
-		aware bool
-	}
-	var arms []arm
+// disabled, quantifying what the tolerance mechanisms buy. The points
+// carry only their coordinates; faultSweepPoints fills in the results.
+func faultSweepGrid() []FaultSweepPoint {
+	var grid []FaultSweepPoint
 	for _, rate := range faultSweepRates {
-		arms = append(arms,
-			arm{rate, lifetime.TT, true},
-			arm{rate, lifetime.STT, true},
-			arm{rate, lifetime.STAT, true},
-		)
+		for _, sc := range []lifetime.Scenario{lifetime.TT, lifetime.STT, lifetime.STAT} {
+			grid = append(grid, FaultSweepPoint{Rate: rate, Scenario: sc, Aware: true})
+		}
 	}
-	ablRate := faultSweepRates[len(faultSweepRates)-1]
-	arms = append(arms, arm{ablRate, lifetime.STAT, false})
-
-	var points []FaultSweepPoint
-	for _, a := range arms {
-		s := base
-		s.Scenario = a.sc.String()
-		s.Lifetime.Faults = FaultSweepFaults(a.rate, s.Run.Seed)
-		s.Lifetime.Mapping.FaultAware = a.aware
-		s.Lifetime.DegradedAccFrac = 0.5
-		res, err := runSpec(b, s, opt, target)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: fault-sweep rate=%g %s: %w", a.rate, a.sc, err)
-		}
-		stuck := 0
-		if n := len(res.Records); n > 0 {
-			stuck = res.Records[n-1].Stuck
-		}
-		if opt.Log != nil {
-			fmt.Fprintf(opt.Log, "fault-sweep: rate=%g %s aware=%v lifetime=%d acc=%.3f degradedAt=%d stuck=%d\n",
-				a.rate, a.sc, a.aware, res.Lifetime, res.FinalAcc, res.DegradedAtCycle, stuck)
-		}
-		points = append(points, FaultSweepPoint{
-			Rate:       a.rate,
-			Scenario:   a.sc,
-			Aware:      a.aware,
-			Lifetime:   res.Lifetime,
-			Censored:   !res.Failed,
-			FinalAcc:   res.FinalAcc,
-			DegradedAt: res.DegradedAtCycle,
-			Stuck:      stuck,
-		})
-	}
-	return points, nil
+	return append(grid, FaultSweepPoint{Rate: faultSweepRates[len(faultSweepRates)-1], Scenario: lifetime.STAT})
 }
 
-func renderFaultSweep(w io.Writer, points []FaultSweepPoint) {
-	var cells [][]string
-	for _, p := range points {
-		life := fmt.Sprintf("%d", p.Lifetime)
-		if p.Censored {
-			life = ">=" + life
+// faultSweepKey is a point's campaign metric key prefix and arm label.
+// The stuck-rate axis is part of the key (the rates are a fixed grid,
+// not per-seed values), so each (rate, scenario, arm) lifetime
+// aggregates into its own distribution.
+func faultSweepKey(pt FaultSweepPoint) string {
+	k := fmt.Sprintf("r%g/%s", pt.Rate*100, scenarioSlug(pt.Scenario))
+	if !pt.Aware {
+		k += "-noremap"
+	}
+	return k
+}
+
+func faultSweepArms() []arm {
+	grid := faultSweepGrid()
+	arms := make([]arm, len(grid))
+	for i, pt := range grid {
+		arms[i] = arm{faultSweepKey(pt), func(s *spec.Spec) {
+			s.Scenario = pt.Scenario.String()
+			s.Lifetime.Faults = FaultSweepFaults(pt.Rate, s.Run.Seed)
+			s.Lifetime.Mapping.FaultAware = pt.Aware
+			s.Lifetime.DegradedAccFrac = 0.5
+		}}
+	}
+	return arms
+}
+
+func faultSweepPoints(res []lifetime.Result) []FaultSweepPoint {
+	points := faultSweepGrid()
+	for i, r := range res {
+		pt := &points[i]
+		pt.Lifetime, pt.Censored = r.Lifetime, !r.Failed
+		pt.FinalAcc, pt.DegradedAt = r.FinalAcc, r.DegradedAtCycle
+		if n := len(r.Records); n > 0 {
+			pt.Stuck = r.Records[n-1].Stuck
 		}
+	}
+	return points
+}
+
+func renderFaultSweep(w io.Writer, runs []armRun) {
+	var cells [][]string
+	for _, p := range faultSweepPoints(runs[0].res) {
 		degraded := "-"
 		if p.DegradedAt > 0 {
 			degraded = fmt.Sprintf("cycle %d", p.DegradedAt)
@@ -154,7 +133,7 @@ func renderFaultSweep(w io.Writer, points []FaultSweepPoint) {
 			fmt.Sprintf("%.0f%%", p.Rate*100),
 			p.Scenario.String(),
 			remap,
-			life,
+			lifeCell(p.Lifetime, p.Censored),
 			fmt.Sprintf("%.3f", p.FinalAcc),
 			degraded,
 			fmt.Sprintf("%d", p.Stuck),
@@ -167,18 +146,34 @@ func renderFaultSweep(w io.Writer, points []FaultSweepPoint) {
 	fmt.Fprintln(w, "tolerance: pulse-retry budget + stuck-skip tuning + fault-aware remap + graceful degradation (0.5x accuracy floor)")
 }
 
+// faultSweepMetrics flattens the fault sweep into per-arm metrics.
+func faultSweepMetrics(runs []armRun) map[string]float64 {
+	m := make(map[string]float64)
+	for _, pt := range faultSweepPoints(runs[0].res) {
+		k := faultSweepKey(pt)
+		m[k+"/life"] = float64(pt.Lifetime)
+		m[k+"/final_acc"] = pt.FinalAcc
+		m[k+"/stuck"] = float64(pt.Stuck)
+		m[k+"/degraded_at"] = float64(pt.DegradedAt)
+	}
+	return m
+}
+
 func init() {
-	register(Experiment{
-		ID:      "fault-sweep",
-		Title:   "Fault sweep: lifetime vs stuck-device rate under fault-tolerant operation",
-		Metrics: faultSweepMetrics,
-		Run: func(w io.Writer, opt Options) error {
-			points, err := FaultSweep(opt)
-			if err != nil {
-				return err
-			}
-			renderFaultSweep(w, points)
-			return nil
-		},
+	registerArms(armExperiment{
+		id:       "fault-sweep",
+		title:    "Fault sweep: lifetime vs stuck-device rate under fault-tolerant operation",
+		fixtures: []string{spec.FixtureLeNet},
+		// The clean-array target of Table I sits a hair under the fresh
+		// hardware accuracy; on a defective array that tightness turns
+		// every small fault deficit into a tuning/remap death spiral.
+		// The sweep therefore serves at a relaxed service-level target
+		// (90% of the clean target), leaving the tolerance mechanisms an
+		// operating band in which defect density — not target
+		// tightness — sets the lifetime.
+		base:    func(s *spec.Spec) { s.Run.TargetScale = 0.9 },
+		arms:    faultSweepArms(),
+		render:  renderFaultSweep,
+		metrics: faultSweepMetrics,
 	})
 }

@@ -266,11 +266,6 @@ func runSpec(b *Bundle, s spec.Spec, opt Options, target float64) (lifetime.Resu
 	return lifetime.RunCtx(opt.Context(), net, b.TrainDS, sc, s.Device, s.Aging, s.TempK, s.LifetimeConfig(target))
 }
 
-// ScenarioTarget picks one target accuracy per bundle, achievable by
-// both the normal and the skewed variant right after a fresh mapping
-// (minus a small margin), mirroring the paper's per-network target.
-func ScenarioTarget(b *Bundle, opt Options) (float64, error) { return specTarget(b, b.Spec) }
-
 // specTarget resolves the spec's effective tuning target: an explicit
 // lifetime.target_acc wins; otherwise the target is auto-derived as
 // min(fresh-mapped accuracy of both trained variants) - target_margin,

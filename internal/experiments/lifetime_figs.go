@@ -6,148 +6,59 @@ import (
 
 	"memlife/internal/analysis"
 	"memlife/internal/lifetime"
+	"memlife/internal/spec"
 )
 
-// Fig10Result holds the tuning-iteration trends of Fig. 10 for one
-// network: iterations per cycle against cumulative applications, for
-// the baseline and the full framework.
-type Fig10Result struct {
-	Network string
-	TT      analysis.Series
-	STAT    analysis.Series
-	// LifeTT and LifeSTAT are the measured lifetimes in applications.
-	LifeTT, LifeSTAT int64
-}
+// fig10Arms are the two scenarios whose divergence Fig. 10 shows: the
+// tuning iterations per cycle against cumulative applications, for the
+// baseline and the full framework.
+var fig10Arms = []arm{scenarioArm(lifetime.TT), scenarioArm(lifetime.STAT)}
 
-// fig10For runs the two scenarios whose divergence Fig. 10 shows.
-func fig10For(b *Bundle, opt Options) (Fig10Result, error) {
-	out := Fig10Result{Network: b.Name}
-	target, err := specTarget(b, b.Spec)
-	if err != nil {
-		return out, err
-	}
-
-	run := func(sc lifetime.Scenario, series *analysis.Series) (int64, error) {
-		s := b.Spec
-		s.Scenario = sc.String()
-		res, err := runSpec(b, s, opt, target)
-		if err != nil {
-			return 0, err
-		}
-		for _, rec := range res.Records {
+func renderFig10(w io.Writer, runs []armRun) {
+	r := runs[0]
+	fmt.Fprintf(w, "Fig. 10 — %s (x = cumulative applications, y = tuning iterations)\n", r.b.Name)
+	for i, a := range fig10Arms {
+		series := analysis.Series{Name: a.label}
+		for _, rec := range r.res[i].Records {
 			series.AddPoint(float64(rec.Apps), float64(rec.TuneIters))
 		}
-		return res.Lifetime, nil
+		fmt.Fprint(w, series.Render())
 	}
-	out.TT.Name = "T+T"
-	out.STAT.Name = "ST+AT"
-	if out.LifeTT, err = run(lifetime.TT, &out.TT); err != nil {
-		return out, err
-	}
-	if out.LifeSTAT, err = run(lifetime.STAT, &out.STAT); err != nil {
-		return out, err
-	}
-	return out, nil
+	fmt.Fprintf(w, "lifetimes: T+T=%d apps, ST+AT=%d apps\n", r.res[0].Lifetime, r.res[1].Lifetime)
 }
 
-// Fig10 reproduces Fig. 10 on the LeNet-5 test case (the VGG case is
-// produced by the CLI in full mode via Fig10VGG).
-func Fig10(opt Options) (Fig10Result, error) {
-	b, err := LeNetBundle(opt)
-	if err != nil {
-		return Fig10Result{}, err
-	}
-	return fig10For(b, opt)
-}
-
-// Fig10VGG reproduces Fig. 10 on the VGG-16 test case.
-func Fig10VGG(opt Options) (Fig10Result, error) {
-	b, err := VGGBundle(opt)
-	if err != nil {
-		return Fig10Result{}, err
-	}
-	return fig10For(b, opt)
-}
-
-// Fig11Result holds the layer-kind aging curves of Fig. 11: the mean
+// renderFig11 draws the layer-kind aging curves of Fig. 11: the mean
 // aged upper resistance bound of convolutional vs fully-connected
 // layers over the application stream.
-type Fig11Result struct {
-	Network string
-	Conv    analysis.Series
-	FC      analysis.Series
-}
-
-// Fig11 reproduces Fig. 11 on the LeNet-5 test case under the T+T
-// scenario (aging is fastest there, making the asymmetry clearest).
-func Fig11(opt Options) (Fig11Result, error) {
-	b, err := LeNetBundle(opt)
-	if err != nil {
-		return Fig11Result{}, err
+func renderFig11(w io.Writer, runs []armRun) {
+	conv := analysis.Series{Name: "conv layers"}
+	fc := analysis.Series{Name: "fully-connected layers"}
+	for _, rec := range runs[0].res[0].Records {
+		conv.AddPoint(float64(rec.Apps), rec.ConvUpper)
+		fc.AddPoint(float64(rec.Apps), rec.FCUpper)
 	}
-	out := Fig11Result{Network: b.Name}
-	target, err := specTarget(b, b.Spec)
-	if err != nil {
-		return out, err
-	}
-	s := b.Spec
-	s.Scenario = lifetime.TT.String()
-	res, err := runSpec(b, s, opt, target)
-	if err != nil {
-		return out, err
-	}
-	out.Conv.Name = "conv layers"
-	out.FC.Name = "fully-connected layers"
-	for _, rec := range res.Records {
-		out.Conv.AddPoint(float64(rec.Apps), rec.ConvUpper)
-		out.FC.AddPoint(float64(rec.Apps), rec.FCUpper)
-	}
-	return out, nil
+	fmt.Fprintf(w, "Fig. 11 — %s mean aged upper resistance bound by layer kind\n", runs[0].b.Name)
+	fmt.Fprint(w, conv.Render())
+	fmt.Fprint(w, fc.Render())
 }
 
 func init() {
-	register(Experiment{
-		ID:    "fig10",
-		Title: "Fig. 10: online-tuning iterations vs applications (T+T vs ST+AT)",
-		Run: func(w io.Writer, opt Options) error {
-			r, err := Fig10(opt)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "Fig. 10 — %s (x = cumulative applications, y = tuning iterations)\n", r.Network)
-			fmt.Fprint(w, r.TT.Render())
-			fmt.Fprint(w, r.STAT.Render())
-			fmt.Fprintf(w, "lifetimes: T+T=%d apps, ST+AT=%d apps\n", r.LifeTT, r.LifeSTAT)
-			return nil
-		},
-	})
-	register(Experiment{
-		ID:    "fig10vgg",
-		Title: "Fig. 10 (VGG-16 case): online-tuning iterations vs applications",
-		Run: func(w io.Writer, opt Options) error {
-			r, err := Fig10VGG(opt)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "Fig. 10 — %s (x = cumulative applications, y = tuning iterations)\n", r.Network)
-			fmt.Fprint(w, r.TT.Render())
-			fmt.Fprint(w, r.STAT.Render())
-			fmt.Fprintf(w, "lifetimes: T+T=%d apps, ST+AT=%d apps\n", r.LifeTT, r.LifeSTAT)
-			return nil
-		},
-	})
-	register(Experiment{
-		ID:    "fig11",
-		Title: "Fig. 11: aging of conv vs fully-connected layers",
-		Run: func(w io.Writer, opt Options) error {
-			r, err := Fig11(opt)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "Fig. 11 — %s mean aged upper resistance bound by layer kind\n", r.Network)
-			fmt.Fprint(w, r.Conv.Render())
-			fmt.Fprint(w, r.FC.Render())
-			return nil
-		},
+	for _, f := range []struct{ id, title, fixture string }{
+		{"fig10", "Fig. 10: online-tuning iterations vs applications (T+T vs ST+AT)", spec.FixtureLeNet},
+		{"fig10vgg", "Fig. 10 (VGG-16 case): online-tuning iterations vs applications", spec.FixtureVGG},
+	} {
+		registerArms(armExperiment{
+			id: f.id, title: f.title, fixtures: []string{f.fixture},
+			arms: fig10Arms, render: renderFig10,
+		})
+	}
+	// Fig. 11 runs the LeNet-5 case under T+T: aging is fastest there,
+	// making the asymmetry clearest.
+	registerArms(armExperiment{
+		id:       "fig11",
+		title:    "Fig. 11: aging of conv vs fully-connected layers",
+		fixtures: []string{spec.FixtureLeNet},
+		arms:     []arm{scenarioArm(lifetime.TT)},
+		render:   renderFig11,
 	})
 }

@@ -1,17 +1,16 @@
 package experiments
 
 import (
-	"fmt"
 	"strings"
 
 	"memlife/internal/lifetime"
 )
 
-// This file adapts experiment drivers to the campaign engine: each
-// converter runs the driver once and flattens its result rows into the
-// flat metric map the campaign aggregates over seeds. Keys must be
-// stable across seeds (no values inside keys that vary per run) so
-// per-metric statistics group correctly.
+// This file holds the key helpers of the campaign metric reducers,
+// which flatten one run of an experiment into the flat metric map the
+// campaign aggregates over seeds. Keys must be stable across seeds (no
+// values inside keys that vary per run) so per-metric statistics group
+// correctly.
 
 // metricSlug derives a short, stable key fragment from a display name:
 // lowercase, with runs of non-alphanumeric characters collapsed to
@@ -51,50 +50,6 @@ func boolMetric(b bool) float64 {
 		return 1
 	}
 	return 0
-}
-
-// table1Metrics flattens Table I into per-network metrics.
-func table1Metrics(opt Options) (map[string]float64, error) {
-	rows, err := Table1(opt)
-	if err != nil {
-		return nil, err
-	}
-	m := make(map[string]float64)
-	for _, r := range rows {
-		k := metricSlug(r.Network)
-		m[k+"/acc_normal"] = r.AccNormal
-		m[k+"/acc_skewed"] = r.AccSkewed
-		m[k+"/life_tt"] = float64(r.LifeTT)
-		m[k+"/life_stt"] = float64(r.LifeSTT)
-		m[k+"/life_stat"] = float64(r.LifeSTAT)
-		m[k+"/ratio_stt"] = r.RatioSTT
-		m[k+"/ratio_stat"] = r.RatioSTAT
-		m[k+"/censored"] = boolMetric(r.CensoredTT || r.CensoredSTT || r.CensoredSTAT)
-	}
-	return m, nil
-}
-
-// faultSweepMetrics flattens the fault sweep into per-arm metrics. The
-// stuck-rate axis is part of the key (the rates are a fixed grid, not
-// per-seed values), so each (rate, scenario, arm) lifetime aggregates
-// into its own distribution.
-func faultSweepMetrics(opt Options) (map[string]float64, error) {
-	points, err := FaultSweep(opt)
-	if err != nil {
-		return nil, err
-	}
-	m := make(map[string]float64)
-	for _, pt := range points {
-		k := fmt.Sprintf("r%g/%s", pt.Rate*100, scenarioSlug(pt.Scenario))
-		if !pt.Aware {
-			k += "-noremap"
-		}
-		m[k+"/life"] = float64(pt.Lifetime)
-		m[k+"/final_acc"] = pt.FinalAcc
-		m[k+"/stuck"] = float64(pt.Stuck)
-		m[k+"/degraded_at"] = float64(pt.DegradedAt)
-	}
-	return m, nil
 }
 
 // fig4Metrics summarises the single-device aging trajectory. It is

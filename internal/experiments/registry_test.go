@@ -170,7 +170,7 @@ func TestCampaignResolver(t *testing.T) {
 // read the shared LeNet bundle in parallel, each writing through a
 // per-shard view of one SyncWriter — the campaign pool's exact wiring.
 // With -race this is the thread-safety test for both Options.Log
-// multiplexing and the bundle's Exclusive locking.
+// multiplexing and the lock-free sharing of the read-only cached bundle.
 func TestConcurrentExperimentsSharedLog(t *testing.T) {
 	var buf bytes.Buffer
 	sw := campaign.NewSyncWriter(&buf)

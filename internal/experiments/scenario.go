@@ -82,6 +82,11 @@ func ScenarioMetrics(s spec.Spec, opt Options) (map[string]float64, error) {
 	}, nil
 }
 
+// ScenarioTarget picks one target accuracy per bundle, achievable by
+// both the normal and the skewed variant right after a fresh mapping
+// (minus a small margin), mirroring the paper's per-network target.
+func ScenarioTarget(b *Bundle, opt Options) (float64, error) { return specTarget(b, b.Spec) }
+
 // ScenarioResolver adapts one resolved scenario spec to the campaign
 // engine: the single experiment name ScenarioExperiment maps to a
 // runner that executes the spec at the shard's derived seed. This is

@@ -6,7 +6,7 @@ import (
 
 	"memlife/internal/analysis"
 	"memlife/internal/lifetime"
-	"memlife/internal/nn"
+	"memlife/internal/spec"
 )
 
 // Table1Row is one network/dataset row of the paper's Table I.
@@ -25,93 +25,47 @@ type Table1Row struct {
 	CensoredTT, CensoredSTT, CensoredSTAT bool
 }
 
-// Table1Bundle runs the three scenarios of Table I for one bundle with
-// the standard experiment budget: the bundle's base spec, transformed
-// only in its scenario field per run.
-func Table1Bundle(b *Bundle, opt Options) (Table1Row, error) {
-	target, err := specTarget(b, b.Spec)
+// table1Arms are the three scenarios of Table I, in column order.
+var table1Arms = []arm{scenarioArm(lifetime.TT), scenarioArm(lifetime.STT), scenarioArm(lifetime.STAT)}
+
+// Table1Bundle runs the three scenarios of Table I for one bundle from
+// the base spec, changing only its scenario per run. Pass b.Spec for
+// the standard experiment budget, or a copy with an edited Lifetime
+// section for a shorter one.
+func Table1Bundle(b *Bundle, base spec.Spec, opt Options) (Table1Row, error) {
+	res, err := runArms("table1", b, base, table1Arms, opt)
 	if err != nil {
 		return Table1Row{}, err
 	}
-	return Table1BundleWithConfig(b, opt, b.Spec.LifetimeConfig(target))
+	return table1Row(armRun{b, res}), nil
 }
 
-// Table1BundleWithConfig runs the three scenarios of Table I for one
-// bundle under an explicit lifetime budget (used by the benches, which
-// need shorter simulations).
-func Table1BundleWithConfig(b *Bundle, opt Options, cfg lifetime.Config) (Table1Row, error) {
+func table1Row(r armRun) Table1Row {
+	tt, stt, stat := r.res[0], r.res[1], r.res[2]
 	row := Table1Row{
-		Network: b.Name, Dataset: b.DatasetName,
-		AccNormal: b.NormalAcc, AccSkewed: b.SkewedAcc,
-	}
-
-	type scenarioRun struct {
-		sc  lifetime.Scenario
-		net *nn.Network
-	}
-	runs := []scenarioRun{
-		{lifetime.TT, b.Normal},
-		{lifetime.STT, b.Skewed},
-		{lifetime.STAT, b.Skewed},
-	}
-	for _, r := range runs {
-		res, err := lifetime.RunCtx(opt.Context(), r.net, b.TrainDS, r.sc, b.Spec.Device, b.Spec.Aging, b.Spec.TempK, cfg)
-		if err != nil {
-			return row, fmt.Errorf("experiments: table1 %s %s: %w", b.Name, r.sc, err)
-		}
-		if opt.Log != nil {
-			fmt.Fprintf(opt.Log, "table1: %s %s lifetime=%d apps failed=%v cycles=%d\n",
-				b.Name, r.sc, res.Lifetime, res.Failed, len(res.Records))
-		}
-		switch r.sc {
-		case lifetime.TT:
-			row.LifeTT, row.CensoredTT = res.Lifetime, !res.Failed
-		case lifetime.STT:
-			row.LifeSTT, row.CensoredSTT = res.Lifetime, !res.Failed
-		case lifetime.STAT:
-			row.LifeSTAT, row.CensoredSTAT = res.Lifetime, !res.Failed
-		}
+		Network: r.b.Name, Dataset: r.b.DatasetName,
+		AccNormal: r.b.NormalAcc, AccSkewed: r.b.SkewedAcc,
+		LifeTT: tt.Lifetime, LifeSTT: stt.Lifetime, LifeSTAT: stat.Lifetime,
+		CensoredTT: !tt.Failed, CensoredSTT: !stt.Failed, CensoredSTAT: !stat.Failed,
 	}
 	if row.LifeTT > 0 {
 		row.RatioSTT = float64(row.LifeSTT) / float64(row.LifeTT)
 		row.RatioSTAT = float64(row.LifeSTAT) / float64(row.LifeTT)
 	}
-	return row, nil
+	return row
 }
 
-// Table1 reproduces Table I across both test cases.
-func Table1(opt Options) ([]Table1Row, error) {
-	var rows []Table1Row
-	for _, mk := range []func(Options) (*Bundle, error){LeNetBundle, VGGBundle} {
-		b, err := mk(opt)
-		if err != nil {
-			return nil, err
-		}
-		row, err := Table1Bundle(b, opt)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
-func renderTable1(w io.Writer, rows []Table1Row) {
+func renderTable1(w io.Writer, runs []armRun) {
 	var cells [][]string
-	mark := func(v int64, censored bool) string {
-		if censored {
-			return fmt.Sprintf(">=%d", v)
-		}
-		return fmt.Sprintf("%d", v)
-	}
-	for _, r := range rows {
+	for _, run := range runs {
+		r := table1Row(run)
 		cells = append(cells, []string{
 			r.Network, r.Dataset,
 			fmt.Sprintf("%.3f", r.AccNormal),
 			fmt.Sprintf("%.3f", r.AccSkewed),
-			mark(r.LifeTT, r.CensoredTT),
-			mark(r.LifeSTT, r.CensoredSTT),
-			mark(r.LifeSTAT, r.CensoredSTAT),
+			lifeCell(r.LifeTT, r.CensoredTT),
+			lifeCell(r.LifeSTT, r.CensoredSTT),
+			lifeCell(r.LifeSTAT, r.CensoredSTAT),
 			fmt.Sprintf("%.1fx", r.RatioSTT),
 			fmt.Sprintf("%.1fx", r.RatioSTAT),
 		})
@@ -123,18 +77,31 @@ func renderTable1(w io.Writer, rows []Table1Row) {
 	fmt.Fprintln(w, "paper reference: lifetime gains 6x (LeNet ST+T), 7x (VGG ST+T), 8x (LeNet ST+AT), 11x (VGG ST+AT)")
 }
 
+// table1Metrics flattens Table I into per-network metrics.
+func table1Metrics(runs []armRun) map[string]float64 {
+	m := make(map[string]float64)
+	for _, run := range runs {
+		r := table1Row(run)
+		k := metricSlug(r.Network)
+		m[k+"/acc_normal"] = r.AccNormal
+		m[k+"/acc_skewed"] = r.AccSkewed
+		m[k+"/life_tt"] = float64(r.LifeTT)
+		m[k+"/life_stt"] = float64(r.LifeSTT)
+		m[k+"/life_stat"] = float64(r.LifeSTAT)
+		m[k+"/ratio_stt"] = r.RatioSTT
+		m[k+"/ratio_stat"] = r.RatioSTAT
+		m[k+"/censored"] = boolMetric(r.CensoredTT || r.CensoredSTT || r.CensoredSTAT)
+	}
+	return m
+}
+
 func init() {
-	register(Experiment{
-		ID:      "table1",
-		Title:   "Table I: accuracy and lifetime (T+T vs ST+T vs ST+AT)",
-		Metrics: table1Metrics,
-		Run: func(w io.Writer, opt Options) error {
-			rows, err := Table1(opt)
-			if err != nil {
-				return err
-			}
-			renderTable1(w, rows)
-			return nil
-		},
+	registerArms(armExperiment{
+		id:       "table1",
+		title:    "Table I: accuracy and lifetime (T+T vs ST+T vs ST+AT)",
+		fixtures: []string{spec.FixtureLeNet, spec.FixtureVGG},
+		arms:     table1Arms,
+		render:   renderTable1,
+		metrics:  table1Metrics,
 	})
 }

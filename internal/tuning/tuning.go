@@ -308,8 +308,7 @@ func applyPulses(mn *crossbar.MappedNetwork, frac float64, retryBudget int, ar *
 // pulseLayer applies sign pulses to every device of the layer whose
 // gradient magnitude reaches the global threshold, by building the
 // layer's pulse list in the arena and applying it with one batched
-// StepDevices call (one cache patch per moved cell, one telemetry
-// flush). The per-device semantics are unchanged: permanently stuck
+// StepDevices call (one telemetry flush per layer). The per-device semantics are unchanged: permanently stuck
 // devices are skipped — pulsing a dead cell burns endurance-neutral
 // write energy for zero movement, so the controller spends its budget
 // on cells that can still respond — and a pulse that fails transiently
