@@ -372,7 +372,7 @@ func BenchmarkCrossbarMapWeights(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		cb, err := crossbar.New(128, 64, p, aging.DefaultModel(), 300)
+		cb, err := crossbar.New(128, 64, p, aging.DefaultModel(), 300, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -389,7 +389,7 @@ func BenchmarkReadWeightsInto(b *testing.B) {
 	rng := tensor.NewRNG(1)
 	w := tensor.New(128, 64)
 	rng.FillNormal(w, 0, 0.5)
-	cb, err := crossbar.New(128, 64, p, aging.DefaultModel(), 300)
+	cb, err := crossbar.New(128, 64, p, aging.DefaultModel(), 300, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -436,7 +436,7 @@ func BenchmarkTuneIteration(b *testing.B) {
 // pure and draw no RNG) and its weight matrix.
 func newMicroCrossbar(b *testing.B) (*crossbar.Crossbar, *tensor.Tensor) {
 	b.Helper()
-	cb, err := crossbar.New(64, 64, device.Params32(), aging.DefaultModel(), 300)
+	cb, err := crossbar.New(64, 64, device.Params32(), aging.DefaultModel(), 300, 0)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -254,6 +254,45 @@ func TestResumeToleratesTornTail(t *testing.T) {
 	}
 }
 
+// TestResumeTwiceAfterTornTail: a kill that tears the journal must not
+// poison later resumes. Drop the last record and the tail of the one
+// before it, then resume twice: the first resume re-runs the two torn
+// shards, and the second finds a clean journal, re-runs nothing and
+// matches the clean run.
+func TestResumeTwiceAfterTornTail(t *testing.T) {
+	spec := testSpec()
+	ckpt := filepath.Join(t.TempDir(), "run.jsonl")
+	full, err := Run(context.Background(), spec, Config{
+		Workers: 2, Resolve: fakeResolver(nil), CheckpointPath: ckpt,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lastLine := bytes.LastIndexByte(b[:len(b)-1], '\n') + 1
+	if err := os.WriteFile(ckpt, b[:lastLine-10], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for attempt, wantCalls := range []int64{2, 0} {
+		var calls atomic.Int64
+		res, err := Run(context.Background(), spec, Config{
+			Workers: 2, Resolve: fakeResolver(&calls), CheckpointPath: ckpt, Resume: true,
+		})
+		if err != nil {
+			t.Fatalf("resume %d: %v", attempt+1, err)
+		}
+		if calls.Load() != wantCalls {
+			t.Fatalf("resume %d re-ran %d shards, want %d", attempt+1, calls.Load(), wantCalls)
+		}
+		if !bytes.Equal(mustJSON(t, full), mustJSON(t, res)) {
+			t.Fatalf("resume %d result differs from clean run", attempt+1)
+		}
+	}
+}
+
 // TestResumeRejectsForeignCheckpoint: a journal written by a different
 // spec must not silently contaminate a campaign.
 func TestResumeRejectsForeignCheckpoint(t *testing.T) {

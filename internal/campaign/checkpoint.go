@@ -50,44 +50,113 @@ var ErrTornTail = errors.New("torn final journal line")
 //     error identifying the line;
 //   - an fn error aborts the scan immediately and is returned as-is.
 func ScanJournal(path string, fn func(line int, raw []byte) error) error {
+	_, err := scanJournal(path, fn)
+	return err
+}
+
+// scanJournal is ScanJournal that also returns the byte length of the
+// journal's valid prefix: everything up to the end of its last whole
+// line, which excludes a torn tail.
+func scanJournal(path string, fn func(line int, raw []byte) error) (int64, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
-			return nil
+			return 0, nil
 		}
-		return fmt.Errorf("open journal: %w", err)
+		return 0, fmt.Errorf("open journal: %w", err)
 	}
 	defer f.Close()
 
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	var off, valid int64 // bytes consumed; end of the last whole line
+	sc.Split(func(data []byte, atEOF bool) (int, []byte, error) {
+		adv, tok, err := bufio.ScanLines(data, atEOF)
+		off += int64(adv)
+		return adv, tok, err
+	})
 	tornLine := 0 // last malformed line seen; interior if any line follows
 	line := 0
 	for sc.Scan() {
 		line++
 		if tornLine != 0 {
 			// The malformed line was not the last one: corruption.
-			return fmt.Errorf("journal %s line %d: invalid JSON before end of file (corrupt journal)", path, tornLine)
+			return 0, fmt.Errorf("journal %s line %d: invalid JSON before end of file (corrupt journal)", path, tornLine)
 		}
 		raw := sc.Bytes()
-		if len(raw) == 0 {
-			continue
-		}
-		if !json.Valid(raw) {
+		if len(raw) != 0 && !json.Valid(raw) {
 			tornLine = line
 			continue
 		}
+		valid = off
+		if len(raw) == 0 {
+			continue
+		}
 		if err := fn(line, raw); err != nil {
-			return err
+			return 0, err
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return fmt.Errorf("read journal %s: %w", path, err)
+		return 0, fmt.Errorf("read journal %s: %w", path, err)
 	}
 	if tornLine != 0 {
-		return fmt.Errorf("journal %s line %d: %w", path, tornLine, ErrTornTail)
+		return valid, fmt.Errorf("journal %s line %d: %w", path, tornLine, ErrTornTail)
 	}
-	return nil
+	return valid, nil
+}
+
+// OpenJournal opens the journal at path for appending, creating it if
+// needed. A torn tail is cut off first, and a final whole line that
+// lacks its newline gets one, so the next record starts a line of its
+// own; appending after the torn bytes would turn them into interior
+// corruption that the next replay rejects. An interior-corrupt journal
+// is an error. Shared by the checkpoint journal and the serve daemon's
+// job journal.
+func OpenJournal(path string) (*os.File, error) {
+	valid, err := scanJournal(path, func(int, []byte) error { return nil })
+	if err != nil && !errors.Is(err, ErrTornTail) {
+		return nil, err
+	}
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	if err := cutTornTail(f, valid); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("cut torn tail of journal %s: %w", path, err)
+	}
+	return f, nil
+}
+
+// cutTornTail truncates f to its valid prefix of length valid and ends
+// that prefix with a newline, syncing any change.
+func cutTornTail(f *os.File, valid int64) error {
+	st, err := f.Stat()
+	if err != nil {
+		return err
+	}
+	changed := st.Size() != valid
+	if changed {
+		if err := f.Truncate(valid); err != nil {
+			return err
+		}
+	}
+	if valid > 0 {
+		last := []byte{0}
+		if _, err := f.ReadAt(last, valid-1); err != nil {
+			return err
+		}
+		if last[0] != '\n' {
+			if _, err := f.Write([]byte{'\n'}); err != nil {
+				return err
+			}
+			changed = true
+		}
+	}
+	if !changed {
+		return nil
+	}
+	return f.Sync()
 }
 
 // loadCheckpoint reads a journal and returns the completed shards of
@@ -152,7 +221,7 @@ type journal struct {
 }
 
 func openJournal(path string) (*journal, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := OpenJournal(path)
 	if err != nil {
 		return nil, fmt.Errorf("campaign: open checkpoint journal: %w", err)
 	}

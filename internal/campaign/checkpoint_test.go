@@ -31,6 +31,16 @@ func writeRecords(t *testing.T, path string, recs ...checkpointRecord) {
 	}
 }
 
+// recordLine returns rec as one journal line without its newline.
+func recordLine(t *testing.T, rec checkpointRecord) string {
+	t.Helper()
+	line, err := json.Marshal(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(line)
+}
+
 func testRecord(fp string, idx int) checkpointRecord {
 	return checkpointRecord{
 		Fingerprint: fp,
@@ -211,6 +221,61 @@ func TestJournalAppendReopensForAppend(t *testing.T) {
 	}
 	if len(done) != 2 {
 		t.Fatalf("reopened journal must append, got %d shards", len(done))
+	}
+}
+
+// TestOpenJournalCutsTornTail: opening a journal for appending cuts a
+// torn final line and ends a final whole line that lacks its newline
+// with one, so the next record starts a line of its own and the file
+// replays cleanly.
+func TestOpenJournalCutsTornTail(t *testing.T) {
+	whole := recordLine(t, testRecord("fp", 0))
+	for name, body := range map[string]string{
+		"torn tail":  whole + "\n" + `{"fingerprint":"fp","index":1,"metr`,
+		"torn line":  whole + "\n" + `{"fingerprint":"fp","ind` + "\n",
+		"no newline": whole,
+		"only torn":  `{"fingerprint":"fp","ind`,
+	} {
+		t.Run(name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "run.jsonl")
+			if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			j, err := openJournal(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := j.append(testRecord("fp", 2)); err != nil {
+				t.Fatal(err)
+			}
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := ScanJournal(path, func(int, []byte) error { return nil }); err != nil {
+				t.Fatalf("journal after open+append must scan cleanly: %v", err)
+			}
+			done, err := loadCheckpoint(path, "fp")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := done[2]; !ok {
+				t.Fatalf("appended record lost: %v", done)
+			}
+		})
+	}
+}
+
+// TestOpenJournalRejectsInteriorCorruption: a journal with a malformed
+// interior line is not opened for appending.
+func TestOpenJournalRejectsInteriorCorruption(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.jsonl")
+	whole := recordLine(t, testRecord("fp", 0))
+	if err := os.WriteFile(path, []byte("{bad\n"+whole+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if f, err := OpenJournal(path); err == nil {
+		f.Close()
+		t.Fatal("interior corruption must be an error")
 	}
 }
 

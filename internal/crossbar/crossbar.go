@@ -61,8 +61,12 @@ type Crossbar struct {
 	bHi     []float64
 }
 
-// New constructs a fresh crossbar.
-func New(rows, cols int, p device.Params, m aging.Model, tempK float64) (*Crossbar, error) {
+// New constructs a fresh crossbar. Each device's deterministic noise
+// streams derive from noiseBase + its row-major index; MappedNetwork
+// gives each layer's crossbar a distinct base so device-to-device draws
+// decorrelate across layers. For models without variation the draws
+// are never consulted and the base changes nothing.
+func New(rows, cols int, p device.Params, m aging.Model, tempK float64, noiseBase uint64) (*Crossbar, error) {
 	if rows <= 0 || cols <= 0 {
 		return nil, fmt.Errorf("crossbar: dimensions must be positive, got %dx%d", rows, cols)
 	}
@@ -85,20 +89,9 @@ func New(rows, cols int, p device.Params, m aging.Model, tempK float64) (*Crossb
 		bEval:       m.Evaluator(p, tempK),
 	}
 	for i := range cb.devices {
-		cb.devices[i] = device.New(cb.grid, uint64(i))
+		cb.devices[i] = device.New(cb.grid, noiseBase+uint64(i))
 	}
 	return cb, nil
-}
-
-// SeedDeviceNoise re-derives every device's deterministic noise streams
-// from base + its row-major index. MappedNetwork seeds each layer's
-// crossbar with a distinct base so device-to-device draws decorrelate
-// across layers; for models without variation the draws are never
-// consulted and reseeding is behavior-free.
-func (c *Crossbar) SeedDeviceNoise(base uint64) {
-	for i, d := range c.devices {
-		d.SeedNoise(base + uint64(i))
-	}
 }
 
 // Params returns the device technology parameters.

@@ -13,7 +13,7 @@ import (
 
 func newTestCrossbar(t *testing.T, rows, cols int) *Crossbar {
 	t.Helper()
-	cb, err := New(rows, cols, device.Params32(), aging.DefaultModel(), 300)
+	cb, err := New(rows, cols, device.Params32(), aging.DefaultModel(), 300, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,16 +23,16 @@ func newTestCrossbar(t *testing.T, rows, cols int) *Crossbar {
 func TestNewValidation(t *testing.T) {
 	p := device.Params32()
 	m := aging.DefaultModel()
-	if _, err := New(0, 4, p, m, 300); err == nil {
+	if _, err := New(0, 4, p, m, 300, 0); err == nil {
 		t.Fatal("zero rows must be rejected")
 	}
-	if _, err := New(4, 4, device.Params{}, m, 300); err == nil {
+	if _, err := New(4, 4, device.Params{}, m, 300, 0); err == nil {
 		t.Fatal("invalid device params must be rejected")
 	}
-	if _, err := New(4, 4, p, aging.Model{}, 300); err == nil {
+	if _, err := New(4, 4, p, aging.Model{}, 300, 0); err == nil {
 		t.Fatal("invalid aging model must be rejected")
 	}
-	if _, err := New(4, 4, p, m, -1); err == nil {
+	if _, err := New(4, 4, p, m, -1, 0); err == nil {
 		t.Fatal("negative temperature must be rejected")
 	}
 }

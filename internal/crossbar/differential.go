@@ -32,11 +32,11 @@ type DifferentialCrossbar struct {
 // NewDifferential builds a differential array of rows x cols weight
 // cells (2*rows*cols devices).
 func NewDifferential(rows, cols int, p device.Params, m aging.Model, tempK float64) (*DifferentialCrossbar, error) {
-	pos, err := New(rows, cols, p, m, tempK)
+	pos, err := New(rows, cols, p, m, tempK, 0)
 	if err != nil {
 		return nil, err
 	}
-	neg, err := New(rows, cols, p, m, tempK)
+	neg, err := New(rows, cols, p, m, tempK, 0)
 	if err != nil {
 		return nil, err
 	}

@@ -16,7 +16,7 @@ import (
 // same fault draws.
 func newFaultedCrossbar(t testing.TB, rows, cols int, seed int64) *Crossbar {
 	t.Helper()
-	cb, err := New(rows, cols, device.Params32(), aging.DefaultModel(), 300)
+	cb, err := New(rows, cols, device.Params32(), aging.DefaultModel(), 300, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,7 @@ import (
 
 func newFaultArray(t *testing.T, rows, cols int, cfg fault.Config) *Crossbar {
 	t.Helper()
-	cb, err := New(rows, cols, device.Params32(), aging.DefaultModel(), 300)
+	cb, err := New(rows, cols, device.Params32(), aging.DefaultModel(), 300, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +27,7 @@ func newFaultArray(t *testing.T, rows, cols int, cfg fault.Config) *Crossbar {
 }
 
 func TestSetFaultInjectorSizeMismatch(t *testing.T) {
-	cb, err := New(4, 4, device.Params32(), aging.DefaultModel(), 300)
+	cb, err := New(4, 4, device.Params32(), aging.DefaultModel(), 300, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

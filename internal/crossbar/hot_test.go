@@ -113,7 +113,7 @@ func TestMapWeightsMatchesDirectOracle(t *testing.T) {
 				tempK = tc.tempK
 			}
 			build := func() *Crossbar {
-				cb, err := New(rows, cols, device.Params32(), aging.DefaultModel(), tempK)
+				cb, err := New(rows, cols, device.Params32(), aging.DefaultModel(), tempK, 0)
 				if err != nil {
 					t.Fatal(err)
 				}

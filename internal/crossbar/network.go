@@ -51,13 +51,12 @@ func NewMappedNetwork(net *nn.Network, p device.Params, m aging.Model, tempK flo
 	trained := net.WeightLayers()
 	for i, wl := range mn.Net.WeightLayers() {
 		rows, cols := wl.Param.W.Dim(0), wl.Param.W.Dim(1)
-		cb, err := New(rows, cols, p, m, tempK)
+		// Decorrelate the per-device noise draws across layers (a pure
+		// no-op for models without variation).
+		cb, err := New(rows, cols, p, m, tempK, uint64(len(mn.Layers)+1)<<32)
 		if err != nil {
 			return nil, fmt.Errorf("crossbar: layer %s: %w", wl.Param.Name, err)
 		}
-		// Decorrelate the per-device noise draws across layers (a pure
-		// no-op for models without variation).
-		cb.SeedDeviceNoise(uint64(len(mn.Layers)+1) << 32)
 		mn.Layers = append(mn.Layers, &MappedLayer{
 			Name:     wl.Param.Name,
 			Kind:     wl.Kind,

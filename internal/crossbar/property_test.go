@@ -11,7 +11,7 @@ import (
 
 // Property: quantizing twice with the same range is idempotent.
 func TestQuantizeWeightsIdempotent(t *testing.T) {
-	cb, err := New(8, 8, device.Params32(), aging.DefaultModel(), 300)
+	cb, err := New(8, 8, device.Params32(), aging.DefaultModel(), 300, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func TestQuantizeWeightsIdempotent(t *testing.T) {
 // Property: tuning pulses move the effective weight monotonically in
 // the commanded direction until pinned.
 func TestStepDeviceMonotone(t *testing.T) {
-	cb, err := New(3, 1, device.Params32(), aging.DefaultModel(), 300)
+	cb, err := New(3, 1, device.Params32(), aging.DefaultModel(), 300, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestStepDeviceMonotone(t *testing.T) {
 // Failure injection: a crossbar whose devices are all worn out must
 // still map (pinned) and read back finite effective weights.
 func TestMapOnDeadArray(t *testing.T) {
-	cb, err := New(4, 4, device.Params32(), aging.DefaultModel(), 300)
+	cb, err := New(4, 4, device.Params32(), aging.DefaultModel(), 300, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestMapOnDeadArray(t *testing.T) {
 
 // Property: trace stride 1 traces every device.
 func TestTraceStrideOne(t *testing.T) {
-	cb, err := New(5, 7, device.Params32(), aging.DefaultModel(), 300)
+	cb, err := New(5, 7, device.Params32(), aging.DefaultModel(), 300, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestTraceStrideOne(t *testing.T) {
 }
 
 func TestSetTraceStrideInvalidPanics(t *testing.T) {
-	cb, err := New(2, 2, device.Params32(), aging.DefaultModel(), 300)
+	cb, err := New(2, 2, device.Params32(), aging.DefaultModel(), 300, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestSetTraceStrideInvalidPanics(t *testing.T) {
 }
 
 func TestRandomizeAgingSpreadsFactors(t *testing.T) {
-	cb, err := New(10, 10, device.Params32(), aging.DefaultModel(), 300)
+	cb, err := New(10, 10, device.Params32(), aging.DefaultModel(), 300, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

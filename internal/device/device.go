@@ -190,7 +190,7 @@ type Device struct {
 	// m is g's pulse-response model (see Model).
 	m Model
 	// noiseSeed keys the device's deterministic pulse-noise streams
-	// (see SeedNoise); d2d is its fixed device-to-device draw and noisy
+	// (see seedNoise); d2d is its fixed device-to-device draw and noisy
 	// caches whether the model consults per-pulse draws at all, so the
 	// default (variation-free) pulse path never derives noise.
 	noiseSeed uint64
@@ -214,12 +214,12 @@ type Device struct {
 
 // New returns a fresh device of the technology g was built for,
 // initialized to its highest resistance (lowest conductance) state,
-// with its noise streams derived from seed (see SeedNoise). g carries
+// with its noise streams derived from seed (see seedNoise). g carries
 // the resolved level table and pulse-response model, so a crossbar
 // resolves its technology once and passes it to all its devices.
 func New(g *Grid, seed uint64) *Device {
 	d := &Device{p: g.p, g: g, m: g.model, r: g.p.RmaxFresh, agingFactor: 1}
-	d.SeedNoise(seed)
+	d.seedNoise(seed)
 	return d
 }
 

@@ -39,14 +39,14 @@ func normalFromSeed(h uint64) float64 {
 	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
 }
 
-// SeedNoise (re)derives the device's noise streams from seed: the
+// seedNoise (re)derives the device's noise streams from seed: the
 // per-pulse cycle-to-cycle stream key and, when the model has
 // device-to-device variation, the device's fixed standard-normal draw.
 // Crossbars seed every device from its (layer, index) position at
 // construction, so the network-wide noise field is a pure function of
 // the architecture. For models without variation this only stores the
 // seed (draws are never consulted).
-func (d *Device) SeedNoise(seed uint64) {
+func (d *Device) seedNoise(seed uint64) {
 	d.noiseSeed = splitmix64(seed)
 	d.noisy = d.p.Model.C2C > 0
 	d.d2d = 0

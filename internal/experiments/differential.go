@@ -44,7 +44,7 @@ func Differential(opt Options) ([]DifferentialRow, error) {
 		for _, wl := range variant.net.WeightLayers()[:1] { // fc-scale stats from the first conv layer
 			w := wl.Param.W
 
-			single, err := crossbar.New(w.Dim(0), w.Dim(1), p, m, TempK)
+			single, err := crossbar.New(w.Dim(0), w.Dim(1), p, m, TempK, 0)
 			if err != nil {
 				return nil, err
 			}

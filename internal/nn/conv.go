@@ -22,7 +22,7 @@ type Conv2D struct {
 	// the backward pass.
 	cols []*tensor.Tensor
 
-	workers int // forward-pass parallelism (see Network.SetForwardWorkers)
+	workers int // eval-forward parallelism (see Network.SetForwardWorkers)
 }
 
 // NewConv2D constructs a convolution layer with He-initialized kernels.
@@ -63,7 +63,9 @@ func (l *Conv2D) OutputSize(in int) int {
 // Forward implements Layer. Each output row holds the channel-major
 // (OutC, OutH, OutW) volume of one sample. Only a training forward
 // keeps state for Backward; an eval forward writes nothing to the
-// layer, so eval forwards may run concurrently.
+// layer, so eval forwards may run concurrently. A training forward
+// runs over the whole kernel token pool, an eval forward over
+// l.workers.
 func (l *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	b := x.Dim(0)
 	if x.Dim(1) != l.InputSize() {
@@ -74,18 +76,20 @@ func (l *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	patch := l.Geom.InC * l.Geom.KH * l.Geom.KW
 
 	out := tensor.New(b, l.OutC*positions)
+	workers := l.workers
 	if train {
 		if cap(l.cols) < b {
 			l.cols = make([]*tensor.Tensor, b)
 		}
 		l.cols = l.cols[:b]
+		workers = trainWorkers()
 	}
 
 	// Samples are independent, so chunking them over workers leaves the
 	// output bit-identical for every worker count. Each chunk owns a
 	// private position-major scratch buffer; an eval forward also reuses
 	// one im2col scratch per chunk instead of keeping a matrix per sample.
-	tensor.ParallelRows(b, l.workers, func(s0, s1 int) {
+	tensor.ParallelRows(b, workers, func(s0, s1 int) {
 		pos := tensor.New(positions, l.OutC)
 		var cols *tensor.Tensor
 		for s := s0; s < s1; s++ {
@@ -113,40 +117,59 @@ func (l *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return out
 }
 
-// Backward implements Layer.
+// Backward implements Layer. It runs over the kernel token pool in
+// two passes: the samples in parallel, each writing its own dx row,
+// then the output channels in parallel, each adding its per-sample
+// weight and bias sums into the gradients in sample order. Every sum
+// runs in the order of a serial pass and starts at +0, and a product
+// with an exact-zero gradient entry adds ±0 to it, so the kernels may
+// skip those entries without changing a bit (for finite operands).
 func (l *Conv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	b := dout.Dim(0)
 	outH, outW := l.Geom.OutH(), l.Geom.OutW()
 	positions := outH * outW
 	patch := l.Geom.InC * l.Geom.KH * l.Geom.KW
+	workers := trainWorkers()
 
 	dx := tensor.New(b, l.InputSize())
-	dpos := tensor.New(positions, l.OutC)
-	dW := tensor.New(patch, l.OutC)
-	dcols := tensor.New(positions, patch)
-	dimg := tensor.New(l.Geom.InC, l.Geom.InH, l.Geom.InW)
-
-	for s := 0; s < b; s++ {
-		// Channel-major gradient row -> position-major matrix,
-		// accumulating the bias gradient on the way.
-		row := dout.RowSlice(s).Data()
-		dp := dpos.Data()
-		for c := 0; c < l.OutC; c++ {
-			gsum := 0.0
-			for p := 0; p < positions; p++ {
-				v := row[c*positions+p]
-				dp[p*l.OutC+c] = v
-				gsum += v
+	wT := l.Weight.W.Transpose()
+	tensor.ParallelRows(b, workers, func(s0, s1 int) {
+		dpos := tensor.New(positions, l.OutC)
+		dcols := tensor.New(positions, patch)
+		for s := s0; s < s1; s++ {
+			// Channel-major gradient row -> position-major matrix.
+			row := dout.RowSlice(s).Data()
+			dp := dpos.Data()
+			for c := 0; c < l.OutC; c++ {
+				for p := 0; p < positions; p++ {
+					dp[p*l.OutC+c] = row[c*positions+p]
+				}
 			}
-			l.Bias.Grad.Data()[c] += gsum
+			// dcols = dpos @ Wᵀ, scattered back to the input image.
+			tensor.MatMulInto(dcols, dpos, wT)
+			tensor.Col2Im(dx.RowSlice(s), dcols, l.Geom)
 		}
-		// dW += colsᵀ @ dpos
-		tensor.MatMulATInto(dW, l.cols[s], dpos)
-		l.Weight.Grad.Axpy(1, dW)
-		// dcols = dpos @ Wᵀ, scattered back to the input image.
-		tensor.MatMulBTInto(dcols, dpos, l.Weight.W)
-		tensor.Col2Im(dimg, dcols, l.Geom)
-		copy(dx.RowSlice(s).Data(), dimg.Data())
-	}
+	})
+
+	// Row s of dout, read as [OutC, positions], is dposᵀ, so channels
+	// c0..c1 need no transpose: dWᵀ[c0:c1, :] = dposᵀ[c0:c1, :] @ cols_s.
+	gw, gb := l.Weight.Grad.Data(), l.Bias.Grad.Data()
+	tensor.ParallelRows(l.OutC, workers, func(c0, c1 int) {
+		dWT := tensor.New(c1-c0, patch)
+		for s := 0; s < b; s++ {
+			d := dout.RowSlice(s).Data()[c0*positions : c1*positions]
+			tensor.MatMulInto(dWT, tensor.FromSlice(d, c1-c0, positions), l.cols[s])
+			for c := c0; c < c1; c++ {
+				gsum := 0.0
+				for _, v := range d[(c-c0)*positions : (c-c0+1)*positions] {
+					gsum += v
+				}
+				gb[c] += gsum
+				for i, v := range dWT.RowSlice(c - c0).Data() {
+					gw[i*l.OutC+c] += v
+				}
+			}
+		}
+	})
 	return dx
 }

@@ -17,7 +17,7 @@ type Dense struct {
 	Bias    *Param
 
 	x       *tensor.Tensor // forward input cached by a training forward
-	workers int            // forward-pass parallelism (see Network.SetForwardWorkers)
+	workers int            // eval-forward parallelism (see Network.SetForwardWorkers)
 }
 
 // NewDense constructs a dense layer with He-initialized weights.
@@ -49,21 +49,26 @@ func (l *Dense) OutputSize(in int) int {
 }
 
 // Forward implements Layer; only a training forward keeps x for
-// Backward.
+// Backward. A training forward runs over the whole kernel token pool,
+// an eval forward over l.workers.
 func (l *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if x.Dim(1) != l.In {
 		panic(fmt.Sprintf("nn: dense %q forward input width %d, want %d", l.name, x.Dim(1), l.In))
 	}
+	workers := l.workers
 	if train {
 		l.x = x
+		workers = trainWorkers()
 	}
 	out := tensor.New(x.Dim(0), l.Out)
-	tensor.MatMulWorkersInto(out, x, l.Weight.W, l.workers)
+	tensor.MatMulWorkersInto(out, x, l.Weight.W, workers)
 	out.AddRowVector(l.Bias.W)
 	return out
 }
 
-// Backward implements Layer.
+// Backward implements Layer. dx skips exact-zero gradient entries,
+// which leaves every bit as a dense dot product would (see
+// Conv2D.Backward).
 func (l *Dense) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	// dW += xᵀ @ dout, db += column sums of dout, dx = dout @ Wᵀ.
 	dW := tensor.New(l.In, l.Out)
@@ -72,6 +77,6 @@ func (l *Dense) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	l.Bias.Grad.Axpy(1, dout.SumRows())
 
 	dx := tensor.New(dout.Dim(0), l.In)
-	tensor.MatMulBTInto(dx, dout, l.Weight.W)
+	tensor.MatMulWorkersInto(dx, dout, l.Weight.W.Transpose(), trainWorkers())
 	return dx
 }

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"runtime"
 
 	"memlife/internal/tensor"
 )
@@ -65,12 +66,13 @@ func (n *Network) ZeroGrads() {
 	}
 }
 
-// SetForwardWorkers sets the per-layer forward-pass parallelism: each
-// dense matmul and conv sample loop is split over up to n goroutines
-// (bounded globally by GOMAXPROCS via tensor's kernel token pool).
-// Results are bit-identical for every n, so evaluation can opt in
-// without perturbing deterministic campaigns. n <= 1 restores serial
-// execution.
+// SetForwardWorkers sets the per-layer eval-forward parallelism: each
+// dense matmul and conv sample loop of an eval forward is split over up
+// to n goroutines (bounded globally by GOMAXPROCS via tensor's kernel
+// token pool). Results are bit-identical for every n, so evaluation can
+// opt in without perturbing deterministic campaigns. n <= 1 restores
+// serial evaluation. Training forwards and backwards always use the
+// whole pool (see trainWorkers).
 func (n *Network) SetForwardWorkers(workers int) {
 	for _, l := range n.Layers {
 		switch t := l.(type) {
@@ -81,6 +83,12 @@ func (n *Network) SetForwardWorkers(workers int) {
 		}
 	}
 }
+
+// trainWorkers is the parallelism of every training pass: the whole
+// kernel token pool, which tensor.ParallelRows caps at GOMAXPROCS.
+// Training kernels are per-sample or per-row, so their results are
+// bit-identical for every worker count.
+func trainWorkers() int { return runtime.GOMAXPROCS(0) }
 
 // Clone returns a deep copy of the network: every parameter gets a
 // copy of its weights and a zeroed gradient, each layer keeps its

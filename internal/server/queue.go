@@ -79,9 +79,10 @@ type queue struct {
 }
 
 // openQueue replays the journal at path and opens it for appending.
-// A torn final line (killed mid-append) is discarded: the submit it
-// recorded was never ACKed, the terminal transition it recorded will
-// simply re-run its job.
+// A torn final line (killed mid-append) is discarded, and cut from the
+// file before the first append: the submit it recorded was never
+// ACKed, the terminal transition it recorded will simply re-run its
+// job.
 func openQueue(path string, capacity int) (*queue, error) {
 	q := &queue{
 		jobs:   make(map[string]*Job),
@@ -98,7 +99,7 @@ func openQueue(path string, capacity int) (*queue, error) {
 	if err != nil && !errors.Is(err, campaign.ErrTornTail) {
 		return nil, err
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := campaign.OpenJournal(path)
 	if err != nil {
 		return nil, fmt.Errorf("server: open job journal: %w", err)
 	}

@@ -170,6 +170,45 @@ func TestQueueTornTailTolerated(t *testing.T) {
 	}
 }
 
+// TestQueueReopenTwiceAfterTornTail: the first reboot after a torn
+// tail cuts it before appending, so a record written then does not
+// land on the torn bytes and the second reboot replays cleanly.
+func TestQueueReopenTwiceAfterTornTail(t *testing.T) {
+	path := testQueuePath(t)
+	q, err := openQueue(path, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustSubmit(t, q, "aaaa1111")
+	q.Close()
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"op":"done","id":"aaaa`); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	q2, err := openQueue(path, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustSubmit(t, q2, "bbbb2222")
+	q2.Close()
+
+	q3, err := openQueue(path, 8)
+	if err != nil {
+		t.Fatalf("second reopen after a torn tail: %v", err)
+	}
+	defer q3.Close()
+	for _, id := range []string{"aaaa1111", "bbbb2222"} {
+		if j, ok := q3.Get(id); !ok || j.State != JobQueued {
+			t.Fatalf("job %s after two reopens = %+v, want queued", id, j)
+		}
+	}
+}
+
 // TestQueueInteriorCorruptionFatal: a malformed line *before* the end
 // cannot come from a crash — refuse to serve from it.
 func TestQueueInteriorCorruptionFatal(t *testing.T) {

@@ -133,28 +133,3 @@ func MatMulATInto(dst, a, b *Tensor) {
 		}
 	}
 }
-
-// MatMulBTInto computes dst = a @ bᵀ where a is [m,k] and b is [n,k],
-// producing dst [m,n].
-func MatMulBTInto(dst, a, b *Tensor) {
-	m, k := a.shape[0], a.shape[1]
-	n, k2 := b.shape[0], b.shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMulBTInto inner dimensions differ: %v @ %vᵀ", a.shape, b.shape))
-	}
-	if dst.shape[0] != m || dst.shape[1] != n {
-		panic(fmt.Sprintf("tensor: MatMulBTInto dst shape %v, want [%d %d]", dst.shape, m, n))
-	}
-	for i := 0; i < m; i++ {
-		arow := a.data[i*k : (i+1)*k]
-		drow := dst.data[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
-			brow := b.data[j*k : (j+1)*k]
-			s := 0.0
-			for p, av := range arow {
-				s += av * brow[p]
-			}
-			drow[j] = s
-		}
-	}
-}

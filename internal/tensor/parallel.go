@@ -8,15 +8,15 @@ import (
 
 // Deterministic intra-kernel parallelism.
 //
-// The evaluation hot loops (crossbar batch reads, dense/conv forward
-// passes) are embarrassingly parallel over output rows: every row of
-// dst = a @ b is produced by one independent dot-product sweep, with no
-// cross-row reduction. Partitioning rows across goroutines therefore
-// changes scheduling only, never arithmetic order — the output bytes
-// are identical for every worker count, which is what lets campaign
-// shards opt into parallel evaluation without breaking the engine's
-// byte-identical-results guarantee (parallelism stays inside a shard;
-// all reductions run in fixed order on the caller's goroutine).
+// The network hot loops (dense/conv forward passes, the per-sample conv
+// backward) are embarrassingly parallel over output rows or samples:
+// every row of dst = a @ b is produced by one independent dot-product
+// sweep, with no cross-row reduction. Partitioning rows across
+// goroutines therefore changes scheduling only, never arithmetic order
+// — the output bytes are identical for every worker count, which is
+// what lets campaign shards run parallel kernels without breaking the
+// engine's byte-identical-results guarantee (parallelism stays inside a
+// shard; all reductions run in fixed order on the caller's goroutine).
 //
 // A process-wide token pool bounds the total number of extra kernel
 // goroutines to GOMAXPROCS, so nested parallelism (campaign workers x
