@@ -93,20 +93,19 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 
 // cliConfig is the parsed flag set of one invocation.
 type cliConfig struct {
-	list        bool
-	runIDs      string
-	all         bool
-	fast        bool
-	seed        int64
-	verb        bool
-	outDir      string
-	seeds       int
-	workers     int
-	evalWorkers int
-	jsonOut     string
-	checkpoint  string
-	resume      bool
-	stream      bool
+	list       bool
+	runIDs     string
+	all        bool
+	fast       bool
+	seed       int64
+	verb       bool
+	outDir     string
+	seeds      int
+	workers    int
+	jsonOut    string
+	checkpoint string
+	resume     bool
+	stream     bool
 
 	scenario     string
 	deviceModel  string
@@ -156,7 +155,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs.StringVar(&c.outDir, "out", "", "also write each experiment's output to <dir>/<id>.txt")
 	fs.IntVar(&c.seeds, "seeds", 1, "campaign: seeds per experiment (>1 selects campaign mode)")
 	fs.IntVar(&c.workers, "workers", 0, "bound on parallel workers (0 = GOMAXPROCS)")
-	fs.IntVar(&c.evalWorkers, "eval-workers", 0, "forward-pass parallelism inside each evaluation (bit-identical results; 0 = serial)")
 	fs.StringVar(&c.jsonOut, "json", "", "campaign: write aggregated results as canonical JSON to this file")
 	fs.StringVar(&c.checkpoint, "checkpoint", "", "campaign: shard journal path (default <json>.ckpt.jsonl)")
 	fs.BoolVar(&c.resume, "resume", false, "campaign: skip shards already journaled in the checkpoint")
@@ -181,8 +179,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			c.overrides.Fast = &c.fast
 		case "seed":
 			c.overrides.Seed = &c.seed
-		case "eval-workers":
-			c.overrides.Workers = &c.evalWorkers
 		case "device-model":
 			c.overrides.DeviceModel = &c.deviceModel
 		case "tuning-policy":
@@ -374,7 +370,7 @@ func outFile(c cliConfig, id string, stderr io.Writer) (*os.File, int) {
 // runSequential is the single-worker text path: experiments run one at
 // a time, streaming output as they go.
 func runSequential(ctx context.Context, c cliConfig, ids []string, stdout, stderr io.Writer) int {
-	opt := experiments.Options{Fast: c.fast, Seed: c.seed, Ctx: ctx, Workers: c.evalWorkers}
+	opt := experiments.Options{Fast: c.fast, Seed: c.seed, Ctx: ctx}
 	if c.verb {
 		opt.Log = stderr
 	}
@@ -438,7 +434,7 @@ func runParallel(ctx context.Context, c cliConfig, ids []string, workers int, st
 				j.err = runCtx.Err()
 				return
 			}
-			opt := experiments.Options{Fast: c.fast, Seed: c.seed, Ctx: runCtx, Workers: c.evalWorkers}
+			opt := experiments.Options{Fast: c.fast, Seed: c.seed, Ctx: runCtx}
 			var view io.WriteCloser
 			if c.verb {
 				view = logMux.Shard(j.e.ID)

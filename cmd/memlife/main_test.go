@@ -268,6 +268,7 @@ func TestScenarioCLIErrors(t *testing.T) {
 		{"scenario with run", []string{"-scenario", bad, "-run", "table1"}, 2, "exclude"},
 		{"scenario with campaign", []string{"-scenario", bad, "-seeds", "3"}, 2, "exclude"},
 		{"bench is not a flag", []string{"-dump-spec", "-bench"}, 2, "flag provided but not defined: -bench"},
+		{"eval-workers is not a flag", []string{"-dump-spec", "-eval-workers", "2"}, 2, "flag provided but not defined: -eval-workers"},
 		{"unknown field", []string{"-scenario", bad}, 1, "scenaro"},
 		{"missing file", []string{"-scenario", filepath.Join(dir, "absent.json")}, 1, ""},
 	}

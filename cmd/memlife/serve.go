@@ -24,7 +24,6 @@ func runServe(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 		dir          = fs.String("store", "memlife-store", "store directory (job journal, results, checkpoints, lock)")
 		jobWorkers   = fs.Int("job-workers", 1, "concurrently running jobs")
 		shardWorkers = fs.Int("shard-workers", 0, "campaign workers inside each job (0 = GOMAXPROCS)")
-		evalWorkers  = fs.Int("eval-workers", 0, "forward-pass parallelism inside each evaluation (bit-identical; 0 = serial)")
 		queueCap     = fs.Int("queue-cap", 64, "max queued+running jobs before submissions get 429")
 		retries      = fs.Int("retries", 3, "execution attempts per job before it is marked failed")
 		drainGrace   = fs.Duration("drain-grace", 5*time.Second, "how long a drain waits for in-flight jobs before checkpointing them")
@@ -51,7 +50,6 @@ func runServe(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 		Addr:         *addr,
 		JobWorkers:   *jobWorkers,
 		ShardWorkers: *shardWorkers,
-		EvalWorkers:  *evalWorkers,
 		QueueCap:     *queueCap,
 		Retry:        retry.Policy{MaxAttempts: *retries, BaseDelay: 500 * time.Millisecond, MaxDelay: 30 * time.Second, Jitter: 0.5, Seed: 1},
 		DrainGrace:   *drainGrace,

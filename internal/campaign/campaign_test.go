@@ -293,6 +293,41 @@ func TestResumeTwiceAfterTornTail(t *testing.T) {
 	}
 }
 
+// TestFreshCampaignStartsFreshJournal: a campaign run without Resume
+// replaces the checkpoint journal instead of appending to an older
+// campaign's records, so resuming it later finds only its own. The
+// sequence is the CLI's "-seeds 2", then "-seeds 3" and "-seeds 3
+// -resume" on the same -json path.
+func TestFreshCampaignStartsFreshJournal(t *testing.T) {
+	ckpt := filepath.Join(t.TempDir(), "out.json.ckpt.jsonl")
+	two, three := testSpec(), testSpec()
+	two.Seeds, three.Seeds = 2, 3
+	if _, err := Run(context.Background(), two, Config{
+		Workers: 2, Resolve: fakeResolver(nil), CheckpointPath: ckpt,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := Run(context.Background(), three, Config{
+		Workers: 2, Resolve: fakeResolver(nil), CheckpointPath: ckpt,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var calls atomic.Int64
+	resumed, err := Run(context.Background(), three, Config{
+		Workers: 2, Resolve: fakeResolver(&calls), CheckpointPath: ckpt, Resume: true,
+	})
+	if err != nil {
+		t.Fatalf("resume after a fresh run: %v", err)
+	}
+	if calls.Load() != 0 || resumed.Resumed != len(three.Shards()) {
+		t.Fatalf("resume re-ran %d shards and restored %d, want 0 and %d", calls.Load(), resumed.Resumed, len(three.Shards()))
+	}
+	if !bytes.Equal(mustJSON(t, fresh), mustJSON(t, resumed)) {
+		t.Fatal("resumed result differs from the fresh run")
+	}
+}
+
 // TestResumeRejectsForeignCheckpoint: a journal written by a different
 // spec must not silently contaminate a campaign.
 func TestResumeRejectsForeignCheckpoint(t *testing.T) {

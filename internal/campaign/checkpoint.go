@@ -105,15 +105,19 @@ func scanJournal(path string, fn func(line int, raw []byte) error) (int64, error
 	return valid, nil
 }
 
-// OpenJournal opens the journal at path for appending, creating it if
-// needed. A torn tail is cut off first, and a final whole line that
-// lacks its newline gets one, so the next record starts a line of its
-// own; appending after the torn bytes would turn them into interior
+// OpenJournal replays the journal at path through fn (nil replays
+// nothing) and opens it for appending, creating it if needed: one scan
+// serves both. A torn tail is cut off first, and a final whole line
+// that lacks its newline gets one, so the next record starts a line of
+// its own; appending after the torn bytes would turn them into interior
 // corruption that the next replay rejects. An interior-corrupt journal
-// is an error. Shared by the checkpoint journal and the serve daemon's
-// job journal.
-func OpenJournal(path string) (*os.File, error) {
-	valid, err := scanJournal(path, func(int, []byte) error { return nil })
+// or an fn error is an error. Shared by the checkpoint journal and the
+// serve daemon's job journal.
+func OpenJournal(path string, fn func(line int, raw []byte) error) (*os.File, error) {
+	if fn == nil {
+		fn = func(int, []byte) error { return nil }
+	}
+	valid, err := scanJournal(path, fn)
 	if err != nil && !errors.Is(err, ErrTornTail) {
 		return nil, err
 	}
@@ -159,15 +163,12 @@ func cutTornTail(f *os.File, valid int64) error {
 	return f.Sync()
 }
 
-// loadCheckpoint reads a journal and returns the completed shards of
-// the campaign identified by fingerprint, keyed by shard index. A
-// missing file is an empty journal. Records from other campaigns are
-// an error (the journal belongs to a different spec); a malformed
-// final line is tolerated (a killed run may have died mid-append), a
-// malformed interior line is corruption and an error.
-func loadCheckpoint(path, fingerprint string) (map[int]ShardResult, error) {
-	done := make(map[int]ShardResult)
-	err := ScanJournal(path, func(line int, raw []byte) error {
+// checkpointReplay returns the journal callback that loads the
+// completed shards of the campaign identified by fingerprint into
+// done, keyed by shard index. Records from other campaigns are an
+// error (the journal belongs to a different spec).
+func checkpointReplay(path, fingerprint string, done map[int]ShardResult) func(line int, raw []byte) error {
+	return func(line int, raw []byte) error {
 		var rec checkpointRecord
 		if err := json.Unmarshal(raw, &rec); err != nil {
 			return fmt.Errorf("campaign: checkpoint %s line %d: %w", path, line, err)
@@ -186,16 +187,7 @@ func loadCheckpoint(path, fingerprint string) (map[int]ShardResult, error) {
 			Metrics: rec.Metrics,
 		}
 		return nil
-	})
-	if err != nil {
-		// A trailing malformed line is a torn final append from a killed
-		// run: that shard simply re-runs.
-		if errors.Is(err, ErrTornTail) {
-			return done, nil
-		}
-		return nil, err
 	}
-	return done, nil
 }
 
 // journalRetry is the transient-I/O budget of every checkpoint append:
@@ -220,10 +212,22 @@ type journal struct {
 	fsyncNs *telemetry.Histogram
 }
 
-func openJournal(path string) (*journal, error) {
-	f, err := OpenJournal(path)
+// openCheckpoint opens the checkpoint journal at path for appending.
+// A resumed campaign loads its completed shards into done in the same
+// scan (a torn final line is a killed run's last append, and that
+// shard simply re-runs). A fresh campaign starts a fresh journal, just
+// as -json overwrites its output: appending to an older campaign's
+// records would make the next resume reject the file.
+func openCheckpoint(path, fingerprint string, resume bool, done map[int]ShardResult) (*journal, error) {
+	var replay func(int, []byte) error
+	if resume {
+		replay = checkpointReplay(path, fingerprint, done)
+	} else if err := os.Remove(path); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return nil, fmt.Errorf("campaign: start checkpoint journal: %w", err)
+	}
+	f, err := OpenJournal(path, replay)
 	if err != nil {
-		return nil, fmt.Errorf("campaign: open checkpoint journal: %w", err)
+		return nil, err
 	}
 	return &journal{f: f}, nil
 }

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,9 +12,26 @@ import (
 
 // Direct unit tests for the checkpoint journal, complementing the
 // engine-level resume tests in campaign_test.go: these pin the exact
-// tolerance rules of loadCheckpoint (missing file, blank lines, torn
-// tail vs interior corruption, foreign fingerprints) and the append
-// discipline of the journal writer.
+// tolerance rules of a checkpoint replay (missing file, blank lines,
+// torn tail vs interior corruption, foreign fingerprints) and the
+// append discipline of the journal writer.
+
+// loadCheckpoint reads the completed shards of campaign fingerprint
+// from the journal at path the way a resume does, without opening it
+// for appending.
+func loadCheckpoint(path, fingerprint string) (map[int]ShardResult, error) {
+	done := map[int]ShardResult{}
+	if err := ScanJournal(path, checkpointReplay(path, fingerprint, done)); err != nil && !errors.Is(err, ErrTornTail) {
+		return nil, err
+	}
+	return done, nil
+}
+
+// openJournal opens the journal at path for appending as a resumed
+// campaign with fingerprint "fp" does.
+func openJournal(path string) (*journal, error) {
+	return openCheckpoint(path, "fp", true, map[int]ShardResult{})
+}
 
 func writeRecords(t *testing.T, path string, recs ...checkpointRecord) {
 	t.Helper()
@@ -273,7 +291,7 @@ func TestOpenJournalRejectsInteriorCorruption(t *testing.T) {
 	if err := os.WriteFile(path, []byte("{bad\n"+whole+"\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if f, err := OpenJournal(path); err == nil {
+	if f, err := OpenJournal(path, nil); err == nil {
 		f.Close()
 		t.Fatal("interior corruption must be an error")
 	}

@@ -21,7 +21,8 @@ type Config struct {
 	// Resolve maps experiment names to runners.
 	Resolve Resolver
 	// CheckpointPath is the JSONL journal of completed shards; empty
-	// disables checkpointing (and Resume).
+	// disables checkpointing (and Resume). Without Resume a run
+	// replaces any journal already there.
 	CheckpointPath string
 	// Resume loads previously journaled shards of the same spec from
 	// CheckpointPath instead of re-running them.
@@ -117,28 +118,21 @@ func run(ctx context.Context, spec Spec, cfg Config) (*Result, error) {
 
 	fp := spec.Fingerprint()
 	shards := spec.Shards()
-	done := map[int]ShardResult{}
-	if cfg.Resume {
-		if cfg.CheckpointPath == "" {
-			return nil, fmt.Errorf("campaign: Resume requires CheckpointPath")
-		}
-		var err error
-		done, err = loadCheckpoint(cfg.CheckpointPath, fp)
-		if err != nil {
-			return nil, err
-		}
+	if cfg.Resume && cfg.CheckpointPath == "" {
+		return nil, fmt.Errorf("campaign: Resume requires CheckpointPath")
 	}
-	tel.shardsResumed.Add(int64(len(done)))
+	done := map[int]ShardResult{}
 	var jnl *journal
 	if cfg.CheckpointPath != "" {
 		var err error
-		jnl, err = openJournal(cfg.CheckpointPath)
+		jnl, err = openCheckpoint(cfg.CheckpointPath, fp, cfg.Resume, done)
 		if err != nil {
 			return nil, err
 		}
 		jnl.fsyncNs = tel.fsyncNs
 		defer jnl.Close()
 	}
+	tel.shardsResumed.Add(int64(len(done)))
 
 	var pending []Shard
 	for _, s := range shards {

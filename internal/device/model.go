@@ -31,7 +31,7 @@ type ModelSpec struct {
 	// C2C is the cycle-to-cycle variation sigma: every pulse draws a
 	// fresh deterministic standard-normal factor (a pure function of
 	// the device's noise seed and its lifetime pulse counter, so draws
-	// are identical for every evaluation worker count) and scales the
+	// are identical whatever GOMAXPROCS is) and scales the
 	// pulse response by exp(C2C * draw). Zero disables it.
 	C2C float64 `json:"c2c,omitempty"`
 }

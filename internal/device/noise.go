@@ -8,8 +8,8 @@ import "math"
 // device-to-device factor per device (parameter scatter) and one fresh
 // cycle-to-cycle factor per pulse (switching noise). Both must be pure
 // functions of (device noise seed, lifetime pulse counter) so that
-// results are bit-identical for every evaluation worker count —
-// evaluation parallelism only touches the read path, pulses are always
+// results are bit-identical whatever GOMAXPROCS is — the parallel
+// network kernels only touch the read path, pulses are always
 // applied serially, and counter-keyed hashing removes any dependence on
 // shared-RNG call order entirely. The draws are plain arithmetic
 // (splitmix64 + Box-Muller), so the pulse hot path stays allocation-

@@ -2,11 +2,13 @@ package experiments
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
 	"memlife/internal/analysis"
 	"memlife/internal/lifetime"
+	"memlife/internal/nn"
 	"memlife/internal/train"
 )
 
@@ -59,6 +61,44 @@ func TestLeNetBundleCachedAndTrained(t *testing.T) {
 	}
 	if b1 != b2 {
 		t.Fatal("bundles must be cached per (fast, seed)")
+	}
+}
+
+// TestBundleNetworksKeepNoTrainingState: the cached networks are
+// read-only for the life of the process, so they must not carry the
+// last training batch's forward state (im2col matrices, dense input,
+// ReLU mask, max-pool argmax) or its gradients. The layer fields are
+// unexported, so they are read by reflection; a renamed field fails
+// the test instead of passing it.
+func TestBundleNetworksKeepNoTrainingState(t *testing.T) {
+	b, err := LeNetBundle(testOpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	state := map[string][]string{
+		"Conv2D":    {"cols"},
+		"Dense":     {"x"},
+		"ReLU":      {"mask"},
+		"MaxPool2D": {"argmax", "inSize"},
+	}
+	for _, net := range []*nn.Network{b.Normal, b.Skewed} {
+		for i, l := range net.Layers {
+			v := reflect.ValueOf(l).Elem()
+			for _, name := range state[v.Type().Name()] {
+				f := v.FieldByName(name)
+				if !f.IsValid() {
+					t.Fatalf("%s layer %d: %s has no field %q", net.Name, i, v.Type().Name(), name)
+				}
+				if !f.IsZero() {
+					t.Errorf("%s layer %d (%s): %s.%s holds training state", net.Name, i, l.Name(), v.Type().Name(), name)
+				}
+			}
+		}
+		for _, p := range net.Params() {
+			if p.Grad.AbsMax() != 0 {
+				t.Errorf("%s: param %s keeps a training gradient", net.Name, p.Name)
+			}
+		}
 	}
 }
 

@@ -108,12 +108,11 @@ func (b *Bundle) Exclusive(f func() error) error {
 
 // BaseSpec returns the resolved spec a named experiment starts from:
 // the package defaults for the fixture at the options' scale, with the
-// run seed and evaluation workers injected. Every registered
-// experiment is this base plus a small transform.
+// run seed injected. Every registered experiment is this base plus a
+// small transform.
 func BaseSpec(fixture string, opt Options) spec.Spec {
 	s := spec.Defaults(fixture, opt.Fast)
 	s.Run.Seed = opt.Seed
-	s.Run.Workers = opt.Workers
 	return s
 }
 
@@ -200,6 +199,8 @@ func buildVGGBundle(s spec.Spec, opt Options) (*Bundle, error) {
 // makeBundle trains the network twice from the same initialization:
 // once with L2 (the "traditional" weights) and once with the skewed
 // regularizer seeded from the L2 run's per-layer sigmas (Table II).
+// The bundle keeps clones of the trained networks, so the cache holds
+// no training state (the last batch's forward caches and gradients).
 func makeBundle(name, dsName string, trainDS, testDS *dataset.Dataset,
 	build func(int64) (*nn.Network, error), cfg train.Config, s spec.Spec, opt Options) (*Bundle, error) {
 
@@ -240,9 +241,9 @@ func makeBundle(name, dsName string, trainDS, testDS *dataset.Dataset,
 		DatasetName: dsName,
 		TrainDS:     trainDS,
 		TestDS:      testDS,
-		Normal:      normal,
+		Normal:      normal.Clone(),
 		NormalAcc:   normalRes.FinalTestAcc,
-		Skewed:      skewed,
+		Skewed:      skewed.Clone(),
 		SkewedAcc:   skewedRes.FinalTestAcc,
 		Skew:        skew,
 		Spec:        s,

@@ -29,10 +29,6 @@ type Options struct {
 	// Drivers check it between heavy stages and thread it into the
 	// lifetime simulations.
 	Ctx context.Context
-	// Workers is the per-evaluation forward-pass parallelism threaded
-	// into the lifetime simulations (see lifetime.Config.Workers).
-	// Results are bit-identical for every value; <= 1 stays serial.
-	Workers int
 }
 
 // Context returns the options' context, never nil.

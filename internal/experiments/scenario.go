@@ -43,7 +43,6 @@ const ScenarioExperiment = "scenario"
 // deterministic seed streams exactly like registered experiments do.
 func ScenarioMetrics(s spec.Spec, opt Options) (map[string]float64, error) {
 	s.Run.Seed = opt.Seed
-	s.Run.Workers = opt.Workers
 	opt.Fast = s.Run.Fast
 
 	// A fleet block switches the unit of work: the spec describes a
@@ -99,7 +98,7 @@ func ScenarioResolver(s spec.Spec) campaign.Resolver {
 			return nil, false
 		}
 		return func(ctx context.Context, sh campaign.Shard, log io.Writer) (campaign.Metrics, error) {
-			m, err := ScenarioMetrics(s, Options{Seed: sh.Seed, Log: log, Ctx: ctx, Workers: s.Run.Workers})
+			m, err := ScenarioMetrics(s, Options{Seed: sh.Seed, Log: log, Ctx: ctx})
 			return campaign.Metrics(m), err
 		}, true
 	}
@@ -109,12 +108,11 @@ func ScenarioResolver(s spec.Spec) campaign.Resolver {
 // fetch) the trained bundle its fixture section describes, derive the
 // effective tuning target, run the lifetime simulation, and write a
 // plain-text summary. This is the CLI's -scenario path; the options
-// carry only run plumbing (context, log) — fast mode, seed and workers
-// come from the spec itself.
+// carry only run plumbing (context, log) — fast mode and seed come
+// from the spec itself.
 func RunScenario(w io.Writer, s spec.Spec, opt Options) error {
 	opt.Fast = s.Run.Fast
 	opt.Seed = s.Run.Seed
-	opt.Workers = s.Run.Workers
 
 	fp, err := s.Fingerprint()
 	if err != nil {

@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"memlife/internal/tensor"
@@ -110,8 +111,8 @@ func assertBits(t *testing.T, what string, got, want *tensor.Tensor) {
 // reference bit for bit — dx of every call, and dW and db accumulated
 // over two successive calls — for batches that split into uneven
 // chunks, on sparse gradients with ±0 entries and negative values.
-// The training forward over the pool matches a serial eval forward
-// too.
+// The training forward over the pool matches an eval forward under
+// GOMAXPROCS=1 too.
 func TestBackwardMatchesSerialOracleBits(t *testing.T) {
 	geoms := []tensor.ConvGeom{
 		{InC: 2, InH: 7, InW: 6, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1},
@@ -146,7 +147,10 @@ func TestBackwardMatchesSerialOracleBits(t *testing.T) {
 func checkLayerAgainstOracle(t *testing.T, l Layer, w, bias *Param, x *tensor.Tensor, rng *tensor.RNG, oracle func(*tensor.Tensor, *oracleGrads)) {
 	t.Helper()
 	out := l.Forward(x, true)
-	assertBits(t, "train forward", out, l.Forward(x, false))
+	prev := runtime.GOMAXPROCS(1)
+	serial := l.Forward(x, false)
+	runtime.GOMAXPROCS(prev)
+	assertBits(t, "train forward", out, serial)
 
 	want := &oracleGrads{dW: tensor.New(w.W.Shape()...), db: tensor.New(bias.W.Shape()...)}
 	for call := 1; call <= 2; call++ {

@@ -21,8 +21,6 @@ type Conv2D struct {
 	// Per-sample im2col patch matrices a training forward caches for
 	// the backward pass.
 	cols []*tensor.Tensor
-
-	workers int // eval-forward parallelism (see Network.SetForwardWorkers)
 }
 
 // NewConv2D constructs a convolution layer with He-initialized kernels.
@@ -63,9 +61,8 @@ func (l *Conv2D) OutputSize(in int) int {
 // Forward implements Layer. Each output row holds the channel-major
 // (OutC, OutH, OutW) volume of one sample. Only a training forward
 // keeps state for Backward; an eval forward writes nothing to the
-// layer, so eval forwards may run concurrently. A training forward
-// runs over the whole kernel token pool, an eval forward over
-// l.workers.
+// layer, so eval forwards may run concurrently. Both run over the
+// kernel token pool.
 func (l *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	b := x.Dim(0)
 	if x.Dim(1) != l.InputSize() {
@@ -76,20 +73,18 @@ func (l *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	patch := l.Geom.InC * l.Geom.KH * l.Geom.KW
 
 	out := tensor.New(b, l.OutC*positions)
-	workers := l.workers
 	if train {
 		if cap(l.cols) < b {
 			l.cols = make([]*tensor.Tensor, b)
 		}
 		l.cols = l.cols[:b]
-		workers = trainWorkers()
 	}
 
-	// Samples are independent, so chunking them over workers leaves the
-	// output bit-identical for every worker count. Each chunk owns a
-	// private position-major scratch buffer; an eval forward also reuses
-	// one im2col scratch per chunk instead of keeping a matrix per sample.
-	tensor.ParallelRows(b, workers, func(s0, s1 int) {
+	// Samples are independent, so chunking them leaves the output
+	// bit-identical for every chunk count. Each chunk owns a private
+	// position-major scratch buffer; an eval forward also reuses one
+	// im2col scratch per chunk instead of keeping a matrix per sample.
+	tensor.ParallelRows(b, func(s0, s1 int) {
 		pos := tensor.New(positions, l.OutC)
 		var cols *tensor.Tensor
 		for s := s0; s < s1; s++ {
@@ -129,11 +124,10 @@ func (l *Conv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	outH, outW := l.Geom.OutH(), l.Geom.OutW()
 	positions := outH * outW
 	patch := l.Geom.InC * l.Geom.KH * l.Geom.KW
-	workers := trainWorkers()
 
 	dx := tensor.New(b, l.InputSize())
 	wT := l.Weight.W.Transpose()
-	tensor.ParallelRows(b, workers, func(s0, s1 int) {
+	tensor.ParallelRows(b, func(s0, s1 int) {
 		dpos := tensor.New(positions, l.OutC)
 		dcols := tensor.New(positions, patch)
 		for s := s0; s < s1; s++ {
@@ -154,7 +148,7 @@ func (l *Conv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	// Row s of dout, read as [OutC, positions], is dposᵀ, so channels
 	// c0..c1 need no transpose: dWᵀ[c0:c1, :] = dposᵀ[c0:c1, :] @ cols_s.
 	gw, gb := l.Weight.Grad.Data(), l.Bias.Grad.Data()
-	tensor.ParallelRows(l.OutC, workers, func(c0, c1 int) {
+	tensor.ParallelRows(l.OutC, func(c0, c1 int) {
 		dWT := tensor.New(c1-c0, patch)
 		for s := 0; s < b; s++ {
 			d := dout.RowSlice(s).Data()[c0*positions : c1*positions]

@@ -16,8 +16,7 @@ type Dense struct {
 	Weight  *Param
 	Bias    *Param
 
-	x       *tensor.Tensor // forward input cached by a training forward
-	workers int            // eval-forward parallelism (see Network.SetForwardWorkers)
+	x *tensor.Tensor // forward input cached by a training forward
 }
 
 // NewDense constructs a dense layer with He-initialized weights.
@@ -49,19 +48,16 @@ func (l *Dense) OutputSize(in int) int {
 }
 
 // Forward implements Layer; only a training forward keeps x for
-// Backward. A training forward runs over the whole kernel token pool,
-// an eval forward over l.workers.
+// Backward. Both run over the kernel token pool.
 func (l *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if x.Dim(1) != l.In {
 		panic(fmt.Sprintf("nn: dense %q forward input width %d, want %d", l.name, x.Dim(1), l.In))
 	}
-	workers := l.workers
 	if train {
 		l.x = x
-		workers = trainWorkers()
 	}
 	out := tensor.New(x.Dim(0), l.Out)
-	tensor.MatMulWorkersInto(out, x, l.Weight.W, workers)
+	tensor.ParallelMatMulInto(out, x, l.Weight.W)
 	out.AddRowVector(l.Bias.W)
 	return out
 }
@@ -77,6 +73,6 @@ func (l *Dense) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	l.Bias.Grad.Axpy(1, dout.SumRows())
 
 	dx := tensor.New(dout.Dim(0), l.In)
-	tensor.MatMulWorkersInto(dx, dout, l.Weight.W.Transpose(), trainWorkers())
+	tensor.ParallelMatMulInto(dx, dout, l.Weight.W.Transpose())
 	return dx
 }

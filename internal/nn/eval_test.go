@@ -1,14 +1,14 @@
 package nn
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
 	"memlife/internal/tensor"
 )
 
-// evalNet returns a small LeNet-5 with layer parallelism on, plus an
-// input batch.
+// evalNet returns a small LeNet-5 plus an input batch.
 func evalNet(t *testing.T) (*Network, *tensor.Tensor) {
 	t.Helper()
 	rng := tensor.NewRNG(5)
@@ -16,7 +16,6 @@ func evalNet(t *testing.T) (*Network, *tensor.Tensor) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net.SetForwardWorkers(2)
 	x := tensor.New(6, net.InputSize)
 	rng.FillNormal(x, 0, 1)
 	return net, x
@@ -52,11 +51,13 @@ func TestEvalForwardKeepsNoLayerState(t *testing.T) {
 }
 
 // TestConcurrentEvalForwardsMatchSerial: eval forwards write nothing to
-// the layers, so goroutines may share one network; each must get the
-// serial logits bit for bit.
+// the layers, so goroutines may share one network; each pooled forward
+// must get the logits of a GOMAXPROCS=1 forward bit for bit.
 func TestConcurrentEvalForwardsMatchSerial(t *testing.T) {
 	net, x := evalNet(t)
+	prev := runtime.GOMAXPROCS(1)
 	want := net.Forward(x, false).Data()
+	runtime.GOMAXPROCS(prev)
 	const goroutines = 4
 	got := make([][]float64, goroutines)
 	var wg sync.WaitGroup

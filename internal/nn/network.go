@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"runtime"
 
 	"memlife/internal/tensor"
 )
@@ -66,45 +65,20 @@ func (n *Network) ZeroGrads() {
 	}
 }
 
-// SetForwardWorkers sets the per-layer eval-forward parallelism: each
-// dense matmul and conv sample loop of an eval forward is split over up
-// to n goroutines (bounded globally by GOMAXPROCS via tensor's kernel
-// token pool). Results are bit-identical for every n, so evaluation can
-// opt in without perturbing deterministic campaigns. n <= 1 restores
-// serial evaluation. Training forwards and backwards always use the
-// whole pool (see trainWorkers).
-func (n *Network) SetForwardWorkers(workers int) {
-	for _, l := range n.Layers {
-		switch t := l.(type) {
-		case *Dense:
-			t.workers = workers
-		case *Conv2D:
-			t.workers = workers
-		}
-	}
-}
-
-// trainWorkers is the parallelism of every training pass: the whole
-// kernel token pool, which tensor.ParallelRows caps at GOMAXPROCS.
-// Training kernels are per-sample or per-row, so their results are
-// bit-identical for every worker count.
-func trainWorkers() int { return runtime.GOMAXPROCS(0) }
-
 // Clone returns a deep copy of the network: every parameter gets a
-// copy of its weights and a zeroed gradient, each layer keeps its
-// forward parallelism, and no layer carries forward state. The copy
-// shares no mutable memory with n, so it can be run, tuned and
-// overwritten while n stays untouched.
+// copy of its weights and a zeroed gradient, and no layer carries
+// forward state. The copy shares no mutable memory with n, so it can
+// be run, tuned and overwritten while n stays untouched.
 func (n *Network) Clone() *Network {
 	layers := make([]Layer, len(n.Layers))
 	for i, l := range n.Layers {
 		switch t := l.(type) {
 		case *Conv2D:
 			layers[i] = &Conv2D{name: t.name, Geom: t.Geom, OutC: t.OutC,
-				Weight: t.Weight.clone(), Bias: t.Bias.clone(), workers: t.workers}
+				Weight: t.Weight.clone(), Bias: t.Bias.clone()}
 		case *Dense:
 			layers[i] = &Dense{name: t.name, In: t.In, Out: t.Out,
-				Weight: t.Weight.clone(), Bias: t.Bias.clone(), workers: t.workers}
+				Weight: t.Weight.clone(), Bias: t.Bias.clone()}
 		case *MaxPool2D:
 			layers[i] = &MaxPool2D{name: t.name, Geom: t.Geom}
 		case *ReLU:

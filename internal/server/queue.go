@@ -89,19 +89,15 @@ func openQueue(path string, capacity int) (*queue, error) {
 		cap:    capacity,
 		notify: make(chan struct{}, 1),
 	}
-	err := campaign.ScanJournal(path, func(line int, raw []byte) error {
+	f, err := campaign.OpenJournal(path, func(line int, raw []byte) error {
 		var rec queueRecord
 		if err := json.Unmarshal(raw, &rec); err != nil {
 			return fmt.Errorf("server: job journal %s line %d: %w", path, line, err)
 		}
 		return q.replay(rec, path, line)
 	})
-	if err != nil && !errors.Is(err, campaign.ErrTornTail) {
-		return nil, err
-	}
-	f, err := campaign.OpenJournal(path)
 	if err != nil {
-		return nil, fmt.Errorf("server: open job journal: %w", err)
+		return nil, err
 	}
 	q.f = f
 	return q, nil

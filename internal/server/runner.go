@@ -32,14 +32,13 @@ type ResultDoc struct {
 // byte-identical aggregation guarantees the resumed result equals an
 // uninterrupted run's. Duplicate fixtures across concurrent jobs share
 // trained bundles through the experiments singleflight cache.
-func scenarioRunner(st *store, shardWorkers, evalWorkers int, log io.Writer) Runner {
+func scenarioRunner(st *store, shardWorkers int, log io.Writer) Runner {
 	return func(ctx context.Context, job Job) ([]byte, error) {
 		s, err := spec.ResolveBytes(job.Spec, spec.Overrides{})
 		if err != nil {
 			// A spec that no longer resolves cannot succeed on retry.
 			return nil, retry.Permanent(err)
 		}
-		s.Run.Workers = evalWorkers
 		cs := campaign.Spec{
 			Experiments: []string{experiments.ScenarioExperiment},
 			Seeds:       job.Seeds,

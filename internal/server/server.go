@@ -41,9 +41,6 @@ type Config struct {
 	// ShardWorkers bounds the campaign worker pool inside each job;
 	// <= 0 means GOMAXPROCS (see campaign.Config.Workers).
 	ShardWorkers int
-	// EvalWorkers is the forward-pass parallelism inside each shard
-	// evaluation (bit-identical results; <= 0 stays serial).
-	EvalWorkers int
 	// QueueCap bounds queued+running jobs; submissions beyond it get
 	// 429 + Retry-After. <= 0 means 64.
 	QueueCap int
@@ -123,7 +120,7 @@ func New(cfg Config) (*Server, error) {
 	tel := newServerTel()
 	run := cfg.Runner
 	if run == nil {
-		run = scenarioRunner(st, cfg.ShardWorkers, cfg.EvalWorkers, cfg.Log)
+		run = scenarioRunner(st, cfg.ShardWorkers, cfg.Log)
 	}
 	s := &Server{
 		cfg:      cfg,

@@ -102,9 +102,11 @@ type Run struct {
 	// serves at 0.9x the clean target so defect density, not target
 	// tightness, sets the lifetime.
 	TargetScale float64 `json:"target_scale"`
-	// Workers is the forward-pass evaluation parallelism. Results are
-	// bit-identical for every value, so it is a pure speed knob and is
-	// deliberately excluded from the schema and the fingerprint.
+	// Workers is unread: every forward pass runs over the kernel token
+	// pool.
+	//
+	// Deprecated: the field stays only while the benchmark still sets
+	// it; ROADMAP item 2's benchmark change deletes it.
 	Workers int `json:"-"`
 }
 
@@ -319,13 +321,12 @@ func (s Spec) Validate() error {
 // LifetimeConfig converts the spec into the lifetime.Config one run
 // needs: target is the effective tuning target (the auto-derivation
 // from TargetAcc == 0 is the caller's job, since it needs a trained
-// bundle), the run seed and evaluation workers are injected, and a
+// bundle), the run seed is injected, and a
 // non-empty Policy becomes the PolicyOverride.
 func (s Spec) LifetimeConfig(target float64) lifetime.Config {
 	cfg := s.Lifetime
 	cfg.TargetAcc = target
 	cfg.Seed = s.Run.Seed
-	cfg.Tuning.Workers = s.Run.Workers
 	if s.Policy != "" {
 		if p, err := mapping.ParsePolicy(s.Policy); err == nil {
 			cfg.PolicyOverride = &p
@@ -362,9 +363,8 @@ func (s Spec) Canonical() ([]byte, error) {
 
 // Fingerprint returns a short stable hash of the canonical encoding.
 // Two specs share a fingerprint iff their resolved, schema-visible
-// parameters are identical; runtime speed knobs (Workers) and
-// runtime-injected values (lifetime seeds, the per-cycle tuning target)
-// never participate.
+// parameters are identical; runtime-injected values (lifetime seeds,
+// the per-cycle tuning target) never participate.
 func (s Spec) Fingerprint() (string, error) {
 	c, err := s.Canonical()
 	if err != nil {
@@ -419,7 +419,6 @@ func (s Spec) FixtureFingerprint() (string, error) {
 type Overrides struct {
 	Fast     *bool
 	Seed     *int64
-	Workers  *int
 	Scenario *string
 	Policy   *string
 	// DeviceModel overrides the device-physics model kind
@@ -437,9 +436,6 @@ func (o Overrides) apply(s *Spec) {
 	}
 	if o.Seed != nil {
 		s.Run.Seed = *o.Seed
-	}
-	if o.Workers != nil {
-		s.Run.Workers = *o.Workers
 	}
 	if o.Scenario != nil {
 		s.Scenario = *o.Scenario

@@ -109,14 +109,13 @@ func TestResolvePrecedence(t *testing.T) {
 		fastOff := false
 		seed := int64(99)
 		scenario := "ST+AT"
-		workers := 4
 		s, err := ResolveBytes([]byte(file), Overrides{
-			Fast: &fastOff, Seed: &seed, Scenario: &scenario, Workers: &workers,
+			Fast: &fastOff, Seed: &seed, Scenario: &scenario,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if s.Run.Fast || s.Run.Seed != 99 || s.Scenario != "ST+AT" || s.Run.Workers != 4 {
+		if s.Run.Fast || s.Run.Seed != 99 || s.Scenario != "ST+AT" {
 			t.Fatalf("flag overrides must win over the file, got %+v", s.Run)
 		}
 		// The -fast override participates in the probe too: with fast
@@ -330,15 +329,8 @@ func TestFingerprint(t *testing.T) {
 		}
 	}
 
-	// Workers is a speed knob: same results, same fingerprint.
+	// Runtime-injected fields are excluded.
 	s := base
-	s.Run.Workers = 8
-	s.Lifetime.Tuning.Workers = 8
-	if fp(s) != fp(base) {
-		t.Fatal("worker counts must not change the fingerprint")
-	}
-	// Runtime-injected fields are excluded too.
-	s = base
 	s.Lifetime.Seed = 42
 	s.Lifetime.Tuning.TargetAcc = 0.9
 	s.Lifetime.Faults.Seed = 7
@@ -389,10 +381,9 @@ func TestFixtureFingerprint(t *testing.T) {
 func TestLifetimeConfigInjection(t *testing.T) {
 	s := Defaults(FixtureLeNet, true)
 	s.Run.Seed = 17
-	s.Run.Workers = 3
 	s.Policy = "mean-bound"
 	cfg := s.LifetimeConfig(0.8)
-	if cfg.TargetAcc != 0.8 || cfg.Seed != 17 || cfg.Tuning.Workers != 3 {
+	if cfg.TargetAcc != 0.8 || cfg.Seed != 17 {
 		t.Fatalf("injection lost: %+v", cfg)
 	}
 	if cfg.PolicyOverride == nil || *cfg.PolicyOverride != mapping.MeanBound {

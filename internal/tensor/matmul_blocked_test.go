@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 )
 
@@ -65,13 +66,16 @@ func TestMatMulBlockedBitIdentical(t *testing.T) {
 					t.Fatalf("element %d differs: %v vs %v", i, got.data[i], v)
 				}
 			}
-			// The row-parallel entry must dispatch identically too.
-			for _, workers := range []int{1, 2, 8} {
+			// The row-parallel entry must dispatch identically too, for
+			// every chunk count GOMAXPROCS allows.
+			for _, procs := range []int{1, 2, 8} {
 				gw := New(s.m, s.n)
-				MatMulWorkersInto(gw, a, b, workers)
+				prev := runtime.GOMAXPROCS(procs)
+				ParallelMatMulInto(gw, a, b)
+				runtime.GOMAXPROCS(prev)
 				for i, v := range want.data {
 					if gw.data[i] != v {
-						t.Fatalf("workers=%d element %d differs: %v vs %v", workers, i, gw.data[i], v)
+						t.Fatalf("GOMAXPROCS=%d element %d differs: %v vs %v", procs, i, gw.data[i], v)
 					}
 				}
 			}

@@ -67,12 +67,6 @@ type Config struct {
 	RetryBudget int `json:"retry_budget"`
 	// Seed drives batch shuffling.
 	Seed int64 `json:"-"`
-	// Workers is the forward-pass parallelism used for accuracy
-	// evaluation (see nn.Network.SetForwardWorkers). Evaluation results
-	// are bit-identical for every value, so this is a pure speed knob —
-	// and therefore excluded from the scenario schema (it must never
-	// change a spec fingerprint); <= 1 keeps evaluation serial.
-	Workers int `json:"-"`
 }
 
 // Validate reports an error for degenerate configs.
@@ -175,12 +169,6 @@ func tune(mn *crossbar.MappedNetwork, ds *dataset.Dataset, evalX *tensor.Tensor,
 	rng := tensor.NewRNG(cfg.Seed)
 	pulsesBefore := mn.TotalPulses()
 	stressBefore := mn.TotalStress()
-
-	if cfg.Workers > 1 {
-		// mn.Net is the mapped network's own clone, so the setting
-		// needs no undoing.
-		mn.Net.SetForwardWorkers(cfg.Workers)
-	}
 
 	batches := ds.Batches(cfg.BatchSize, rng)
 	next := 0
