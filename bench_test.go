@@ -350,6 +350,62 @@ func BenchmarkIm2Col(b *testing.B) {
 	}
 }
 
+// reluSparse fills t with N(0,1) draws clamped at zero, the sparsity
+// pattern a ReLU leaves in a conv GEMM's input.
+func reluSparse(t *tensor.Tensor, rng *tensor.RNG) {
+	rng.FillNormal(t, 0, 1)
+	for i, v := range t.Data() {
+		if v < 0 {
+			t.Data()[i] = 0
+		}
+	}
+}
+
+// BenchmarkConvGEMMLeNetFast times the two conv forward products of
+// the fast LeNet for one sample: conv1 [144x75]@[75x6] and conv2
+// [36x150]@[150x16], on ReLU-sparse patch matrices.
+func BenchmarkConvGEMMLeNetFast(b *testing.B) {
+	rng := tensor.NewRNG(1)
+	shapes := []struct{ m, k, n int }{{144, 75, 6}, {36, 150, 16}}
+	var xs, ws, outs []*tensor.Tensor
+	for _, s := range shapes {
+		x, w := tensor.New(s.m, s.k), tensor.New(s.k, s.n)
+		reluSparse(x, rng)
+		rng.FillNormal(w, 0, 1)
+		xs, ws, outs = append(xs, x), append(ws, w), append(outs, tensor.New(s.m, s.n))
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := range shapes {
+			tensor.MatMulInto(outs[j], xs[j], ws[j])
+		}
+	}
+}
+
+// BenchmarkIm2ColLeNetFast expands one sample through both conv
+// geometries of the fast LeNet (3x12x12 and 6x6x6 inputs, 5x5 kernels,
+// padding 2).
+func BenchmarkIm2ColLeNetFast(b *testing.B) {
+	rng := tensor.NewRNG(1)
+	geoms := []tensor.ConvGeom{
+		{InC: 3, InH: 12, InW: 12, KH: 5, KW: 5, StrideH: 1, StrideW: 1, PadH: 2, PadW: 2},
+		{InC: 6, InH: 6, InW: 6, KH: 5, KW: 5, StrideH: 1, StrideW: 1, PadH: 2, PadW: 2},
+	}
+	var ins, cols []*tensor.Tensor
+	for _, g := range geoms {
+		in := tensor.New(g.InC, g.InH, g.InW)
+		reluSparse(in, rng)
+		ins = append(ins, in)
+		cols = append(cols, tensor.New(g.OutH()*g.OutW(), g.InC*g.KH*g.KW))
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j, g := range geoms {
+			tensor.Im2Col(cols[j], ins[j], g)
+		}
+	}
+}
+
 func BenchmarkLeNetForward(b *testing.B) {
 	rng := tensor.NewRNG(1)
 	net, err := nn.NewLeNet5(nn.LeNetConfig{InC: 3, H: 16, W: 16, Classes: 10}, rng)

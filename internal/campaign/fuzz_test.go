@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -48,6 +49,45 @@ func FuzzScanJournal(f *testing.F) {
 		}
 		if calls != want {
 			t.Fatalf("nil error after %d of %d non-empty lines", calls, want)
+		}
+	})
+}
+
+// FuzzOpenCheckpoint feeds arbitrary journal bytes, resumed or not, to
+// openCheckpoint, which loads a campaign's completed shards on
+// -resume. The seed corpus (testdata/fuzz/FuzzOpenCheckpoint) holds a
+// valid journal, a torn tail, a record of a foreign campaign and an
+// interior corruption. Contract: openCheckpoint returns an error or a
+// journal, and never panics or hangs; a journal it opened reopens (as
+// a resume) to the same done map, because opening only cuts a torn
+// tail that replay already ignored, and a fresh start leaves an empty
+// journal.
+func FuzzOpenCheckpoint(f *testing.F) {
+	const fingerprint = "5f2c"
+	f.Fuzz(func(t *testing.T, data []byte, resume bool) {
+		path := filepath.Join(t.TempDir(), "checkpoint.jsonl")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		done := map[int]ShardResult{}
+		j, err := openCheckpoint(path, fingerprint, resume, done)
+		if err != nil {
+			return
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if !resume && len(done) != 0 {
+			t.Fatalf("a fresh start loaded %d shards", len(done))
+		}
+		again := map[int]ShardResult{}
+		j, err = openCheckpoint(path, fingerprint, true, again)
+		if err != nil {
+			t.Fatalf("resume of a journal that opened cleanly: %v", err)
+		}
+		defer j.Close()
+		if !reflect.DeepEqual(again, done) {
+			t.Fatalf("reopen loaded %v, first open %v", again, done)
 		}
 	})
 }

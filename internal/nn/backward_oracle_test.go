@@ -162,3 +162,62 @@ func checkLayerAgainstOracle(t *testing.T, l Layer, w, bias *Param, x *tensor.Te
 		assertBits(t, fmt.Sprintf("call %d db", call), bias.Grad, want.db)
 	}
 }
+
+// TestElementwiseLayersMatchSerialBits: ReLU and MaxPool2D run their
+// samples over the kernel token pool; a training forward and backward
+// with GOMAXPROCS=4 must give the outputs, masks, argmax and dx of a
+// GOMAXPROCS=1 pass bit for bit, for batches that split into uneven
+// chunks. Inputs hold -0, NaN and negatives, which ReLU maps to +0.
+func TestElementwiseLayersMatchSerialBits(t *testing.T) {
+	pool := tensor.ConvGeom{InC: 3, InH: 6, InW: 5, KH: 2, KW: 2, StrideH: 2, StrideW: 2}
+	for _, b := range []int{1, 3, 33} {
+		rng := tensor.NewRNG(int64(b))
+		x := tensor.New(b, pool.InC*pool.InH*pool.InW)
+		rng.FillNormal(x, 0, 1)
+		for i := 0; i < x.Size(); i += 5 {
+			x.Data()[i] = math.Copysign(0, -1)
+		}
+		for i := 2; i < x.Size(); i += 11 {
+			x.Data()[i] = math.NaN()
+		}
+		dout := map[string]*tensor.Tensor{
+			"relu": sparseGrad(rng, b, x.Dim(1)),
+			"pool": sparseGrad(rng, b, pool.InC*pool.OutH()*pool.OutW()),
+		}
+		type pass struct {
+			out, dx *tensor.Tensor
+			mask    []bool
+			argmax  []int
+		}
+		run := func(procs int, name string) pass {
+			prev := runtime.GOMAXPROCS(procs)
+			defer runtime.GOMAXPROCS(prev)
+			switch name {
+			case "relu":
+				l := NewReLU()
+				out := l.Forward(x, true)
+				return pass{out: out, dx: l.Backward(dout[name]), mask: l.mask}
+			default:
+				l := NewMaxPool2D("p", pool)
+				out := l.Forward(x, true)
+				return pass{out: out, dx: l.Backward(dout[name]), argmax: l.argmax}
+			}
+		}
+		for _, name := range []string{"relu", "pool"} {
+			serial, pooled := run(1, name), run(4, name)
+			what := fmt.Sprintf("%s b=%d", name, b)
+			assertBits(t, what+" forward", pooled.out, serial.out)
+			assertBits(t, what+" dx", pooled.dx, serial.dx)
+			if fmt.Sprint(pooled.mask, pooled.argmax) != fmt.Sprint(serial.mask, serial.argmax) {
+				t.Fatalf("%s: pooled mask/argmax differ from serial", what)
+			}
+			if name == "relu" {
+				for i, v := range x.Data() {
+					if !(v > 0) && math.Float64bits(serial.out.Data()[i]) != 0 {
+						t.Fatalf("%s: input %v gave %v, want +0", what, v, serial.out.Data()[i])
+					}
+				}
+			}
+		}
+	}
+}

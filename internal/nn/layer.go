@@ -37,37 +37,44 @@ func (l *ReLU) Params() []*Param { return nil }
 func (l *ReLU) OutputSize(in int) int { return in }
 
 // Forward implements Layer; only a training forward writes the mask
-// Backward reads.
+// Backward reads. Samples run over the kernel token pool. Every input
+// that is not above zero (-0 and NaN too) leaves its output at +0.
 func (l *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	out := x.Clone()
-	d := out.Data()
+	out := tensor.New(x.Shape()...)
+	xd, d := x.Data(), out.Data()
 	if train {
 		if cap(l.mask) < len(d) {
 			l.mask = make([]bool, len(d))
 		}
 		l.mask = l.mask[:len(d)]
 	}
-	for i, v := range d {
-		keep := v > 0
-		if train {
-			l.mask[i] = keep
+	mask, w := l.mask, x.Dim(1)
+	tensor.ParallelRows(x.Dim(0), func(s0, s1 int) {
+		for i := s0 * w; i < s1*w; i++ {
+			v := xd[i]
+			keep := v > 0
+			if train {
+				mask[i] = keep
+			}
+			if keep {
+				d[i] = v
+			}
 		}
-		if !keep {
-			d[i] = 0
-		}
-	}
+	})
 	return out
 }
 
-// Backward implements Layer.
+// Backward implements Layer; samples run over the kernel token pool.
 func (l *ReLU) Backward(dout *tensor.Tensor) *tensor.Tensor {
-	dx := dout.Clone()
-	d := dx.Data()
-	for i := range d {
-		if !l.mask[i] {
-			d[i] = 0
+	dx := tensor.New(dout.Shape()...)
+	g, d, w := dout.Data(), dx.Data(), dout.Dim(1)
+	tensor.ParallelRows(dout.Dim(0), func(s0, s1 int) {
+		for i := s0 * w; i < s1*w; i++ {
+			if l.mask[i] {
+				d[i] = g[i]
+			}
 		}
-	}
+	})
 	return dx
 }
 

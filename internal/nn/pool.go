@@ -45,7 +45,7 @@ func (l *MaxPool2D) OutputSize(in int) int {
 }
 
 // Forward implements Layer; only a training forward writes the
-// argmax Backward reads.
+// argmax Backward reads. Samples run over the kernel token pool.
 func (l *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	b := x.Dim(0)
 	g := l.Geom
@@ -61,58 +61,72 @@ func (l *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		l.argmax = l.argmax[:b*outPerSample]
 	}
 
-	for s := 0; s < b; s++ {
-		in := x.RowSlice(s).Data()
-		o := out.RowSlice(s).Data()
-		oi := 0
-		for c := 0; c < g.InC; c++ {
-			cOff := c * g.InH * g.InW
-			for oy := 0; oy < outH; oy++ {
-				iy0 := oy*g.StrideH - g.PadH
-				for ox := 0; ox < outW; ox++ {
-					ix0 := ox*g.StrideW - g.PadW
-					best := math.Inf(-1)
-					bestIdx := -1
-					for ky := 0; ky < g.KH; ky++ {
-						iy := iy0 + ky
-						if iy < 0 || iy >= g.InH {
-							continue
-						}
-						for kx := 0; kx < g.KW; kx++ {
-							ix := ix0 + kx
-							if ix < 0 || ix >= g.InW {
-								continue
-							}
-							idx := cOff + iy*g.InW + ix
-							if in[idx] > best {
-								best = in[idx]
-								bestIdx = idx
-							}
-						}
-					}
-					o[oi] = best
-					if train {
-						l.argmax[s*outPerSample+oi] = bestIdx
-					}
-					oi++
-				}
+	tensor.ParallelRows(b, func(s0, s1 int) {
+		for s := s0; s < s1; s++ {
+			var argmax []int
+			if train {
+				argmax = l.argmax[s*outPerSample : (s+1)*outPerSample]
 			}
+			l.poolSample(x.RowSlice(s).Data(), out.RowSlice(s).Data(), argmax)
 		}
-	}
+	})
 	return out
 }
 
-// Backward implements Layer.
+// poolSample pools one sample from in into o and, unless argmax is
+// nil, records there the input index each output took.
+func (l *MaxPool2D) poolSample(in, o []float64, argmax []int) {
+	g := l.Geom
+	outH, outW := g.OutH(), g.OutW()
+	oi := 0
+	for c := 0; c < g.InC; c++ {
+		cOff := c * g.InH * g.InW
+		for oy := 0; oy < outH; oy++ {
+			iy0 := oy*g.StrideH - g.PadH
+			for ox := 0; ox < outW; ox++ {
+				ix0 := ox*g.StrideW - g.PadW
+				best := math.Inf(-1)
+				bestIdx := -1
+				for ky := 0; ky < g.KH; ky++ {
+					iy := iy0 + ky
+					if iy < 0 || iy >= g.InH {
+						continue
+					}
+					for kx := 0; kx < g.KW; kx++ {
+						ix := ix0 + kx
+						if ix < 0 || ix >= g.InW {
+							continue
+						}
+						idx := cOff + iy*g.InW + ix
+						if in[idx] > best {
+							best = in[idx]
+							bestIdx = idx
+						}
+					}
+				}
+				o[oi] = best
+				if argmax != nil {
+					argmax[oi] = bestIdx
+				}
+				oi++
+			}
+		}
+	}
+}
+
+// Backward implements Layer; samples run over the kernel token pool.
 func (l *MaxPool2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	b := dout.Dim(0)
 	outPerSample := dout.Dim(1)
 	dx := tensor.New(b, l.inSize)
-	for s := 0; s < b; s++ {
-		do := dout.RowSlice(s).Data()
-		di := dx.RowSlice(s).Data()
-		for oi, g := range do {
-			di[l.argmax[s*outPerSample+oi]] += g
+	tensor.ParallelRows(b, func(s0, s1 int) {
+		for s := s0; s < s1; s++ {
+			do := dout.RowSlice(s).Data()
+			di := dx.RowSlice(s).Data()
+			for oi, g := range do {
+				di[l.argmax[s*outPerSample+oi]] += g
+			}
 		}
-	}
+	})
 	return dx
 }

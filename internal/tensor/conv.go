@@ -57,28 +57,34 @@ func Im2Col(dst, input *Tensor, g ConvGeom) {
 		iy0 := oy*g.StrideH - g.PadH
 		for ox := 0; ox < outW; ox++ {
 			ix0 := ox*g.StrideW - g.PadW
-			base := row * patch
-			col := 0
+			// A window wholly inside the image in x copies each kernel
+			// row as one run, with no per-element bounds test.
+			interior := ix0 >= 0 && ix0+g.KW <= g.InW
+			col := row * patch
 			for c := 0; c < g.InC; c++ {
 				cOff := c * g.InH * g.InW
 				for ky := 0; ky < g.KH; ky++ {
+					d := out[col : col+g.KW]
+					col += g.KW
 					iy := iy0 + ky
 					if iy < 0 || iy >= g.InH {
-						for kx := 0; kx < g.KW; kx++ {
-							out[base+col] = 0
-							col++
-						}
+						clear(d)
 						continue
 					}
 					rOff := cOff + iy*g.InW
-					for kx := 0; kx < g.KW; kx++ {
-						ix := ix0 + kx
-						if ix < 0 || ix >= g.InW {
-							out[base+col] = 0
-						} else {
-							out[base+col] = in[rOff+ix]
+					if interior {
+						src := in[rOff+ix0 : rOff+ix0+len(d)]
+						for kx := range d {
+							d[kx] = src[kx]
 						}
-						col++
+						continue
+					}
+					for kx := range d {
+						if ix := ix0 + kx; ix < 0 || ix >= g.InW {
+							d[kx] = 0
+						} else {
+							d[kx] = in[rOff+ix]
+						}
 					}
 				}
 			}

@@ -93,6 +93,61 @@ func TestIm2ColMultiChannelOrder(t *testing.T) {
 	}
 }
 
+// im2colReference is the per-element Im2Col: every patch entry tests
+// its own bounds. It is the oracle for Im2Col's interior fast path.
+func im2colReference(dst, input *Tensor, g ConvGeom) {
+	in, out := input.data, dst.data
+	col := 0
+	for oy := 0; oy < g.OutH(); oy++ {
+		for ox := 0; ox < g.OutW(); ox++ {
+			for c := 0; c < g.InC; c++ {
+				for ky := 0; ky < g.KH; ky++ {
+					for kx := 0; kx < g.KW; kx++ {
+						iy := oy*g.StrideH - g.PadH + ky
+						ix := ox*g.StrideW - g.PadW + kx
+						if iy < 0 || iy >= g.InH || ix < 0 || ix >= g.InW {
+							out[col] = 0
+						} else {
+							out[col] = in[(c*g.InH+iy)*g.InW+ix]
+						}
+						col++
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestIm2ColMatchesReference compares Im2Col with the per-element
+// oracle, bit for bit, over strides 1 and 2, padding 0 to 2 and
+// kernels from 1 wide to wider than the input, on a dst prefilled with
+// garbage so every entry must be written.
+func TestIm2ColMatchesReference(t *testing.T) {
+	rng := NewRNG(11)
+	for _, stride := range []int{1, 2} {
+		for _, pad := range []int{0, 1, 2} {
+			for _, kw := range []int{1, 3, 5, 7} {
+				g := ConvGeom{InC: 2, InH: 6, InW: 5, KH: 3, KW: kw, StrideH: stride, StrideW: stride, PadH: pad, PadW: pad}
+				if g.Validate() != nil {
+					continue
+				}
+				x := New(g.InC, g.InH, g.InW)
+				rng.FillNormal(x, 0, 1)
+				rows, patch := g.OutH()*g.OutW(), g.InC*g.KH*g.KW
+				want, got := New(rows, patch), New(rows, patch)
+				got.Fill(math.NaN())
+				im2colReference(want, x, g)
+				Im2Col(got, x, g)
+				for i, v := range want.data {
+					if math.Float64bits(got.data[i]) != math.Float64bits(v) {
+						t.Fatalf("%+v: entry %d is %v, want %v", g, i, got.data[i], v)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestCol2ImIsAdjointOfIm2Col verifies <Im2Col(x), y> == <x, Col2Im(y)>
 // for random x, y — the defining property of the adjoint, which is
 // exactly what backprop through a conv layer requires.

@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"testing"
 )
@@ -33,36 +34,49 @@ func matMulReference(dst, a, b *Tensor) {
 
 // TestMatMulBlockedBitIdentical drives shapes on both sides of the
 // blocking threshold — including ragged tiles and sparse inputs that
-// exercise the zero-skip — and requires the dispatching kernel to match
-// the streaming oracle with == (no tolerance).
+// exercise the zero-skip — and narrow products of every column count
+// around the register blocks (one, two and several blocks of eight,
+// with and without a tail, and the first width past the narrow limit).
+// a is ReLU-sparse with a random zero pattern and some -0 entries, and
+// the dispatching kernel must match the streaming oracle bit for bit.
 func TestMatMulBlockedBitIdentical(t *testing.T) {
 	shapes := []struct{ m, k, n int }{
-		{3, 5, 7},    // tiny, unblocked
-		{32, 64, 64}, // the bench shape, unblocked
+		{3, 5, 7},    // tiny, narrow
+		{32, 64, 64}, // the bench shape, streaming
 		{4, matMulBlockK + 33, matMulBlockN + 17},   // ragged tiles, blocked
 		{9, 3 * matMulBlockK, 2 * matMulBlockN},     // exact tiles, blocked
 		{1, matMulBlockK * 4, matMulBlockN/2 + 111}, // tall-skinny, blocked
 	}
+	for _, n := range []int{1, 2, 3, 5, 6, 7, 8, 9, 16, 31, 32, matMulNarrowMaxN + 1} {
+		for _, k := range []int{1, 8, 75, 150} {
+			shapes = append(shapes, struct{ m, k, n int }{5, k, n})
+		}
+	}
+	shapes = append(shapes, struct{ m, k, n int }{3, 300, 16}) // nonzero list past its stack buffer
 	for _, s := range shapes {
 		t.Run(fmt.Sprintf("%dx%dx%d", s.m, s.k, s.n), func(t *testing.T) {
-			if blocked := s.k*s.n > matMulBlockMinFloats; !blocked && s.k > matMulBlockK {
-				t.Logf("shape below threshold (k*n=%d)", s.k*s.n)
-			}
 			rng := NewRNG(int64(s.m*1000 + s.k*10 + s.n))
 			a := New(s.m, s.k)
 			b := New(s.k, s.n)
 			rng.FillNormal(a, 0, 1)
 			rng.FillNormal(b, 0, 1)
-			// Sprinkle exact zeros so the skip path runs in both kernels.
-			for i := 0; i < len(a.data); i += 7 {
-				a.data[i] = 0
+			// A ReLU's zero pattern, so the skip path runs in every
+			// kernel; every third zero is -0, which is skipped too.
+			zeros := 0
+			for i, v := range a.data {
+				if v < 0 {
+					a.data[i] = 0
+					if zeros++; zeros%3 == 0 {
+						a.data[i] = math.Copysign(0, -1)
+					}
+				}
 			}
 			want := New(s.m, s.n)
 			matMulReference(want, a, b)
 			got := New(s.m, s.n)
 			MatMulInto(got, a, b)
 			for i, v := range want.data {
-				if got.data[i] != v {
+				if math.Float64bits(got.data[i]) != math.Float64bits(v) {
 					t.Fatalf("element %d differs: %v vs %v", i, got.data[i], v)
 				}
 			}
@@ -74,7 +88,7 @@ func TestMatMulBlockedBitIdentical(t *testing.T) {
 				ParallelMatMulInto(gw, a, b)
 				runtime.GOMAXPROCS(prev)
 				for i, v := range want.data {
-					if gw.data[i] != v {
+					if math.Float64bits(gw.data[i]) != math.Float64bits(v) {
 						t.Fatalf("GOMAXPROCS=%d element %d differs: %v vs %v", procs, i, gw.data[i], v)
 					}
 				}

@@ -14,6 +14,7 @@ package tuning
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"memlife/internal/crossbar"
@@ -325,13 +326,72 @@ func pulseLayer(l *crossbar.MappedLayer, thr float64, retryBudget int, ar *arena
 	return int64(st.Retries), int64(st.StuckSkipped)
 }
 
-// kthLargestAbs returns the k-th largest value in abs (1-based),
-// sorting abs in place; entries must already be absolute values.
+// kthLargestAbs returns the k-th largest value in abs (1-based): the
+// value sort.Float64s would leave at len(abs)-k, clamped to the
+// smallest when k > len(abs), with NaN ordered below every number as
+// sort.Float64s orders it. It reorders abs in place and runs in
+// linear expected time: the NaNs move to the front, then a quickselect
+// narrows the rest to the wanted rank. Ties return the tied value; a
+// tie between +0 and -0 may return either sign, which no caller can
+// tell apart because the threshold is only ever compared.
 func kthLargestAbs(abs []float64, k int) float64 {
-	sort.Float64s(abs)
 	idx := len(abs) - k
 	if idx < 0 {
 		idx = 0
 	}
-	return abs[idx]
+	nans := 0
+	for i, v := range abs {
+		if v != v {
+			abs[i], abs[nans] = abs[nans], v
+			nans++
+		}
+	}
+	if idx < nans {
+		return abs[idx]
+	}
+	return selectRank(abs[nans:], idx-nans)
+}
+
+// selectRank returns the value at index i of a sorted copy of a, which
+// must hold no NaN, reordering a in place. Each round partitions a
+// three ways around a median-of-three pivot, into values below, equal
+// to and above it, and keeps the part that holds rank i; runs of equal
+// values (many exact-zero gradients) leave in one round. A slice that
+// survives more rounds than a balanced split needs is sorted instead,
+// so the worst case stays O(n log n).
+func selectRank(a []float64, i int) float64 {
+	for rounds := 2 * bits.Len(uint(len(a))); len(a) > 16 && rounds > 0; rounds-- {
+		x, y, z := a[0], a[len(a)/2], a[len(a)-1]
+		if x > y {
+			x, y = y, x
+		}
+		if y > z {
+			y = z
+		}
+		pivot := max(x, y)
+		lt, gt := 0, len(a)
+		for j := 0; j < gt; {
+			switch v := a[j]; {
+			case v < pivot:
+				a[lt], a[j] = v, a[lt]
+				lt++
+				j++
+			case v > pivot:
+				gt--
+				a[gt], a[j] = v, a[gt]
+			default:
+				j++
+			}
+		}
+		switch {
+		case i < lt:
+			a = a[:lt]
+		case i >= gt:
+			a, i = a[gt:], i-gt
+		default:
+			return a[i]
+		}
+	}
+	sort.Float64s(a)
+	return a[i]
 }

@@ -1,6 +1,9 @@
 package tuning
 
 import (
+	"math"
+	"math/rand"
+	"sort"
 	"testing"
 
 	"memlife/internal/aging"
@@ -144,8 +147,8 @@ func TestTuningAgesTheArray(t *testing.T) {
 }
 
 func TestKthLargestAbs(t *testing.T) {
-	// kthLargestAbs takes magnitudes and sorts its argument in place, so
-	// each case gets a fresh slice.
+	// kthLargestAbs takes magnitudes and reorders its argument in place,
+	// so each case gets a fresh slice.
 	abs := func() []float64 { return []float64{5, 1, 3, 2, 4} }
 	if got := kthLargestAbs(abs(), 1); got != 5 {
 		t.Fatalf("k=1: got %g, want 5", got)
@@ -155,6 +158,65 @@ func TestKthLargestAbs(t *testing.T) {
 	}
 	if got := kthLargestAbs(abs(), 10); got != 1 {
 		t.Fatalf("k beyond length must clamp to min abs, got %g", got)
+	}
+}
+
+// TestKthLargestAbsMatchesSort: the selection returns the value
+// sort.Float64s leaves at len-k (clamped at 0) on random sizes, k of 1,
+// len and beyond len, heavy ties, exact zeros of both signs and NaN.
+// Values must compare equal, or both be NaN.
+func TestKthLargestAbsMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	draws := []func() float64{
+		func() float64 { return rng.ExpFloat64() },                                   // distinct
+		func() float64 { return float64(rng.Intn(4)) },                               // heavy ties and zeros
+		func() float64 { return []float64{0, math.Copysign(0, -1), 1}[rng.Intn(3)] }, // signed zeros
+		func() float64 {
+			if rng.Intn(10) == 0 {
+				return math.NaN()
+			}
+			return float64(rng.Intn(50))
+		},
+	}
+	for trial := 0; trial < 400; trial++ {
+		draw := draws[trial%len(draws)]
+		n := 1 + rng.Intn(300)
+		if trial%50 == 0 {
+			n = 5000 + rng.Intn(5000)
+		}
+		vals := make([]float64, n)
+		for i := range vals {
+			vals[i] = draw()
+		}
+		for _, k := range []int{1, n, n + 1 + rng.Intn(5), 1 + rng.Intn(n)} {
+			sorted := append([]float64(nil), vals...)
+			sort.Float64s(sorted)
+			want := sorted[max(n-k, 0)]
+			got := kthLargestAbs(append([]float64(nil), vals...), k)
+			if got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
+				t.Fatalf("trial %d n=%d k=%d: got %v, sort gives %v", trial, n, k, got, want)
+			}
+		}
+	}
+}
+
+// BenchmarkPulseThreshold picks the pulse threshold of one tuning
+// iteration of the fast LeNet: about 31k gradient magnitudes, a
+// quarter of them pulsed.
+func BenchmarkPulseThreshold(b *testing.B) {
+	const n, stepFrac = 31_000, 0.25
+	rng := rand.New(rand.NewSource(1))
+	grads := make([]float64, n)
+	for i := range grads {
+		if rng.Intn(4) != 0 { // a quarter of the gradients are exact zeros
+			grads[i] = math.Abs(rng.NormFloat64())
+		}
+	}
+	abs := make([]float64, n)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(abs, grads)
+		kthLargestAbs(abs, int(n*stepFrac))
 	}
 }
 
