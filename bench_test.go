@@ -433,7 +433,7 @@ func BenchmarkCrossbarMapWeights(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		cb.MapWeights(w, p.RminFresh, p.RmaxFresh)
+		cb.MapWeights(w, p.RminFresh, p.RmaxFresh, false)
 	}
 }
 
@@ -449,7 +449,7 @@ func BenchmarkReadWeightsInto(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cb.MapWeights(w, p.RminFresh, p.RmaxFresh)
+	cb.MapWeights(w, p.RminFresh, p.RmaxFresh, false)
 	dst := tensor.New(128, 64)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -499,7 +499,7 @@ func newMicroCrossbar(b *testing.B) (*crossbar.Crossbar, *tensor.Tensor) {
 	w := tensor.New(64, 64)
 	tensor.NewRNG(17).FillNormal(w, 0, 0.5)
 	p := cb.Params()
-	cb.MapWeights(w, p.RminFresh, p.RmaxFresh)
+	cb.MapWeights(w, p.RminFresh, p.RmaxFresh, false)
 	return cb, w
 }
 

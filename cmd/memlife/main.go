@@ -287,9 +287,6 @@ func dispatch(ctx context.Context, c cliConfig, fs *flag.FlagSet, stdout, stderr
 		if workers > len(ids) {
 			workers = len(ids)
 		}
-		if workers <= 1 {
-			return runSequential(ctx, c, ids, stdout, stderr)
-		}
 		return runParallel(ctx, c, ids, workers, stdout, stderr)
 	default:
 		fs.Usage()
@@ -330,16 +327,13 @@ func runScenario(ctx context.Context, c cliConfig, stdout, stderr io.Writer) int
 	return 0
 }
 
-// selectIDs resolves the experiment selection. -all runs every
-// registered experiment except the Meta ones (campaign drivers), which
-// would rerun experiments the loop already covers.
+// selectIDs resolves the experiment selection: -all runs every
+// registered experiment.
 func selectIDs(c cliConfig, stderr io.Writer) ([]string, int) {
 	var ids []string
 	if c.all {
 		for _, e := range experiments.All() {
-			if !e.Meta {
-				ids = append(ids, e.ID)
-			}
+			ids = append(ids, e.ID)
 		}
 		return ids, 0
 	}
@@ -367,45 +361,12 @@ func outFile(c cliConfig, id string, stderr io.Writer) (*os.File, int) {
 	return f, 0
 }
 
-// runSequential is the single-worker text path: experiments run one at
-// a time, streaming output as they go.
-func runSequential(ctx context.Context, c cliConfig, ids []string, stdout, stderr io.Writer) int {
-	opt := experiments.Options{Fast: c.fast, Seed: c.seed, Ctx: ctx}
-	if c.verb {
-		opt.Log = stderr
-	}
-	for _, id := range ids {
-		e, _ := experiments.ByID(id)
-		w := stdout
-		f, code := outFile(c, id, stderr)
-		if code != 0 {
-			return code
-		}
-		if f != nil {
-			w = io.MultiWriter(stdout, f)
-		}
-		fmt.Fprintf(stdout, "=== %s: %s ===\n", e.ID, e.Title)
-		start := time.Now()
-		sp := telemetry.StartSpan("experiment/run")
-		err := e.Run(w, opt)
-		sp.End(telemetry.Attrs{"id": e.ID, "ok": err == nil})
-		if f != nil {
-			f.Close()
-		}
-		if err != nil {
-			fmt.Fprintf(stderr, "memlife: %s failed: %v\n", e.ID, err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "=== %s done in %s ===\n\n", e.ID, time.Since(start).Round(time.Millisecond))
-	}
-	return 0
-}
-
 // runParallel fans the selected experiments over a bounded worker
-// pool. Each experiment renders into its own buffer; the drain loop
-// prints completed buffers in selection order, so stdout reads exactly
-// like the sequential mode. Progress logs (-v) are multiplexed onto
-// stderr line-by-line with experiment prefixes.
+// pool (one worker runs them one at a time). Each experiment renders
+// into its own buffer; the drain loop prints completed buffers in
+// selection order, so stdout is the same whatever the worker count, and
+// -out receives only finished output. Progress logs (-v) are
+// multiplexed onto stderr line-by-line with experiment prefixes.
 func runParallel(ctx context.Context, c cliConfig, ids []string, workers int, stdout, stderr io.Writer) int {
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()

@@ -52,7 +52,7 @@ func TestRunCLIList(t *testing.T) {
 	if code := run(context.Background(), []string{"-list"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("-list exited %d: %s", code, stderr.String())
 	}
-	for _, id := range []string{"table1", "fault-sweep", "campaign-lifetime"} {
+	for _, id := range []string{"table1", "fault-sweep", "fleet-survival"} {
 		if !strings.Contains(stdout.String(), id) {
 			t.Fatalf("-list output must mention %s:\n%s", id, stdout.String())
 		}

@@ -78,58 +78,21 @@ func (m Model) Accel(tK float64) float64 {
 	return math.Exp(m.Ea / BoltzmannEV * (1/m.TrefK - 1/tK))
 }
 
-// UpperLoss returns f(T,t): the Ohms lost from the upper resistance
-// bound after the given normalized stress at temperature tK.
-func (m Model) UpperLoss(stress, tK float64) float64 {
-	if stress < 0 {
-		panic(fmt.Sprintf("aging: negative stress %g", stress))
-	}
-	if stress == 0 {
-		return 0
-	}
-	return m.A * m.Accel(tK) * math.Pow(stress, m.M)
-}
-
-// LowerLoss returns g(T,t): the Ohms lost from the lower resistance
-// bound.
-func (m Model) LowerLoss(stress, tK float64) float64 {
-	if stress < 0 {
-		panic(fmt.Sprintf("aging: negative stress %g", stress))
-	}
-	if stress == 0 {
-		return 0
-	}
-	return m.B * m.Accel(tK) * math.Pow(stress, m.M)
-}
-
 // Bounds returns the aged resistance window [lo, hi] of a device with
-// the given technology parameters and accumulated stress (eq. (6)/(7)).
-// Two physical floors apply: the lower bound never drops below a small
-// positive fraction of the fresh LRS (a resistor cannot reach zero or
-// negative resistance — a fully worn device pins near a short), and the
-// window never collapses below one level spacing, so a dead device
-// holds one state rather than inverting.
+// the given technology parameters and accumulated stress at temperature
+// tK (eq. (6)/(7)); see Evaluator.Bounds, its one implementation.
 func (m Model) Bounds(p device.Params, stress, tK float64) (lo, hi float64) {
-	hi = p.RmaxFresh - m.UpperLoss(stress, tK)
-	lo = p.RminFresh - m.LowerLoss(stress, tK)
-	if floor := 0.05 * p.RminFresh; lo < floor {
-		lo = floor
-	}
-	if floor := p.LevelSpacing(); hi < lo+floor {
-		hi = lo + floor
-	}
-	return lo, hi
+	return m.Evaluator(p, tK).Bounds(stress)
 }
 
 // Evaluator is a Model bound to one technology and temperature with
 // every stress-independent term precomputed: the Arrhenius acceleration
 // (one exp), the fresh bounds, and the floors. Bounds then costs one
-// math.Pow per distinct stress value instead of one exp plus two pows —
-// the dominant cost of per-device aged-bounds evaluation in mapping and
-// drift loops. The arithmetic association matches Model.UpperLoss /
-// Model.LowerLoss / Model.Bounds exactly ((A*accel)*pow, Go's
-// left-to-right evaluation of A*accel*pow), so Evaluator.Bounds is
-// bit-identical to Model.Bounds for every input.
+// math.Pow per stress value — the dominant cost of per-device
+// aged-bounds evaluation in mapping and drift loops. It is the one
+// implementation of the eq. (6)/(7) window; the losses associate as
+// the direct formula A*Accel(tK)*t^M does ((A*accel)*pow, Go's
+// left-to-right evaluation), which the package tests pin bit for bit.
 type Evaluator struct {
 	aAccel, bAccel float64 // A*Accel(tK), B*Accel(tK)
 	m              float64
@@ -156,8 +119,12 @@ func (m Model) Evaluator(p device.Params, tK float64) Evaluator {
 }
 
 // Bounds returns the aged window [lo, hi] for the given accumulated
-// stress — bit-identical to Model.Bounds(p, stress, tK) at the
-// evaluator's technology and temperature.
+// stress. Two physical floors apply: the lower bound never drops below
+// a small positive fraction of the fresh LRS (a resistor cannot reach
+// zero or negative resistance — a fully worn device pins near a
+// short), and the window never collapses below one level spacing, so a
+// dead device holds one state rather than inverting. It panics on
+// negative stress.
 func (e Evaluator) Bounds(stress float64) (lo, hi float64) {
 	if stress < 0 {
 		panic(fmt.Sprintf("aging: negative stress %g", stress))

@@ -173,7 +173,24 @@ type MapStats struct {
 // into the array using the common resistance range [rLo, rHi] (eq. (4)).
 // Each device is programmed within its own true aged window, so targets
 // beyond a worn device's reach are clipped (Fig. 4) and counted.
-func (c *Crossbar) MapWeights(w *tensor.Tensor, rLo, rHi float64) MapStats {
+//
+// faultAware (mapping.Config.FaultAware) makes the pass tolerate the
+// array's stuck devices instead of fighting them:
+//
+//   - Stuck devices are skipped outright (counted in Skipped) — no
+//     write pulses are wasted on cells the fault map knows cannot move.
+//   - Each column's stuck-device current error is compensated by the
+//     column's healthy devices: a stuck cell contributes a fixed
+//     effective weight, so the difference between that contribution
+//     and the cell's intended weight is spread evenly over the
+//     healthy cells of the same column (column currents sum, so the
+//     correction is exact for uniform inputs and first-order for the
+//     rest).
+//
+// Without stuck devices every compensation is -0 and w + -0 == w, so
+// both settings program identical bits. Unaware, stuck devices are
+// written like any other and the futile attempts counted in Stuck.
+func (c *Crossbar) MapWeights(w *tensor.Tensor, rLo, rHi float64, faultAware bool) MapStats {
 	if w.Dim(0) != c.Rows || w.Dim(1) != c.Cols {
 		panic(fmt.Sprintf("crossbar: weight shape %v, want [%d %d]", w.Shape(), c.Rows, c.Cols))
 	}
@@ -185,14 +202,45 @@ func (c *Crossbar) MapWeights(w *tensor.Tensor, rLo, rHi float64) MapStats {
 	c.rLo, c.rHi = rLo, rHi
 	c.mapped = true
 
-	var stats MapStats
-	usable := usableAccum{track: c.tel.usableMean != nil}
 	conv := newMapConv(wMin, wMax, rLo, rHi)
 	wd := w.Data()
+	// Fault-aware per-column compensation offsets for healthy devices:
+	// minus the column's summed stuck-cell error over its healthy-cell
+	// count.
+	var comp []float64
+	if faultAware {
+		comp = make([]float64, c.Cols)
+		for j := range comp {
+			errSum := 0.0
+			healthy := 0
+			for i := 0; i < c.Rows; i++ {
+				d := c.Device(i, j)
+				if d.Stuck() {
+					errSum += conv.eff(d.Resistance()) - wd[i*c.Cols+j]
+				} else {
+					healthy++
+				}
+			}
+			if healthy > 0 {
+				comp[j] = -errSum / float64(healthy)
+			}
+		}
+	}
+
+	var stats MapStats
+	usable := usableAccum{track: c.tel.usableMean != nil}
 	// Devices are row-major like w's backing slice, so the flat walk
 	// visits (i, j) pairs in exactly the order of the nested loops.
 	for idx, d := range c.devices {
-		target := conv.target(wd[idx])
+		wt := wd[idx]
+		if faultAware {
+			if d.Stuck() {
+				stats.Skipped++
+				continue
+			}
+			wt += comp[idx%c.Cols]
+		}
+		target := conv.target(wt)
 		lo, hi := c.agedBoundsIdx(idx)
 		usable.observe(c.params, lo, hi)
 		res := d.Program(target, lo, hi)
@@ -341,13 +389,23 @@ func (c *Crossbar) TracedIndices() [][2]int {
 // TracedUpperBounds returns the estimated aged upper resistance bounds
 // of the traced devices (eq. (6) applied to their traced histories),
 // sorted ascending. These are the candidate common-range bounds of the
-// iterative selection in Fig. 8.
-func (c *Crossbar) TracedUpperBounds() []float64 {
+// iterative selection in Fig. 8. With healthyOnly (fault-aware
+// selection) stuck traced devices are left out — a stuck device's
+// "bound" says nothing about the programmable range of its healthy
+// neighbors — unless every traced device is stuck, since the selection
+// must still produce a range.
+func (c *Crossbar) TracedUpperBounds(healthyOnly bool) []float64 {
 	idx := c.TracedIndices()
 	out := make([]float64, 0, len(idx))
 	for _, ij := range idx {
+		if healthyOnly && c.Device(ij[0], ij[1]).Stuck() {
+			continue
+		}
 		_, hi := c.AgedBounds(ij[0], ij[1])
 		out = append(out, hi)
+	}
+	if len(out) == 0 {
+		return c.TracedUpperBounds(false)
 	}
 	sort.Float64s(out)
 	return out

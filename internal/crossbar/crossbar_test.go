@@ -80,7 +80,7 @@ func TestMapWeightsQuantizesOntoGrid(t *testing.T) {
 	rng := tensor.NewRNG(1)
 	w := tensor.New(4, 4)
 	rng.FillNormal(w, 0, 1)
-	stats := cb.MapWeights(w, p.RminFresh, p.RmaxFresh)
+	stats := cb.MapWeights(w, p.RminFresh, p.RmaxFresh, false)
 	if stats.Pulses == 0 {
 		t.Fatal("fresh mapping must program devices")
 	}
@@ -104,7 +104,7 @@ func TestEffectiveWeightsWithinQuantizationError(t *testing.T) {
 	rng := tensor.NewRNG(2)
 	w := tensor.New(6, 5)
 	rng.FillNormal(w, 0, 0.5)
-	cb.MapWeights(w, p.RminFresh, p.RmaxFresh)
+	cb.MapWeights(w, p.RminFresh, p.RmaxFresh, false)
 	eff := mustEff(t, cb)
 
 	wMin, wMax := w.MinMax()
@@ -140,7 +140,7 @@ func TestMapWeightsClipsOnAgedDevices(t *testing.T) {
 	// Map a weight that wants the top of the resistance range onto the
 	// aged device (weight wMin -> rHi).
 	w := tensor.FromSlice([]float64{-1, 1, 0.5, 0.2}, 2, 2)
-	stats := cb.MapWeights(w, p.RminFresh, p.RmaxFresh)
+	stats := cb.MapWeights(w, p.RminFresh, p.RmaxFresh, false)
 	if stats.Clipped == 0 {
 		t.Fatal("mapping onto the aged device must clip")
 	}
@@ -155,7 +155,7 @@ func TestStepDeviceDirection(t *testing.T) {
 	// Device (1,0) carries the mid weight and lands mid-grid, away from
 	// the range endpoints where aging pins movement.
 	w := tensor.FromSlice([]float64{-1, 0, 1}, 3, 1)
-	cb.MapWeights(w, p.RminFresh, p.RmaxFresh)
+	cb.MapWeights(w, p.RminFresh, p.RmaxFresh, false)
 	r0 := cb.Device(1, 0).Resistance()
 	if s, applied := cb.StepDevice(1, 0, +1); s <= 0 || !applied { // weight up -> resistance down
 		t.Fatal("mid-grid step must cost stress and apply")
@@ -178,7 +178,7 @@ func TestStepDevicePinsAtGridEnds(t *testing.T) {
 	cb := newTestCrossbar(t, 1, 1)
 	p := cb.Params()
 	w := tensor.FromSlice([]float64{1}, 1, 1) // maps near rLo already
-	cb.MapWeights(w, p.RminFresh, p.RmaxFresh)
+	cb.MapWeights(w, p.RminFresh, p.RmaxFresh, false)
 	for k := 0; k < p.Levels+5; k++ {
 		cb.StepDevice(0, 0, +1)
 	}
@@ -193,7 +193,7 @@ func TestDriftStaysInWindow(t *testing.T) {
 	rng := tensor.NewRNG(5)
 	w := tensor.New(4, 4)
 	rng.FillNormal(w, 0, 1)
-	cb.MapWeights(w, p.RminFresh, p.RmaxFresh)
+	cb.MapWeights(w, p.RminFresh, p.RmaxFresh, false)
 	cb.Drift(0.08, rng)
 	for i := 0; i < 4; i++ {
 		for j := 0; j < 4; j++ {
@@ -227,7 +227,7 @@ func TestTracedIndicesOneOfNine(t *testing.T) {
 func TestTracedBoundsSortedAndFresh(t *testing.T) {
 	cb := newTestCrossbar(t, 9, 9)
 	p := cb.Params()
-	ubs := cb.TracedUpperBounds()
+	ubs := cb.TracedUpperBounds(false)
 	for i, v := range ubs {
 		if v != p.RmaxFresh {
 			t.Fatalf("fresh traced upper bound %d = %g, want %g", i, v, p.RmaxFresh)
@@ -235,7 +235,7 @@ func TestTracedBoundsSortedAndFresh(t *testing.T) {
 	}
 	cb.RandomizeAging(0.5, tensor.NewRNG(4))
 	cb.AddStress(5)
-	ubs = cb.TracedUpperBounds()
+	ubs = cb.TracedUpperBounds(false)
 	for i := 1; i < len(ubs); i++ {
 		if ubs[i] < ubs[i-1] {
 			t.Fatal("traced bounds must be sorted ascending")
@@ -288,7 +288,7 @@ func TestReadSizeMismatchReturnsError(t *testing.T) {
 	cb := newTestCrossbar(t, 3, 2)
 	p := cb.Params()
 	w := tensor.New(3, 2)
-	cb.MapWeights(w, p.RminFresh, p.RmaxFresh)
+	cb.MapWeights(w, p.RminFresh, p.RmaxFresh, false)
 	if err := cb.ReadWeightsInto(tensor.New(4)); err == nil {
 		t.Fatal("ReadWeightsInto with a wrong destination size must return an error")
 	}

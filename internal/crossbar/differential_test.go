@@ -84,7 +84,7 @@ func TestDifferentialDrawsLessCurrentThanSingle(t *testing.T) {
 
 	single := newTestCrossbar(t, 8, 8)
 	p := single.Params()
-	single.MapWeights(w, p.RminFresh, p.RmaxFresh)
+	single.MapWeights(w, p.RminFresh, p.RmaxFresh, false)
 	gMin, gMax := p.GminFresh(), p.GmaxFresh()
 	singleRel, n := 0.0, 0
 	for i := 0; i < 8; i++ {

@@ -94,7 +94,7 @@ func TestEquivalenceReadWeightsInto(t *testing.T) {
 	both(func(c *Crossbar, rng *tensor.RNG) { c.RandomizeAging(0.3, rng) })
 	w := tensor.New(rows, cols)
 	ops.FillNormal(w, 0, 0.5)
-	both(func(c *Crossbar, _ *tensor.RNG) { c.MapWeights(w, rLo, rHi) })
+	both(func(c *Crossbar, _ *tensor.RNG) { c.MapWeights(w, rLo, rHi, false) })
 	check("initial map")
 
 	var stuckSkipped, retries int
@@ -131,10 +131,10 @@ func TestEquivalenceReadWeightsInto(t *testing.T) {
 		}
 		check("wear-out faults")
 		remapHi := rLo + (0.6+0.1*float64(round%4))*(rHi-rLo)
-		both(func(c *Crossbar, _ *tensor.RNG) { c.MapWeightsFaultAware(w, rLo, remapHi) })
+		both(func(c *Crossbar, _ *tensor.RNG) { c.MapWeights(w, rLo, remapHi, true) })
 		check("fault-aware remap")
 		if round%2 == 1 {
-			both(func(c *Crossbar, _ *tensor.RNG) { c.MapWeights(w, rLo, rHi) })
+			both(func(c *Crossbar, _ *tensor.RNG) { c.MapWeights(w, rLo, rHi, false) })
 			check("remap")
 		}
 	}

@@ -54,7 +54,7 @@ func TestInitialFaultsApplied(t *testing.T) {
 	seen := 0
 	for i := 0; i < cb.Rows; i++ {
 		for j := 0; j < cb.Cols; j++ {
-			if !cb.IsStuck(i, j) {
+			if !cb.Device(i, j).Stuck() {
 				continue
 			}
 			seen++
@@ -64,7 +64,7 @@ func TestInitialFaultsApplied(t *testing.T) {
 		}
 	}
 	if seen != lrs {
-		t.Fatalf("IsStuck count %d disagrees with StuckCounts %d", seen, lrs)
+		t.Fatalf("Stuck count %d disagrees with StuckCounts %d", seen, lrs)
 	}
 }
 
@@ -78,7 +78,7 @@ func TestStuckDeviceIgnoresProgramming(t *testing.T) {
 	found := false
 	for i := 0; i < cb.Rows && !found; i++ {
 		for j := 0; j < cb.Cols && !found; j++ {
-			if cb.IsStuck(i, j) {
+			if cb.Device(i, j).Stuck() {
 				si, sj = i, j
 				found = true
 			}
@@ -120,11 +120,7 @@ func faultedMapping(t *testing.T, w *tensor.Tensor, cfg fault.Config, rate float
 	rows, cols := w.Dim(0), w.Dim(1)
 	cb := newFaultArray(t, rows, cols, cfg)
 	p := cb.Params()
-	if aware {
-		stats = cb.MapWeightsFaultAware(w, p.RminFresh, p.RmaxFresh)
-	} else {
-		stats = cb.MapWeights(w, p.RminFresh, p.RmaxFresh)
-	}
+	stats = cb.MapWeights(w, p.RminFresh, p.RmaxFresh, aware)
 	eff = mustEff(t, cb)
 	col := make([]float64, cols)
 	for i, v := range eff.Data() {
@@ -188,11 +184,11 @@ func TestFaultAwareMappingCompensates(t *testing.T) {
 	}
 }
 
-func TestTracedUpperBoundsHealthyExcludesStuck(t *testing.T) {
+func TestTracedUpperBoundsSkipsStuckWhenHealthyOnly(t *testing.T) {
 	cfg := fault.Config{StuckRate: 0.4, LRSFrac: 1.0, Seed: 6}
 	cb := newFaultArray(t, 12, 12, cfg)
-	all := cb.TracedUpperBounds()
-	healthy := cb.TracedUpperBoundsHealthy()
+	all := cb.TracedUpperBounds(false)
+	healthy := cb.TracedUpperBounds(true)
 	if len(healthy) >= len(all) {
 		t.Fatalf("healthy bounds (%d) must be fewer than all traced bounds (%d)", len(healthy), len(all))
 	}

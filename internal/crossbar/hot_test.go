@@ -42,10 +42,10 @@ func oracleMapWeights(cb *Crossbar, w *tensor.Tensor, rLo, rHi float64) MapStats
 	return stats
 }
 
-// oracleMapWeightsFaultAware is the per-cell reimplementation of
-// MapWeightsFaultAware: per-column stuck-error compensation, stuck
+// oracleMapWeightsCompensated is the per-cell reimplementation of
+// fault-aware MapWeights: per-column stuck-error compensation, stuck
 // devices skipped.
-func oracleMapWeightsFaultAware(cb *Crossbar, w *tensor.Tensor, rLo, rHi float64) MapStats {
+func oracleMapWeightsCompensated(cb *Crossbar, w *tensor.Tensor, rLo, rHi float64) MapStats {
 	wMin, wMax := w.MinMax()
 	comp := make([]float64, cb.Cols)
 	for j := 0; j < cb.Cols; j++ {
@@ -166,11 +166,10 @@ func TestMapWeightsMatchesDirectOracle(t *testing.T) {
 			for _, ps := range passes {
 				pass, hi := ps.name, ps.hi
 				var gotStats, wantStats MapStats
+				gotStats = hot.MapWeights(w, rLo, hi, tc.aware)
 				if tc.aware {
-					gotStats = hot.MapWeightsFaultAware(w, rLo, hi)
-					wantStats = oracleMapWeightsFaultAware(oracle, w, rLo, hi)
+					wantStats = oracleMapWeightsCompensated(oracle, w, rLo, hi)
 				} else {
-					gotStats = hot.MapWeights(w, rLo, hi)
 					wantStats = oracleMapWeights(oracle, w, rLo, hi)
 				}
 				compare(pass, gotStats, wantStats)
@@ -215,7 +214,7 @@ func TestQuantizeWeightsIntoMatchesDirect(t *testing.T) {
 
 // TestStepDevicesMatchesStepDeviceLoop applies the same pulse list to
 // twin faulted arrays — one through the batched StepDevices, one
-// through the sequential IsStuck + StepDevice retry loop the tuning
+// through the sequential Stuck + StepDevice retry loop the tuning
 // controller used to run — and requires identical device state, stats,
 // and injector draw consumption.
 func TestStepDevicesMatchesStepDeviceLoop(t *testing.T) {
@@ -226,8 +225,8 @@ func TestStepDevicesMatchesStepDeviceLoop(t *testing.T) {
 			params := batched.Params()
 			w := tensor.New(rows, cols)
 			tensor.NewRNG(4).FillNormal(w, 0, 0.5)
-			batched.MapWeights(w, params.RminFresh, params.RmaxFresh)
-			seq.MapWeights(w, params.RminFresh, params.RmaxFresh)
+			batched.MapWeights(w, params.RminFresh, params.RmaxFresh, false)
+			seq.MapWeights(w, params.RminFresh, params.RmaxFresh, false)
 
 			ops := tensor.NewRNG(7)
 			steps := make([]Step, 0, 64)
@@ -243,7 +242,7 @@ func TestStepDevicesMatchesStepDeviceLoop(t *testing.T) {
 
 			var want StepStats
 			for _, sp := range steps {
-				if seq.IsStuck(sp.I, sp.J) {
+				if seq.Device(sp.I, sp.J).Stuck() {
 					want.StuckSkipped++
 					continue
 				}
@@ -288,7 +287,7 @@ func TestHotPathZeroAlloc(t *testing.T) {
 	params := cb.Params()
 	w := tensor.New(rows, cols)
 	tensor.NewRNG(5).FillNormal(w, 0, 0.5)
-	cb.MapWeights(w, params.RminFresh, params.RmaxFresh)
+	cb.MapWeights(w, params.RminFresh, params.RmaxFresh, false)
 
 	dstW := tensor.New(rows, cols)
 	steps := []Step{{I: 1, J: 2, Dir: 1}, {I: 3, J: 4, Dir: -1}, {I: 5, J: 1, Dir: 1}}
@@ -306,7 +305,7 @@ func TestHotPathZeroAlloc(t *testing.T) {
 		}
 	})
 	assertZero("StepDevices", func() { cb.StepDevices(steps, 2) })
-	assertZero("MapWeights", func() { cb.MapWeights(w, params.RminFresh, params.RmaxFresh) })
+	assertZero("MapWeights", func() { cb.MapWeights(w, params.RminFresh, params.RmaxFresh, false) })
 	assertZero("QuantizeWeightsInto", func() { cb.QuantizeWeightsInto(dstW, w, params.RminFresh, params.RmaxFresh) })
 
 	// The burst read path writes the noisy readback straight into the

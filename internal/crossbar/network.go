@@ -79,17 +79,11 @@ func (m *MappedNetwork) RestoreSoftwareWeights() {
 	}
 }
 
-// MapLayer programs layer i's targets with the common range [rLo, rHi].
-func (m *MappedNetwork) MapLayer(i int, rLo, rHi float64) MapStats {
+// MapLayer programs layer i's targets with the common range [rLo, rHi]
+// (Crossbar.MapWeights; faultAware skips and compensates stuck devices).
+func (m *MappedNetwork) MapLayer(i int, rLo, rHi float64, faultAware bool) MapStats {
 	l := m.Layers[i]
-	return l.Crossbar.MapWeights(l.Target, rLo, rHi)
-}
-
-// MapLayerFaultAware programs layer i's targets with stuck devices
-// skipped and compensated (Crossbar.MapWeightsFaultAware).
-func (m *MappedNetwork) MapLayerFaultAware(i int, rLo, rHi float64) MapStats {
-	l := m.Layers[i]
-	return l.Crossbar.MapWeightsFaultAware(l.Target, rLo, rHi)
+	return l.Crossbar.MapWeights(l.Target, rLo, rHi, faultAware)
 }
 
 // SetFaults builds one fault injector per crossbar from cfg and

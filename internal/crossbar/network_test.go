@@ -125,7 +125,7 @@ func mapAllFresh(mn *MappedNetwork) MapStats {
 	var total MapStats
 	for i, l := range mn.Layers {
 		p := l.Crossbar.Params()
-		s := mn.MapLayer(i, p.RminFresh, p.RmaxFresh)
+		s := mn.MapLayer(i, p.RminFresh, p.RmaxFresh, false)
 		total.Pulses += s.Pulses
 		total.Stress += s.Stress
 		total.Clipped += s.Clipped

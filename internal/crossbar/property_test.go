@@ -38,7 +38,7 @@ func TestStepDeviceMonotone(t *testing.T) {
 	}
 	p := cb.Params()
 	w := tensor.FromSlice([]float64{-1, 0, 1}, 3, 1)
-	cb.MapWeights(w, p.RminFresh, p.RmaxFresh)
+	cb.MapWeights(w, p.RminFresh, p.RmaxFresh, false)
 	prev := cb.Device(1, 0).Conductance()
 	for k := 0; k < 10; k++ {
 		cb.StepDevice(1, 0, +1)
@@ -85,7 +85,7 @@ func TestMapOnDeadArray(t *testing.T) {
 	rng := tensor.NewRNG(17)
 	w := tensor.New(4, 4)
 	rng.FillNormal(w, 0, 1)
-	stats := cb.MapWeights(w, p.RminFresh, p.RmaxFresh)
+	stats := cb.MapWeights(w, p.RminFresh, p.RmaxFresh, false)
 	if stats.Clipped == 0 {
 		t.Fatal("mapping a dead array must clip")
 	}

@@ -33,7 +33,7 @@ func TestTelemetryPulseCounter(t *testing.T) {
 	reg := withRegistry(t)
 	cb := newTestCrossbar(t, 6, 5)
 	w := testWeights(6, 5, 3)
-	cb.MapWeights(w, cb.params.RminFresh, cb.params.RmaxFresh)
+	cb.MapWeights(w, cb.params.RminFresh, cb.params.RmaxFresh, false)
 	if got, ok := reg.Snapshot().Counter("device/pulses_total"); !ok || got <= 0 {
 		t.Fatalf("pulses_total = %d (present %v), want > 0 (mapping programs devices)", got, ok)
 	}
@@ -43,7 +43,7 @@ func TestTelemetryUsableLevelGauges(t *testing.T) {
 	reg := withRegistry(t)
 	cb := newTestCrossbar(t, 4, 4)
 	w := testWeights(4, 4, 7)
-	cb.MapWeights(w, cb.params.RminFresh, cb.params.RmaxFresh)
+	cb.MapWeights(w, cb.params.RminFresh, cb.params.RmaxFresh, false)
 
 	var mean, min float64
 	for _, g := range reg.Snapshot().Gauges {
@@ -75,7 +75,7 @@ func TestTelemetryDoesNotPerturbResults(t *testing.T) {
 	drive := func() []float64 {
 		cb := newTestCrossbar(t, 6, 5)
 		w := testWeights(6, 5, 11)
-		cb.MapWeights(w, cb.params.RminFresh, cb.params.RmaxFresh)
+		cb.MapWeights(w, cb.params.RminFresh, cb.params.RmaxFresh, false)
 		rng := tensor.NewRNG(42)
 		cb.Drift(0.02, rng)
 		cb.StepDevices([]Step{{I: 1, J: 2, Dir: +1}, {I: 3, J: 4, Dir: -1}}, 0)

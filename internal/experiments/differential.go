@@ -48,7 +48,7 @@ func Differential(opt Options) ([]DifferentialRow, error) {
 			if err != nil {
 				return nil, err
 			}
-			single.MapWeights(w, p.RminFresh, p.RmaxFresh)
+			single.MapWeights(w, p.RminFresh, p.RmaxFresh, false)
 			gMin, gMax := p.GminFresh(), p.GmaxFresh()
 			rel, n := 0.0, 0
 			for i := 0; i < single.Rows; i++ {

@@ -34,10 +34,10 @@ func TestFaultSweepFaultMapsDeterministic(t *testing.T) {
 		ca, cc, cl := a.Layers[li].Crossbar, c.Layers[li].Crossbar, low.Layers[li].Crossbar
 		for i := 0; i < ca.Rows; i++ {
 			for j := 0; j < ca.Cols; j++ {
-				if ca.IsStuck(i, j) != cc.IsStuck(i, j) {
+				if ca.Device(i, j).Stuck() != cc.Device(i, j).Stuck() {
 					t.Fatalf("layer %d device (%d,%d): fault maps differ across identically seeded runs", li, i, j)
 				}
-				if cl.IsStuck(i, j) && !ca.IsStuck(i, j) {
+				if cl.Device(i, j).Stuck() && !ca.Device(i, j).Stuck() {
 					t.Fatalf("layer %d device (%d,%d): stuck at 1%% but healthy at 5%% — sets not nested", li, i, j)
 				}
 			}

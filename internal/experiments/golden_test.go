@@ -79,12 +79,9 @@ func TestGoldenEquivalence(t *testing.T) {
 		})
 		covered++
 	}
-	// Every non-meta registered experiment must have a golden — a new
+	// Every registered experiment must have a golden — a new
 	// experiment without one silently escapes the equivalence gate.
 	for _, e := range All() {
-		if e.Meta {
-			continue
-		}
 		if _, err := os.Stat(filepath.Join("testdata", "golden", e.ID+".txt")); err != nil {
 			t.Errorf("experiment %q has no golden file; capture one with: memlife -run %s -fast -seed 1 -out testdata/golden", e.ID, e.ID)
 		}

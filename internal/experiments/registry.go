@@ -56,9 +56,6 @@ type Experiment struct {
 	// scalar metrics — the hook that makes the experiment campaign-
 	// runnable (multi-seed aggregation with confidence intervals).
 	Metrics func(opt Options) (map[string]float64, error)
-	// Meta marks experiments that orchestrate other experiments (the
-	// campaign drivers); -all skips them so no experiment runs twice.
-	Meta bool
 }
 
 var registry = map[string]Experiment{}

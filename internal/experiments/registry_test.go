@@ -45,16 +45,6 @@ func TestDuplicateRegisterPanics(t *testing.T) {
 	register(Experiment{ID: "fig4", Title: "dup", Run: nil})
 }
 
-func TestMetaExperimentsAreMarked(t *testing.T) {
-	e, ok := ByID("campaign-lifetime")
-	if !ok {
-		t.Fatal("campaign-lifetime must be registered")
-	}
-	if !e.Meta {
-		t.Fatal("campaign-lifetime must be Meta so -all does not rerun everything")
-	}
-}
-
 // TestBundleCacheSingleflight hammers the fixture cache from many
 // goroutines: every caller must get the same bundle pointer and the
 // build must happen exactly once (run with -race to catch locking

@@ -102,13 +102,13 @@ func (r Result) Metrics() map[string]float64 {
 // ticking performs no heap allocation: the instance table, routing
 // scratch, sketches and RNG are all preallocated at New.
 type Sim struct {
-	cfg   Config
-	p     device.Params
-	model aging.Model
-	tempK float64
-	rng   rng
-	traf  *traffic
-	tel   *fleetTel
+	cfg  Config
+	p    device.Params
+	eval aging.Evaluator // the aged window at the fleet's temperature
+	grid *device.Grid
+	rng  rng
+	traf *traffic
+	tel  *fleetTel
 
 	clock int64
 
@@ -155,13 +155,13 @@ func New(cfg Config, p device.Params, m aging.Model, tempK float64, seed int64) 
 		return nil, fmt.Errorf("fleet: non-positive temperature %g K", tempK)
 	}
 	s := &Sim{
-		cfg:   cfg,
-		p:     p,
-		model: m,
-		tempK: tempK,
-		rng:   newRNG(seed),
-		traf:  newTraffic(cfg.Traffic),
-		tel:   newFleetTel(cfg.Instances),
+		cfg:  cfg,
+		p:    p,
+		eval: m.Evaluator(p, tempK),
+		grid: p.Grid(),
+		rng:  newRNG(seed),
+		traf: newTraffic(cfg.Traffic),
+		tel:  newFleetTel(cfg.Instances),
 	}
 	s.usableFresh = s.usableLevels(0)
 	if s.usableFresh < cfg.Service.MinLevels {
@@ -192,8 +192,8 @@ func New(cfg Config, p device.Params, m aging.Model, tempK float64, seed int64) 
 // usableLevels evaluates the aged resistance window at the given
 // stress and counts the surviving quantization levels.
 func (s *Sim) usableLevels(stress float64) int {
-	lo, hi := s.model.Bounds(s.p, stress, s.tempK)
-	return s.p.Grid().UsableLevels(lo, hi)
+	lo, hi := s.eval.Bounds(stress)
+	return s.grid.UsableLevels(lo, hi)
 }
 
 // postTuneAcc is the delivered accuracy right after a tune at the

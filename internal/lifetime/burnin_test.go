@@ -122,7 +122,7 @@ func TestSingleMinLevelMappingErrors(t *testing.T) {
 	cfg.BurnInStress = 100000
 	cfg.Mapping.MinLevels = 1
 	_, err := RunCtx(context.Background(), net, trainDS, STAT, device.Params32(), fastAging(), 300, cfg)
-	if err == nil || !strings.Contains(err.Error(), "min levels") {
+	if err == nil || !strings.Contains(err.Error(), "min_levels") {
 		t.Fatalf("MinLevels 1 must fail the run with an error, got %v", err)
 	}
 }

@@ -28,7 +28,10 @@ package lifetime
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math"
+	"strings"
 
 	"memlife/internal/aging"
 	"memlife/internal/crossbar"
@@ -164,35 +167,60 @@ type Config struct {
 	Faults fault.Config `json:"faults"`
 }
 
-// Validate reports an error for degenerate configs.
+// Validate checks the "lifetime" section of a scenario spec, its nested
+// tuning, mapping and faults sections included, and reports every
+// violation at once, each prefixed with its JSON path relative to the
+// section ("apps_per_cycle", "tuning.max_iters", ...). TargetAcc 0
+// passes — a spec derives the target at run time — but RunCtx requires
+// the injected target to be positive.
 func (c Config) Validate() error {
-	switch {
-	case c.AppsPerCycle < 1:
-		return fmt.Errorf("lifetime: AppsPerCycle must be >= 1, got %d", c.AppsPerCycle)
-	case c.MaxCycles < 1:
-		return fmt.Errorf("lifetime: MaxCycles must be >= 1, got %d", c.MaxCycles)
-	case c.Tuning.MaxIters < 1:
-		return fmt.Errorf("lifetime: Tuning.MaxIters must be >= 1, got %d", c.Tuning.MaxIters)
-	case c.TargetAcc <= 0 || c.TargetAcc > 1:
-		return fmt.Errorf("lifetime: TargetAcc must be in (0,1], got %g", c.TargetAcc)
-	case c.DriftSigma < 0:
-		return fmt.Errorf("lifetime: DriftSigma must be non-negative, got %g", c.DriftSigma)
-	case c.Tuning.BatchSize < 1:
-		return fmt.Errorf("lifetime: Tuning.BatchSize must be >= 1, got %d", c.Tuning.BatchSize)
-	case c.EvalN < 1:
-		return fmt.Errorf("lifetime: EvalN must be >= 1, got %d", c.EvalN)
-	case c.TraceStride < 0:
-		return fmt.Errorf("lifetime: TraceStride must be non-negative, got %d", c.TraceStride)
-	case c.AgingVariability < 0:
-		return fmt.Errorf("lifetime: AgingVariability must be non-negative, got %g", c.AgingVariability)
-	case c.RemapIterFrac < 0 || c.RemapIterFrac > 1:
-		return fmt.Errorf("lifetime: RemapIterFrac must be in [0,1], got %g", c.RemapIterFrac)
-	case c.BurnInStress < 0:
-		return fmt.Errorf("lifetime: BurnInStress must be non-negative, got %g", c.BurnInStress)
-	case c.DegradedAccFrac < 0 || c.DegradedAccFrac >= 1:
-		return fmt.Errorf("lifetime: DegradedAccFrac must be in [0,1), got %g", c.DegradedAccFrac)
+	var errs []error
+	fail := func(path, format string, args ...any) {
+		errs = append(errs, fmt.Errorf("%s: %s", path, fmt.Sprintf(format, args...)))
 	}
-	return c.Faults.Validate()
+	nest := func(section string, err error) {
+		if err != nil {
+			errs = append(errs, errors.New(section+"."+strings.ReplaceAll(err.Error(), "\n", "\n"+section+".")))
+		}
+	}
+	if c.AppsPerCycle < 1 {
+		fail("apps_per_cycle", "must be >= 1, got %d", c.AppsPerCycle)
+	}
+	if c.MaxCycles < 1 {
+		fail("max_cycles", "must be >= 1, got %d", c.MaxCycles)
+	} else if c.AppsPerCycle > math.MaxInt64/int64(c.MaxCycles) {
+		fail("apps_per_cycle", "times max_cycles (%d) overflows the application count, got %d", c.MaxCycles, c.AppsPerCycle)
+	}
+	if c.TargetAcc < 0 || c.TargetAcc > 1 {
+		fail("target_acc", "must be in [0,1] (0 = auto-derive), got %g", c.TargetAcc)
+	}
+	if c.DriftSigma < 0 {
+		fail("drift_sigma", "must be non-negative, got %g", c.DriftSigma)
+	}
+	if c.EvalN < 1 {
+		fail("eval_n", "must be >= 1, got %d", c.EvalN)
+	}
+	if c.TraceStride < 0 {
+		fail("trace_stride", "must be non-negative, got %d", c.TraceStride)
+	}
+	if c.AgingVariability < 0 {
+		fail("aging_variability", "must be non-negative, got %g", c.AgingVariability)
+	}
+	if c.BurnInStress < 0 {
+		fail("burn_in_stress", "must be non-negative, got %g", c.BurnInStress)
+	}
+	if c.RemapIterFrac < 0 || c.RemapIterFrac > 1 {
+		fail("remap_iter_frac", "must be in [0,1], got %g", c.RemapIterFrac)
+	}
+	if c.DegradedAccFrac < 0 || c.DegradedAccFrac >= 1 {
+		fail("degraded_acc_frac", "must be in [0,1), got %g", c.DegradedAccFrac)
+	}
+	nest("tuning", c.Tuning.Validate())
+	nest("mapping", c.Mapping.Validate())
+	if err := c.Faults.Validate(); err != nil {
+		fail("faults", "%v", err)
+	}
+	return errors.Join(errs...)
 }
 
 // Normalized returns the config with every "zero means X" field
@@ -308,7 +336,10 @@ func runCtx(ctx context.Context, net *nn.Network, trainDS *dataset.Dataset, sc S
 	res := Result{Scenario: sc}
 	cfg = cfg.Normalized()
 	if err := cfg.Validate(); err != nil {
-		return res, err
+		return res, fmt.Errorf("lifetime: %w", err)
+	}
+	if cfg.TargetAcc == 0 {
+		return res, fmt.Errorf("lifetime: target_acc must be positive at run time (derive it with SuggestTarget)")
 	}
 	if err := ctx.Err(); err != nil {
 		return res, fmt.Errorf("lifetime: %w", err)

@@ -2,13 +2,16 @@ package lifetime
 
 import (
 	"context"
+	"math"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
 	"memlife/internal/aging"
 	"memlife/internal/dataset"
 	"memlife/internal/device"
+	"memlife/internal/mapping"
 	"memlife/internal/nn"
 	"memlife/internal/tensor"
 	"memlife/internal/train"
@@ -97,7 +100,9 @@ func TestConfigValidation(t *testing.T) {
 		{AppsPerCycle: 0, MaxCycles: 1, TargetAcc: 0.5, EvalN: 1, Tuning: tinyTune},
 		{AppsPerCycle: 1, MaxCycles: 0, TargetAcc: 0.5, EvalN: 1, Tuning: tinyTune},
 		{AppsPerCycle: 1, MaxCycles: 1, TargetAcc: 0.5, EvalN: 1, Tuning: tuning.Config{MaxIters: 0, BatchSize: 1}},
-		{AppsPerCycle: 1, MaxCycles: 1, TargetAcc: 0, EvalN: 1, Tuning: tinyTune},
+		{AppsPerCycle: 1, MaxCycles: 1, TargetAcc: 1.5, EvalN: 1, Tuning: tinyTune},
+		{AppsPerCycle: math.MaxInt64/2 + 1, MaxCycles: 2, TargetAcc: 0.5, EvalN: 1, Tuning: tinyTune},
+		{AppsPerCycle: 1, MaxCycles: 1, TargetAcc: 0.5, EvalN: 1, Tuning: tinyTune, Mapping: mapping.Config{MinLevels: -1}},
 		{AppsPerCycle: 1, MaxCycles: 1, TargetAcc: 0.5, EvalN: 1, Tuning: tuning.Config{MaxIters: 1, BatchSize: 0}},
 		{AppsPerCycle: 1, MaxCycles: 1, TargetAcc: 0.5, EvalN: 0, Tuning: tinyTune},
 		{AppsPerCycle: 1, MaxCycles: 1, TargetAcc: 0.5, DriftSigma: -1, EvalN: 1, Tuning: tinyTune},
@@ -106,6 +111,15 @@ func TestConfigValidation(t *testing.T) {
 		if err := c.Validate(); err == nil {
 			t.Fatalf("case %d: config %+v should be rejected", i, c)
 		}
+	}
+	// Target 0 is a valid section value (a spec derives the target at
+	// run time), but a run needs the injected target to be positive.
+	zero := Config{AppsPerCycle: 1, MaxCycles: 1, EvalN: 1, Tuning: tinyTune}
+	if err := zero.Validate(); err != nil {
+		t.Fatalf("target 0 must pass Validate: %v", err)
+	}
+	if _, err := RunCtx(context.Background(), nil, nil, STAT, device.Params32(), aging.DefaultModel(), 300, zero); err == nil || !strings.Contains(err.Error(), "target_acc") {
+		t.Fatalf("RunCtx must reject target 0, got %v", err)
 	}
 }
 

@@ -8,6 +8,7 @@
 package mapping
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"time"
@@ -88,23 +89,38 @@ type Config struct {
 	// cell's bound says nothing about the programmable range), and
 	// programming skips stuck cells while compensating their fixed
 	// current contribution through the healthy cells of the same
-	// column (Crossbar.MapWeightsFaultAware). With no stuck devices
-	// the mapping is identical to the fault-unaware one.
+	// column (Crossbar.MapWeights). With no stuck devices the mapping
+	// is identical to the fault-unaware one.
 	FaultAware bool `json:"fault_aware"`
 }
 
 // Normalized returns the config with its "zero means X" fields
-// resolved: MaxCandidates <= 0 -> 8, MinLevels <= 0 -> 4. Map applies
-// it on entry; scenario specs serialize the resolved form
+// resolved: MaxCandidates 0 -> 8, MinLevels 0 -> 4. Map applies it
+// after Validate; scenario specs serialize the resolved form
 // (internal/spec.Defaults).
 func (c Config) Normalized() Config {
-	if c.MaxCandidates <= 0 {
+	if c.MaxCandidates == 0 {
 		c.MaxCandidates = 8
 	}
-	if c.MinLevels <= 0 {
+	if c.MinLevels == 0 {
 		c.MinLevels = 4
 	}
 	return c
+}
+
+// Validate checks the "mapping" section of a scenario spec and reports
+// every violation at once, each prefixed with its JSON field name. The
+// "zero means X" fields accept 0; Map validates before normalizing, so
+// a negative value is an error, not a default.
+func (c Config) Validate() error {
+	var errs []error
+	if c.MaxCandidates < 0 {
+		errs = append(errs, fmt.Errorf("max_candidates: must be non-negative, got %d", c.MaxCandidates))
+	}
+	if c.MinLevels < 0 || c.MinLevels == 1 {
+		errs = append(errs, fmt.Errorf("min_levels: must be 0 (default 4) or >= 2, got %d", c.MinLevels))
+	}
+	return errors.Join(errs...)
 }
 
 // CandidateScore records one evaluated candidate of the iterative
@@ -158,11 +174,11 @@ func Map(mn *crossbar.MappedNetwork, cfg Config, evalX *tensor.Tensor, evalY []i
 }
 
 func mapNetwork(mn *crossbar.MappedNetwork, cfg Config, evalX *tensor.Tensor, evalY []int) (Result, time.Duration, error) {
-	cfg = cfg.Normalized()
 	res := Result{Policy: cfg.Policy}
-	if cfg.MinLevels < 2 {
-		return res, 0, fmt.Errorf("mapping: min levels must be 0 (default 4) or >= 2, got %d", cfg.MinLevels)
+	if err := cfg.Validate(); err != nil {
+		return res, 0, fmt.Errorf("mapping: %w", err)
 	}
+	cfg = cfg.Normalized()
 	if cfg.Policy == AgingAware {
 		if evalX == nil || len(evalY) == 0 {
 			return res, 0, fmt.Errorf("mapping: aging-aware policy needs evaluation samples")
@@ -198,12 +214,7 @@ func mapNetwork(mn *crossbar.MappedNetwork, cfg Config, evalX *tensor.Tensor, ev
 	selectNs := time.Since(start)
 	// Only now touch hardware: one programming pass per layer.
 	for i, sel := range res.Selections {
-		var s crossbar.MapStats
-		if cfg.FaultAware {
-			s = mn.MapLayerFaultAware(i, sel.RLo, sel.RHi)
-		} else {
-			s = mn.MapLayer(i, sel.RLo, sel.RHi)
-		}
+		s := mn.MapLayer(i, sel.RLo, sel.RHi, cfg.FaultAware)
 		res.Stats.Pulses += s.Pulses
 		res.Stats.Stress += s.Stress
 		res.Stats.Clipped += s.Clipped
@@ -237,25 +248,16 @@ func selectRange(mn *crossbar.MappedNetwork, i int, cfg Config, act *tensor.Tens
 		return hi
 	}
 
-	// The traced candidate bounds: fault-aware selection consults only
-	// healthy traced devices.
-	tracedBounds := func() []float64 {
-		if cfg.FaultAware {
-			return l.Crossbar.TracedUpperBoundsHealthy()
-		}
-		return l.Crossbar.TracedUpperBounds()
-	}
-
 	switch cfg.Policy {
 	case Fresh:
 		return LayerSelection{Layer: l.Name, RLo: rLo, RHi: p.RmaxFresh}, nil
 
 	case WorstCase:
-		ubs := tracedBounds()
+		ubs := l.Crossbar.TracedUpperBounds(cfg.FaultAware)
 		return LayerSelection{Layer: l.Name, RLo: rLo, RHi: clampHi(ubs[0])}, nil
 
 	case MeanBound:
-		ubs := tracedBounds()
+		ubs := l.Crossbar.TracedUpperBounds(cfg.FaultAware)
 		sum := 0.0
 		for _, v := range ubs {
 			sum += v
@@ -269,7 +271,7 @@ func selectRange(mn *crossbar.MappedNetwork, i int, cfg Config, act *tensor.Tens
 		// selected range stable across mapping events until a traced
 		// bound actually crosses a level — avoiding a full-array
 		// reprogram (and its aging cost) on every remap.
-		raw := tracedBounds()
+		raw := l.Crossbar.TracedUpperBounds(cfg.FaultAware)
 		snapped := make([]float64, 0, len(raw))
 		for _, hi := range raw {
 			hi = clampHi(hi)

@@ -274,8 +274,14 @@ func TestAgingAwareRejectsMismatchedEvalData(t *testing.T) {
 func TestMapRejectsSingleMinLevel(t *testing.T) {
 	mn, x, y := fixture(t)
 	for _, pol := range []PolicyKind{Fresh, AgingAware} {
-		if _, err := Map(mn, Config{Policy: pol, MinLevels: 1}, x, y); err == nil || !strings.Contains(err.Error(), "min levels") {
+		if _, err := Map(mn, Config{Policy: pol, MinLevels: 1}, x, y); err == nil || !strings.Contains(err.Error(), "min_levels") {
 			t.Fatalf("policy %v: MinLevels 1 must be rejected, got %v", pol, err)
+		}
+	}
+	// Negative values are errors, not defaults.
+	for _, cfg := range []Config{{MinLevels: -1}, {MaxCandidates: -1}} {
+		if _, err := Map(mn, cfg, x, y); err == nil {
+			t.Fatalf("config %+v must be rejected", cfg)
 		}
 	}
 	if _, err := Map(mn, Config{Policy: AgingAware}, x, y); err != nil {

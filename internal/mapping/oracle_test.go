@@ -36,10 +36,7 @@ func referenceMap(mn *crossbar.MappedNetwork, cfg Config, evalX *tensor.Tensor, 
 			}
 			return hi
 		}
-		raw := l.Crossbar.TracedUpperBounds()
-		if cfg.FaultAware {
-			raw = l.Crossbar.TracedUpperBoundsHealthy()
-		}
+		raw := l.Crossbar.TracedUpperBounds(cfg.FaultAware)
 		snapped := make([]float64, 0, len(raw))
 		for _, hi := range raw {
 			hi = clampHi(hi)
@@ -72,12 +69,7 @@ func referenceMap(mn *crossbar.MappedNetwork, cfg Config, evalX *tensor.Tensor, 
 		l.Crossbar.QuantizeWeightsInto(l.Param.W, l.Target, sel.RLo, sel.RHi)
 	}
 	for i, sel := range res.Selections {
-		var s crossbar.MapStats
-		if cfg.FaultAware {
-			s = mn.MapLayerFaultAware(i, sel.RLo, sel.RHi)
-		} else {
-			s = mn.MapLayer(i, sel.RLo, sel.RHi)
-		}
+		s := mn.MapLayer(i, sel.RLo, sel.RHi, cfg.FaultAware)
 		res.Stats.Pulses += s.Pulses
 		res.Stats.Stress += s.Stress
 		res.Stats.Clipped += s.Clipped

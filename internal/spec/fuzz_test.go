@@ -9,6 +9,7 @@ import "testing"
 var crashSpecs = []string{
 	`{"version":1,"fixture":{"name":"lenet"},"scenario":"ST+AT","run":{"fast":true},"lifetime":{"max_cycles":2,"eval_n":64,"burn_in_stress":100000,"mapping":{"min_levels":1}}}`,
 	`{"version":1,"device":{"levels":1000000000000}}`,
+	overflowAppsSpec,
 }
 
 // FuzzResolveBytes feeds arbitrary documents to the resolver the daemon
@@ -16,7 +17,9 @@ var crashSpecs = []string{
 // holds every example scenario, the crash specs and truncated or
 // malformed documents. Contract: ResolveBytes never panics, and any
 // document it accepts is a fixed point — its Dump resolves again to the
-// same Fingerprint.
+// same Fingerprint, and whose lifetime, tuning and mapping sections
+// pass their owners' validators — before and after the run-time
+// normalization, at a positive injected target.
 func FuzzResolveBytes(f *testing.F) {
 	for _, doc := range crashSpecs {
 		if _, err := ResolveBytes([]byte(doc), Overrides{}); err == nil {
@@ -46,6 +49,17 @@ func FuzzResolveBytes(f *testing.F) {
 		}
 		if fp2 != fp {
 			t.Fatalf("dump round trip changed the fingerprint: %s -> %s\n%s", fp, fp2, dump)
+		}
+		lt := s.LifetimeConfig(0.5)
+		for name, err := range map[string]error{
+			"lifetime":            lt.Validate(),
+			"normalized lifetime": lt.Normalized().Validate(),
+			"tuning":              lt.Tuning.Validate(),
+			"mapping":             lt.Mapping.Validate(),
+		} {
+			if err != nil {
+				t.Fatalf("resolved spec fails the %s validator: %v\n%s", name, err, dump)
+			}
 		}
 	})
 }

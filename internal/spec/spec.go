@@ -32,13 +32,13 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"strings"
 
 	"memlife/internal/aging"
 	"memlife/internal/device"
 	"memlife/internal/fleet"
 	"memlife/internal/lifetime"
 	"memlife/internal/mapping"
-	"memlife/internal/tuning"
 )
 
 // Version is the current spec schema version. Files declaring a
@@ -245,57 +245,10 @@ func (s Spec) Validate() error {
 		fail("temp_k", "operating temperature must be positive Kelvin, got %g", s.TempK)
 	}
 
-	lt := s.Lifetime
-	if lt.AppsPerCycle < 1 {
-		fail("lifetime.apps_per_cycle", "must be >= 1, got %d", lt.AppsPerCycle)
-	}
-	if lt.MaxCycles < 1 {
-		fail("lifetime.max_cycles", "must be >= 1, got %d", lt.MaxCycles)
-	}
-	if lt.TargetAcc < 0 || lt.TargetAcc > 1 {
-		fail("lifetime.target_acc", "must be in [0,1] (0 = auto-derive), got %g", lt.TargetAcc)
-	}
-	if lt.DriftSigma < 0 {
-		fail("lifetime.drift_sigma", "must be non-negative, got %g", lt.DriftSigma)
-	}
-	if lt.EvalN < 1 {
-		fail("lifetime.eval_n", "must be >= 1, got %d", lt.EvalN)
-	}
-	if lt.TraceStride < 0 {
-		fail("lifetime.trace_stride", "must be non-negative, got %d", lt.TraceStride)
-	}
-	if lt.AgingVariability < 0 {
-		fail("lifetime.aging_variability", "must be non-negative, got %g", lt.AgingVariability)
-	}
-	if lt.BurnInStress < 0 {
-		fail("lifetime.burn_in_stress", "must be non-negative, got %g", lt.BurnInStress)
-	}
-	if lt.RemapIterFrac < 0 || lt.RemapIterFrac > 1 {
-		fail("lifetime.remap_iter_frac", "must be in [0,1], got %g", lt.RemapIterFrac)
-	}
-	if lt.DegradedAccFrac < 0 || lt.DegradedAccFrac >= 1 {
-		fail("lifetime.degraded_acc_frac", "must be in [0,1), got %g", lt.DegradedAccFrac)
-	}
-	if lt.Tuning.MaxIters < 1 {
-		fail("lifetime.tuning.max_iters", "must be >= 1, got %d", lt.Tuning.MaxIters)
-	}
-	if lt.Tuning.BatchSize < 1 {
-		fail("lifetime.tuning.batch_size", "must be >= 1, got %d", lt.Tuning.BatchSize)
-	}
-	if lt.Tuning.StepFrac < 0 || lt.Tuning.StepFrac > 1 {
-		fail("lifetime.tuning.step_frac", "must be in [0,1], got %g", lt.Tuning.StepFrac)
-	}
-	if _, err := tuning.ParsePolicy(lt.Tuning.Policy); err != nil {
-		fail("lifetime.tuning.policy", "%v", err)
-	}
-	if lt.Mapping.MaxCandidates < 0 {
-		fail("lifetime.mapping.max_candidates", "must be non-negative, got %d", lt.Mapping.MaxCandidates)
-	}
-	if lt.Mapping.MinLevels < 0 || lt.Mapping.MinLevels == 1 {
-		fail("lifetime.mapping.min_levels", "must be 0 (default 4) or >= 2, got %d", lt.Mapping.MinLevels)
-	}
-	if err := lt.Faults.Validate(); err != nil {
-		fail("lifetime.faults", "%v", err)
+	if err := s.Lifetime.Validate(); err != nil {
+		// lifetime.Config.Validate owns every lifetime.* rule and
+		// reports paths relative to its section.
+		errs = append(errs, errors.New("lifetime."+strings.ReplaceAll(err.Error(), "\n", "\nlifetime.")))
 	}
 
 	if s.Fleet != nil {

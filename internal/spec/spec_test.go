@@ -1,6 +1,7 @@
 package spec
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -211,6 +212,26 @@ func TestValidateCollectsAllErrors(t *testing.T) {
 		if !strings.Contains(msg, path+":") {
 			t.Errorf("validation must report %q, got:\n%s", path, msg)
 		}
+	}
+}
+
+// overflowAppsSpec asks for more applications than an int64 counts:
+// 4e18 per cycle over the fast budget's 60 cycles.
+const overflowAppsSpec = `{"scenario":"ST+T","lifetime":{"apps_per_cycle":4000000000000000000},"run":{"fast":true,"seed":1}}`
+
+// TestValidateRejectsOverflowingLifetime: a lifetime budget whose
+// application count (apps_per_cycle * max_cycles) overflows int64 is
+// rejected at resolution instead of reporting a wrapped count.
+func TestValidateRejectsOverflowingLifetime(t *testing.T) {
+	_, err := ResolveBytes([]byte(overflowAppsSpec), Overrides{})
+	if err == nil || !strings.Contains(err.Error(), "lifetime.apps_per_cycle:") {
+		t.Fatalf("overflowing lifetime must fail under lifetime.apps_per_cycle, got %v", err)
+	}
+	// The largest budget that fits still resolves.
+	s := Defaults(FixtureLeNet, true)
+	s.Lifetime.AppsPerCycle = math.MaxInt64 / int64(s.Lifetime.MaxCycles)
+	if err := s.Validate(); err != nil {
+		t.Fatalf("a budget of exactly %d applications must be valid: %v", s.Lifetime.AppsPerCycle*int64(s.Lifetime.MaxCycles), err)
 	}
 }
 

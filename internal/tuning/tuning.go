@@ -13,6 +13,7 @@
 package tuning
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
 	"sort"
@@ -70,22 +71,28 @@ type Config struct {
 	Seed int64 `json:"-"`
 }
 
-// Validate reports an error for degenerate configs.
+// Validate checks the "tuning" section of a scenario spec and reports
+// every violation at once, each prefixed with its JSON field name.
+// TargetAcc is not a section field: the lifetime simulation injects
+// it, and Tune checks it.
 func (c Config) Validate() error {
-	switch {
-	case c.MaxIters < 1:
-		return fmt.Errorf("tuning: MaxIters must be >= 1, got %d", c.MaxIters)
-	case c.TargetAcc <= 0 || c.TargetAcc > 1:
-		return fmt.Errorf("tuning: TargetAcc must be in (0,1], got %g", c.TargetAcc)
-	case c.BatchSize < 1:
-		return fmt.Errorf("tuning: BatchSize must be >= 1, got %d", c.BatchSize)
-	case c.StepFrac < 0 || c.StepFrac > 1:
-		return fmt.Errorf("tuning: StepFrac must be in [0,1], got %g", c.StepFrac)
+	var errs []error
+	fail := func(path, format string, args ...any) {
+		errs = append(errs, fmt.Errorf("%s: %s", path, fmt.Sprintf(format, args...)))
+	}
+	if c.MaxIters < 1 {
+		fail("max_iters", "must be >= 1, got %d", c.MaxIters)
+	}
+	if c.BatchSize < 1 {
+		fail("batch_size", "must be >= 1, got %d", c.BatchSize)
+	}
+	if c.StepFrac < 0 || c.StepFrac > 1 {
+		fail("step_frac", "must be in [0,1], got %g", c.StepFrac)
 	}
 	if _, err := ParsePolicy(c.Policy); err != nil {
-		return err
+		fail("policy", "%v", err)
 	}
-	return nil
+	return errors.Join(errs...)
 }
 
 // Normalized returns the config with every "zero means X" field
@@ -161,12 +168,12 @@ func tune(mn *crossbar.MappedNetwork, ds *dataset.Dataset, evalX *tensor.Tensor,
 	var res Result
 	cfg = cfg.Normalized()
 	if err := cfg.Validate(); err != nil {
-		return res, err
+		return res, fmt.Errorf("tuning: %w", err)
 	}
-	pol, err := ParsePolicy(cfg.Policy)
-	if err != nil {
-		return res, err
+	if cfg.TargetAcc <= 0 || cfg.TargetAcc > 1 {
+		return res, fmt.Errorf("tuning: target accuracy must be in (0,1], got %g", cfg.TargetAcc)
 	}
+	pol, _ := ParsePolicy(cfg.Policy) // Validate has accepted the name
 	rng := tensor.NewRNG(cfg.Seed)
 	pulsesBefore := mn.TotalPulses()
 	stressBefore := mn.TotalStress()

@@ -81,7 +81,7 @@ func TestStuckDevicesSkippedWithoutStress(t *testing.T) {
 	for li, l := range mn.Layers {
 		for i := 0; i < l.Crossbar.Rows; i++ {
 			for j := 0; j < l.Crossbar.Cols; j++ {
-				if l.Crossbar.IsStuck(i, j) {
+				if l.Crossbar.Device(i, j).Stuck() {
 					stuckStress[key{li, i, j}] = l.Crossbar.Device(i, j).Stress()
 				}
 			}

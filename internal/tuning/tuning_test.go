@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"memlife/internal/aging"
@@ -49,14 +50,25 @@ func TestConfigValidation(t *testing.T) {
 	}
 	bad := []Config{
 		{MaxIters: 0, TargetAcc: 0.9, BatchSize: 16},
-		{MaxIters: 10, TargetAcc: 0, BatchSize: 16},
-		{MaxIters: 10, TargetAcc: 1.5, BatchSize: 16},
 		{MaxIters: 10, TargetAcc: 0.9, BatchSize: 0},
 		{MaxIters: 10, TargetAcc: 0.9, BatchSize: 16, StepFrac: 2},
+		{MaxIters: 10, TargetAcc: 0.9, BatchSize: 16, Policy: "bogus"},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
 			t.Fatalf("case %d: config %+v should be rejected", i, c)
+		}
+	}
+	// The injected target is not a section field: Validate leaves it to
+	// Tune, which rejects it before touching the network.
+	for _, target := range []float64{0, 1.5} {
+		c := good
+		c.TargetAcc = target
+		if err := c.Validate(); err != nil {
+			t.Fatalf("target %g is Tune's rule, not Validate's: %v", target, err)
+		}
+		if _, err := Tune(nil, nil, nil, nil, c); err == nil || !strings.Contains(err.Error(), "target accuracy") {
+			t.Fatalf("Tune must reject target %g, got %v", target, err)
 		}
 	}
 }
