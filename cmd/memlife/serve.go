@@ -51,7 +51,7 @@ func runServe(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 		JobWorkers:   *jobWorkers,
 		ShardWorkers: *shardWorkers,
 		QueueCap:     *queueCap,
-		Retry:        retry.Policy{MaxAttempts: *retries, BaseDelay: 500 * time.Millisecond, MaxDelay: 30 * time.Second, Jitter: 0.5, Seed: 1},
+		Retry:        retry.Policy{MaxAttempts: *retries},
 		DrainGrace:   *drainGrace,
 	}
 	if *verb {
@@ -68,7 +68,7 @@ func runServe(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 
 	code := 0
 	if err := srv.Run(ctx); err != nil {
-		fmt.Fprintf(stderr, "memlife: drain: %v\n", err)
+		fmt.Fprintf(stderr, "memlife: %v\n", err)
 		code = 1
 	}
 	if *metricsOut != "" {

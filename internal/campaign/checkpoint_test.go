@@ -3,6 +3,7 @@ package campaign
 import (
 	"encoding/json"
 	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -29,7 +30,7 @@ func loadCheckpoint(path, fingerprint string) (map[int]ShardResult, error) {
 
 // openJournal opens the journal at path for appending as a resumed
 // campaign with fingerprint "fp" does.
-func openJournal(path string) (*journal, error) {
+func openJournal(path string) (*Journal, error) {
 	return openCheckpoint(path, "fp", true, map[int]ShardResult{})
 }
 
@@ -196,7 +197,7 @@ func TestJournalAppendDurable(t *testing.T) {
 	}
 	defer j.Close()
 	for i := 0; i < 3; i++ {
-		if err := j.append(testRecord("fp", i)); err != nil {
+		if err := j.Append(testRecord("fp", i)); err != nil {
 			t.Fatal(err)
 		}
 		// Read back through a fresh descriptor while the journal is
@@ -219,7 +220,7 @@ func TestJournalAppendReopensForAppend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.append(testRecord("fp", 0)); err != nil {
+	if err := j.Append(testRecord("fp", 0)); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Close(); err != nil {
@@ -230,7 +231,7 @@ func TestJournalAppendReopensForAppend(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j2.Close()
-	if err := j2.append(testRecord("fp", 1)); err != nil {
+	if err := j2.Append(testRecord("fp", 1)); err != nil {
 		t.Fatal(err)
 	}
 	done, err := loadCheckpoint(path, "fp")
@@ -263,7 +264,7 @@ func TestOpenJournalCutsTornTail(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := j.append(testRecord("fp", 2)); err != nil {
+			if err := j.Append(testRecord("fp", 2)); err != nil {
 				t.Fatal(err)
 			}
 			if err := j.Close(); err != nil {
@@ -291,7 +292,7 @@ func TestOpenJournalRejectsInteriorCorruption(t *testing.T) {
 	if err := os.WriteFile(path, []byte("{bad\n"+whole+"\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if f, err := OpenJournal(path, nil); err == nil {
+	if f, err := OpenJournal(OSFiles{}, path, nil); err == nil {
 		f.Close()
 		t.Fatal("interior corruption must be an error")
 	}
@@ -312,7 +313,7 @@ func TestJournalConcurrentAppends(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if err := j.append(testRecord("fp", i)); err != nil {
+			if err := j.Append(testRecord("fp", i)); err != nil {
 				t.Error(err)
 			}
 		}(i)
@@ -332,5 +333,109 @@ func TestJournalConcurrentAppends(t *testing.T) {
 		if _, ok := done[i]; !ok {
 			t.Fatalf("shard %d lost under contention", i)
 		}
+	}
+}
+
+var errInjected = errors.New("injected I/O error")
+
+// faultFiles is Files on the real file system that fails one call:
+// the failWrite-th Write lands only the first half of its bytes, or
+// the failSync-th Sync fails (1-based; 0 never). Every later call
+// would succeed, so a journal that retried would get through.
+type faultFiles struct {
+	failWrite, failSync int
+	writes, syncs       int
+}
+
+func (ff *faultFiles) OpenFile(name string, flag int, perm fs.FileMode) (File, error) {
+	f, err := OSFiles{}.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return faultFile{File: f, ff: ff}, nil
+}
+
+func (*faultFiles) Rename(oldpath, newpath string) error { return os.Rename(oldpath, newpath) }
+func (*faultFiles) SyncDir(dir string) error             { return OSFiles{}.SyncDir(dir) }
+
+type faultFile struct {
+	File
+	ff *faultFiles
+}
+
+func (f faultFile) Write(p []byte) (int, error) {
+	if f.ff.writes++; f.ff.writes == f.ff.failWrite {
+		n, _ := f.File.Write(p[:len(p)/2])
+		return n, errInjected
+	}
+	return f.File.Write(p)
+}
+
+func (f faultFile) Sync() error {
+	if f.ff.syncs++; f.ff.syncs == f.ff.failSync {
+		return errInjected
+	}
+	return f.File.Sync()
+}
+
+// TestJournalFailStop: the first failed write or fsync is permanent.
+// The failing Append and every later one return the same error and
+// write nothing more, although the next call would succeed; a reopen
+// cuts what a partial write left, so the journal replays whole records
+// only and takes new appends.
+func TestJournalFailStop(t *testing.T) {
+	for name, ff := range map[string]*faultFiles{
+		"failed sync":   {failSync: 2},
+		"partial write": {failWrite: 2},
+	} {
+		t.Run(name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "run.jsonl")
+			j, err := OpenJournal(ff, path, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := j.Append(testRecord("fp", 0)); err != nil {
+				t.Fatal(err)
+			}
+			first := j.Append(testRecord("fp", 1))
+			if !errors.Is(first, errInjected) {
+				t.Fatalf("Append = %v, want the injected failure", first)
+			}
+			writes, syncs := ff.writes, ff.syncs
+			for i := 2; i < 4; i++ {
+				if err := j.Append(testRecord("fp", i)); err != first {
+					t.Fatalf("Append after the failure = %v, want the first error %v", err, first)
+				}
+			}
+			if ff.writes != writes || ff.syncs != syncs {
+				t.Fatalf("a failed journal wrote %d and synced %d more times", ff.writes-writes, ff.syncs-syncs)
+			}
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			j, err = openJournal(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := j.Append(testRecord("fp", 4)); err != nil {
+				t.Fatal(err)
+			}
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := ScanJournal(path, func(int, []byte) error { return nil }); err != nil {
+				t.Fatalf("journal after reopen must scan cleanly: %v", err)
+			}
+			done, err := loadCheckpoint(path, "fp")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, want := range []bool{true, name == "failed sync", false, false, true} {
+				if _, ok := done[i]; ok != want {
+					t.Fatalf("record %d replayed = %v, want %v (replayed %v)", i, ok, want, done)
+				}
+			}
+		})
 	}
 }

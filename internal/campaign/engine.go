@@ -122,7 +122,7 @@ func run(ctx context.Context, spec Spec, cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("campaign: Resume requires CheckpointPath")
 	}
 	done := map[int]ShardResult{}
-	var jnl *journal
+	var jnl *Journal
 	if cfg.CheckpointPath != "" {
 		var err error
 		jnl, err = openCheckpoint(cfg.CheckpointPath, fp, cfg.Resume, done)
@@ -259,7 +259,7 @@ func run(ctx context.Context, spec Spec, cfg Config) (*Result, error) {
 				tel.shardNs.Observe(float64(elapsed))
 				tel.shardsDone.Inc()
 				if jnl != nil {
-					err := jnl.append(checkpointRecord{
+					err := jnl.Append(checkpointRecord{
 						Fingerprint: fp,
 						Index:       s.Index,
 						Experiment:  s.Experiment,
@@ -269,7 +269,7 @@ func run(ctx context.Context, spec Spec, cfg Config) (*Result, error) {
 						ElapsedMS:   elapsed.Milliseconds(),
 					})
 					if err != nil {
-						fail(err)
+						fail(fmt.Errorf("campaign: journal shard %d: %w", s.Index, err))
 						return
 					}
 				}

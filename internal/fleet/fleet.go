@@ -1,7 +1,7 @@
 // Package fleet simulates a population of crossbar instances behind a
 // load balancer under synthetic traffic — the systems layer that turns
 // the per-device lifetime model into fleet-survival and
-// p99-accuracy-under-load results (ROADMAP item 3, after the DNN-Life
+// p99-accuracy-under-load results (DESIGN.md §9, after the DNN-Life
 // framing of aging mitigation as a fleet/energy problem).
 //
 // The simulator runs on a deterministic integer tick clock: each tick

@@ -1,6 +1,8 @@
-// Package retry is the one shared retry helper of the repo: capped
-// exponential backoff with deterministic seeded jitter, aware of
-// context cancellation and of permanent (non-retryable) errors.
+// Package retry drives the serve daemon's job retries, its one use:
+// capped exponential backoff with deterministic seeded jitter, aware of
+// context cancellation and of permanent (non-retryable) errors. Local
+// file I/O is not retried: a failed journal or store write is permanent
+// (see campaign.Journal).
 //
 // Determinism matters here for the same reason it matters everywhere
 // else in the simulator: two runs of the same configuration must make

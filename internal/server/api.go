@@ -18,6 +18,9 @@ const maxSpecBytes = 4 << 20
 // maxSeeds bounds a job's Monte Carlo sample size.
 const maxSeeds = 4096
 
+// retryAfter is the backpressure hint sent with 429, in seconds.
+const retryAfter = "2"
+
 // jobEnvelope is the API's job representation.
 type jobEnvelope struct {
 	ID    string `json:"id"`
@@ -51,7 +54,8 @@ func envelope(j Job, cached bool) jobEnvelope {
 // handler builds the daemon's HTTP API:
 //
 //	POST /v1/jobs          submit a scenario spec (?seeds=N); 200 cache
-//	                       hit, 202 accepted, 400 invalid, 429 full
+//	                       hit, 202 accepted, 400 invalid, 429 full,
+//	                       503 job journal failed
 //	GET  /v1/jobs          list known jobs
 //	GET  /v1/jobs/{id}     one job's status
 //	GET  /v1/results/{id}  stored result document
@@ -81,7 +85,8 @@ func (s *Server) handler() http.Handler {
 
 // handleSubmit is the intake path: resolve and validate the submitted
 // spec, key it, serve a store hit instantly, otherwise journal-then-ACK
-// (202) or push back (429 + Retry-After).
+// (202), push back (429 + Retry-After), or refuse (503) once the job
+// journal has failed.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	raw, err := io.ReadAll(io.LimitReader(r.Body, maxSpecBytes+1))
 	if err != nil {
@@ -125,11 +130,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		if err == errQueueFull {
 			s.tel.jobsRejected.Inc()
-			w.Header().Set("Retry-After", strconv.Itoa(int(s.cfg.RetryAfter.Seconds())))
+			w.Header().Set("Retry-After", retryAfter)
 			apiError(w, http.StatusTooManyRequests, "job queue is full; retry later")
 			return
 		}
-		apiError(w, http.StatusInternalServerError, err.Error())
+		// The job journal failed for good, and the daemon is draining.
+		apiError(w, http.StatusServiceUnavailable, err.Error())
 		return
 	}
 	if created {

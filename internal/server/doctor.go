@@ -58,13 +58,7 @@ func Doctor(dir string, w io.Writer) (ok bool, err error) {
 	jobs := map[string]JobState{}
 	q := &queue{jobs: make(map[string]*Job)}
 	jpath := st.queuePath()
-	jerr := campaign.ScanJournal(jpath, func(line int, raw []byte) error {
-		var rec queueRecord
-		if err := json.Unmarshal(raw, &rec); err != nil {
-			return fmt.Errorf("job journal line %d: %w", line, err)
-		}
-		return q.replay(rec, jpath, line)
-	})
+	jerr := campaign.ScanJournal(jpath, q.replayer(jpath))
 	switch {
 	case jerr == nil:
 	case errors.Is(jerr, campaign.ErrTornTail):

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 	"sync"
 
 	"memlife/internal/campaign"
@@ -74,8 +73,10 @@ type queue struct {
 	jobs    map[string]*Job
 	pending []string // FIFO of queued job ids
 	cap     int
-	f       *os.File
+	j       *campaign.Journal
 	notify  chan struct{}
+	failed  chan struct{} // closed at the first failed append, after err is set
+	err     error         // that failure: the daemon stops taking jobs and drains
 }
 
 // openQueue replays the journal at path and opens it for appending.
@@ -88,30 +89,41 @@ func openQueue(path string, capacity int) (*queue, error) {
 		jobs:   make(map[string]*Job),
 		cap:    capacity,
 		notify: make(chan struct{}, 1),
+		failed: make(chan struct{}),
 	}
-	f, err := campaign.OpenJournal(path, func(line int, raw []byte) error {
-		var rec queueRecord
-		if err := json.Unmarshal(raw, &rec); err != nil {
-			return fmt.Errorf("server: job journal %s line %d: %w", path, line, err)
-		}
-		return q.replay(rec, path, line)
-	})
+	j, err := campaign.OpenJournal(campaign.OSFiles{}, path, q.replayer(path))
 	if err != nil {
 		return nil, err
 	}
-	q.f = f
+	q.j = j
 	return q, nil
 }
 
-// replay applies one journal record to the in-memory state, in journal
-// order: submit enqueues (or re-enqueues a terminal job), done/failed
-// settle. Unknown ops and terminal records for unknown jobs are
-// corruption — the journal is written only by this package.
-func (q *queue) replay(rec queueRecord, path string, line int) error {
+// replayer returns the journal callback that applies each record of
+// the job journal at path, in journal order.
+func (q *queue) replayer(path string) func(line int, raw []byte) error {
+	return func(line int, raw []byte) error {
+		var rec queueRecord
+		err := json.Unmarshal(raw, &rec)
+		if err == nil {
+			err = q.apply(rec)
+		}
+		if err != nil {
+			return fmt.Errorf("server: job journal %s line %d: %w", path, line, err)
+		}
+		return nil
+	}
+}
+
+// apply applies one journal record to the in-memory state: submit
+// enqueues (or re-enqueues a terminal job), done/failed settle. Unknown
+// ops and terminal records for unknown jobs are corruption — the
+// journal is written only by this package.
+func (q *queue) apply(rec queueRecord) error {
 	switch rec.Op {
 	case "submit":
 		if !validKey(rec.ID) || rec.Seeds < 1 || len(rec.Spec) == 0 {
-			return fmt.Errorf("server: job journal %s line %d: malformed submit record", path, line)
+			return errors.New("malformed submit record")
 		}
 		j, ok := q.jobs[rec.ID]
 		if ok && (j.State == JobQueued || j.State == JobRunning) {
@@ -123,7 +135,7 @@ func (q *queue) replay(rec queueRecord, path string, line int) error {
 	case "done", "failed":
 		j, ok := q.jobs[rec.ID]
 		if !ok {
-			return fmt.Errorf("server: job journal %s line %d: %s for unknown job %s", path, line, rec.Op, rec.ID)
+			return fmt.Errorf("%s for unknown job %s", rec.Op, rec.ID)
 		}
 		q.unqueue(rec.ID)
 		if rec.Op == "done" {
@@ -135,7 +147,7 @@ func (q *queue) replay(rec queueRecord, path string, line int) error {
 		}
 		return nil
 	default:
-		return fmt.Errorf("server: job journal %s line %d: unknown op %q", path, line, rec.Op)
+		return fmt.Errorf("unknown op %q", rec.Op)
 	}
 }
 
@@ -149,16 +161,17 @@ func (q *queue) unqueue(id string) {
 	}
 }
 
-// journal appends one record durably; callers hold q.mu.
-func (q *queue) journal(rec queueRecord) error {
-	b, err := json.Marshal(rec)
-	if err != nil {
+// record journals rec durably, then applies it; callers hold q.mu. The
+// first journal failure stops the queue for good.
+func (q *queue) record(rec queueRecord) error {
+	if err := q.j.Append(rec); err != nil {
+		if q.err == nil {
+			q.err = err
+			close(q.failed)
+		}
 		return fmt.Errorf("server: journal job %s: %w", rec.ID, err)
 	}
-	if err := campaign.AppendJournalLine(q.f, append(b, '\n')); err != nil {
-		return fmt.Errorf("server: journal job %s: %w", rec.ID, err)
-	}
-	return nil
+	return q.apply(rec)
 }
 
 // Submit accepts (or dedupes) a job. The returned snapshot reflects
@@ -181,15 +194,11 @@ func (q *queue) Submit(id string, spec json.RawMessage, seeds int) (job Job, cre
 	if q.liveCount() >= q.cap {
 		return Job{}, false, errQueueFull
 	}
-	rec := queueRecord{Op: "submit", ID: id, Seeds: seeds, Spec: spec}
-	if err := q.journal(rec); err != nil {
+	if err := q.record(queueRecord{Op: "submit", ID: id, Seeds: seeds, Spec: spec}); err != nil {
 		return Job{}, false, err
 	}
-	j := &Job{ID: id, Spec: spec, Seeds: seeds, State: JobQueued}
-	q.jobs[id] = j
-	q.pending = append(q.pending, id)
 	q.wake()
-	return *j, true, nil
+	return *q.jobs[id], true, nil
 }
 
 // liveCount is the number of jobs consuming queue capacity; callers
@@ -243,31 +252,20 @@ func (q *queue) Dequeue(stop <-chan struct{}) (Job, bool) {
 
 // MarkDone settles a job as done, journaling the transition durably.
 func (q *queue) MarkDone(id string) error {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if err := q.journal(queueRecord{Op: "done", ID: id}); err != nil {
-		return err
-	}
-	if j, ok := q.jobs[id]; ok {
-		j.State = JobDone
-		j.Error = ""
-	}
-	return nil
+	return q.settle(queueRecord{Op: "done", ID: id})
 }
 
 // MarkFailed settles a job as failed (retry budget exhausted),
 // journaling the transition durably.
 func (q *queue) MarkFailed(id, msg string) error {
+	return q.settle(queueRecord{Op: "failed", ID: id, Error: msg})
+}
+
+// settle records a terminal transition.
+func (q *queue) settle(rec queueRecord) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if err := q.journal(queueRecord{Op: "failed", ID: id, Error: msg}); err != nil {
-		return err
-	}
-	if j, ok := q.jobs[id]; ok {
-		j.State = JobFailed
-		j.Error = msg
-	}
-	return nil
+	return q.record(rec)
 }
 
 // Requeue puts a drained in-flight job back at the head of the queue,
@@ -340,9 +338,7 @@ func (q *queue) CountsByState() (queued, running, done, failed int) {
 	return
 }
 
-// Close closes the journal file.
+// Close closes the journal.
 func (q *queue) Close() error {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.f.Close()
+	return q.j.Close()
 }

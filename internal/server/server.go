@@ -14,6 +14,9 @@
 //     to an uninterrupted run;
 //   - results are written temp-then-rename; readers and crashes see a
 //     whole document or nothing;
+//   - a failed journal or store write is permanent, never retried
+//     (see campaign.Journal): after a job-journal failure submissions
+//     get 503 and Run drains and returns the error;
 //   - one flock'd writer per store directory — a second daemon (or a
 //     concurrent CLI resume pointed at the store) fails fast.
 package server
@@ -44,12 +47,9 @@ type Config struct {
 	// QueueCap bounds queued+running jobs; submissions beyond it get
 	// 429 + Retry-After. <= 0 means 64.
 	QueueCap int
-	// Retry is the per-job execution retry budget; a zero policy means
-	// the default (3 attempts, 500ms..30s capped backoff, 50% jitter).
+	// Retry is the per-job execution retry budget. MaxAttempts <= 0 means
+	// 3; BaseDelay <= 0 means 500ms..30s capped backoff, 50% jitter, seed 1.
 	Retry retry.Policy
-	// RetryAfter is the backpressure hint returned with 429; <= 0
-	// means 2s.
-	RetryAfter time.Duration
 	// DrainGrace is how long Drain waits for in-flight jobs before
 	// cancelling them to their checkpoints; <= 0 means 5s.
 	DrainGrace time.Duration
@@ -67,17 +67,11 @@ func (c Config) withDefaults() Config {
 	if c.QueueCap <= 0 {
 		c.QueueCap = 64
 	}
-	if c.Retry == (retry.Policy{}) {
-		c.Retry = retry.Policy{
-			MaxAttempts: 3,
-			BaseDelay:   500 * time.Millisecond,
-			MaxDelay:    30 * time.Second,
-			Jitter:      0.5,
-			Seed:        1,
-		}
+	if c.Retry.MaxAttempts <= 0 {
+		c.Retry.MaxAttempts = 3
 	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = 2 * time.Second
+	if c.Retry.BaseDelay <= 0 {
+		c.Retry.BaseDelay, c.Retry.MaxDelay, c.Retry.Jitter, c.Retry.Seed = 500*time.Millisecond, 30*time.Second, 0.5, 1
 	}
 	if c.DrainGrace <= 0 {
 		c.DrainGrace = 5 * time.Second
@@ -153,12 +147,23 @@ func (s *Server) Start() {
 		s.Addr(), s.cfg.Dir, s.cfg.JobWorkers, s.cfg.QueueCap)
 }
 
-// Run serves until ctx is cancelled, then drains and returns the drain
-// error — the whole graceful lifecycle in one call.
+// Run serves until ctx is cancelled or the job journal fails, then
+// drains — the whole graceful lifecycle in one call. It returns the
+// journal failure if there was one, else the drain error.
 func (s *Server) Run(ctx context.Context) error {
 	s.Start()
-	<-ctx.Done()
-	return s.Drain()
+	select {
+	case <-ctx.Done():
+	case <-s.queue.failed:
+		s.logf("job journal failed, draining: %v", s.queue.err)
+	}
+	err := s.Drain()
+	select {
+	case <-s.queue.failed:
+		return fmt.Errorf("server: job journal failed: %w", s.queue.err)
+	default:
+		return err
+	}
 }
 
 // Drain is the graceful shutdown: stop accepting HTTP traffic, give

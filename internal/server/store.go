@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -9,9 +8,8 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"time"
 
-	"memlife/internal/retry"
+	"memlife/internal/campaign"
 )
 
 // Store layout inside one store directory (see DESIGN.md "Service"):
@@ -29,23 +27,14 @@ const (
 // ErrNotFound reports a result key with no stored document.
 var ErrNotFound = errors.New("server: result not found")
 
-// storeRetry is the transient-I/O budget of store writes (same shape
-// as the campaign journal's: short, capped, deterministically jittered).
-var storeRetry = retry.Policy{
-	MaxAttempts: 3,
-	BaseDelay:   2 * time.Millisecond,
-	MaxDelay:    20 * time.Millisecond,
-	Jitter:      0.5,
-	Seed:        2,
-}
-
 // store is the content-addressed result store: one immutable JSON
 // document per job key (spec.JobFingerprint). Documents are written
 // via temp-file + fsync + rename, so readers — and a crash at any
 // instant — observe either the whole document or nothing; a duplicate
 // Put of the same key is a no-op overwrite with identical bytes.
 type store struct {
-	dir string
+	dir   string
+	files campaign.Files // every write, fsync and rename of Put
 }
 
 // openStore prepares the directory tree of a store rooted at dir.
@@ -55,7 +44,7 @@ func openStore(dir string) (*store, error) {
 			return nil, fmt.Errorf("server: create store dir: %w", err)
 		}
 	}
-	return &store{dir: dir}, nil
+	return &store{dir: dir, files: campaign.OSFiles{}}, nil
 }
 
 // validKey reports whether key is a well-formed job fingerprint
@@ -114,43 +103,40 @@ func (st *store) Has(key string) bool {
 	return err == nil
 }
 
-// Put durably stores data under key: write to a temp file in the
-// results directory, fsync, rename into place, fsync the directory.
-// Transient failures are retried under storeRetry; the temp file is
-// removed on every failure path, so a crashed or failed Put never
-// leaves a partial document where Get could see it.
+// Put durably stores data under key: write a temp file in the results
+// directory, fsync it, rename it into place, fsync the directory. It
+// makes one attempt (fail-stop, see campaign.Journal). Every failure
+// removes the temp file; a failed directory fsync also removes the
+// renamed document, whose entry may not survive a crash. The queue runs
+// a key once at a time, so the temp name needs no random part.
 func (st *store) Put(key string, data []byte) error {
 	if !validKey(key) {
 		return fmt.Errorf("server: invalid result key %q", key)
 	}
 	dir := filepath.Join(st.dir, resultsDirName)
-	return storeRetry.Do(context.Background(), func() error {
-		tmp, err := os.CreateTemp(dir, "."+key+".tmp*")
-		if err != nil {
-			return err
-		}
-		name := tmp.Name()
-		fail := func(err error) error {
-			tmp.Close()
-			os.Remove(name)
-			return err
-		}
-		if _, err := tmp.Write(data); err != nil {
-			return fail(err)
-		}
-		if err := tmp.Sync(); err != nil {
-			return fail(err)
-		}
-		if err := tmp.Close(); err != nil {
-			os.Remove(name)
-			return err
-		}
-		if err := os.Rename(name, st.resultPath(key)); err != nil {
-			os.Remove(name)
-			return err
-		}
-		return syncDir(dir)
-	})
+	tmp := filepath.Join(dir, "."+key+".tmp")
+	f, err := st.files.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return fmt.Errorf("server: store result %s: %w", key, err)
+	}
+	if _, err = f.Write(data); err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = st.files.Rename(tmp, st.resultPath(key))
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return fmt.Errorf("server: store result %s: %w", key, err)
+	}
+	if err := st.files.SyncDir(dir); err != nil {
+		os.Remove(st.resultPath(key))
+		return fmt.Errorf("server: store result %s: %w", key, err)
+	}
+	return nil
 }
 
 // Keys lists the stored result keys, sorted.
@@ -179,14 +165,4 @@ func (st *store) RemoveCkpt(key string) error {
 		return fmt.Errorf("server: remove checkpoint %s: %w", key, err)
 	}
 	return nil
-}
-
-// syncDir fsyncs a directory so a just-renamed entry survives a crash.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
 }
