@@ -28,6 +28,7 @@ func TestRunCLIErrors(t *testing.T) {
 		{"resume without journal", []string{"-run", "fig4", "-resume"}, 2, "-resume needs -checkpoint or -json"},
 		{"campaign of metricless experiment", []string{"-run", "fig3", "-seeds", "2"}, 1, ""},
 		{"campaign of unknown experiment", []string{"-run", "nope", "-seeds", "2"}, 1, `unknown experiment "nope"`},
+		{"serve has no retry flag", []string{"serve", "-retries", "3"}, 2, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -7,7 +7,6 @@ import (
 	"io"
 	"time"
 
-	"memlife/internal/retry"
 	"memlife/internal/server"
 	"memlife/internal/telemetry"
 )
@@ -25,7 +24,6 @@ func runServe(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 		jobWorkers   = fs.Int("job-workers", 1, "concurrently running jobs")
 		shardWorkers = fs.Int("shard-workers", 0, "campaign workers inside each job (0 = GOMAXPROCS)")
 		queueCap     = fs.Int("queue-cap", 64, "max queued+running jobs before submissions get 429")
-		retries      = fs.Int("retries", 3, "execution attempts per job before it is marked failed")
 		drainGrace   = fs.Duration("drain-grace", 5*time.Second, "how long a drain waits for in-flight jobs before checkpointing them")
 		metricsOut   = fs.String("metrics-out", "", "write a telemetry snapshot (canonical JSON) to this file on exit")
 		verb         = fs.Bool("v", false, "log job lifecycle events to stderr")
@@ -51,7 +49,6 @@ func runServe(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 		JobWorkers:   *jobWorkers,
 		ShardWorkers: *shardWorkers,
 		QueueCap:     *queueCap,
-		Retry:        retry.Policy{MaxAttempts: *retries},
 		DrainGrace:   *drainGrace,
 	}
 	if *verb {

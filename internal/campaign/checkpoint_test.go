@@ -355,8 +355,9 @@ func (ff *faultFiles) OpenFile(name string, flag int, perm fs.FileMode) (File, e
 	return faultFile{File: f, ff: ff}, nil
 }
 
-func (*faultFiles) Rename(oldpath, newpath string) error { return os.Rename(oldpath, newpath) }
-func (*faultFiles) SyncDir(dir string) error             { return OSFiles{}.SyncDir(dir) }
+func (*faultFiles) Mkdir(name string, perm fs.FileMode) error { return os.Mkdir(name, perm) }
+func (*faultFiles) Rename(oldpath, newpath string) error      { return os.Rename(oldpath, newpath) }
+func (*faultFiles) SyncDir(dir string) error                  { return OSFiles{}.SyncDir(dir) }
 
 type faultFile struct {
 	File

@@ -8,6 +8,7 @@ import (
 	"io"
 	"io/fs"
 	"os"
+	"path/filepath"
 	"sync"
 	"time"
 
@@ -91,12 +92,15 @@ func scanJournal(path string, fn func(line int, raw []byte) error) (int64, error
 
 // OpenJournal replays the journal at path through fn (nil replays
 // nothing) and opens it for appending through files, creating it if
-// needed: one scan serves both. A torn tail is cut off first, and a
-// final whole line that lacks its newline gets one, so the next record
-// starts a line of its own; appending after the torn bytes would turn
-// them into interior corruption that the next replay rejects. This cut
-// is also what recovers from a failed Append. An interior-corrupt
-// journal or an fn error is an error.
+// needed: one scan serves both. The parent directory is then fsynced,
+// so the journal's entry survives a crash before its first record is
+// ACKed (a process killed before that fsync leaves an entry the next
+// open syncs). A torn tail is cut off first, and a final whole line
+// that lacks its newline gets one, so the next record starts a line of
+// its own; appending after the torn bytes would turn them into
+// interior corruption that the next replay rejects. This cut is also
+// what recovers from a failed Append. An interior-corrupt journal or
+// an fn error is an error.
 func OpenJournal(files Files, path string, fn func(line int, raw []byte) error) (*Journal, error) {
 	if fn == nil {
 		fn = func(int, []byte) error { return nil }
@@ -111,6 +115,10 @@ func OpenJournal(files Files, path string, fn func(line int, raw []byte) error) 
 	f, err := files.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, err
+	}
+	if err := files.SyncDir(filepath.Join(path, "..")); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("sync directory of journal %s: %w", path, err)
 	}
 	return &Journal{f: f}, nil
 }
@@ -192,10 +200,12 @@ func (j *Journal) Close() error {
 }
 
 // Files is the file I/O a crash can tear or lose. Journals and the
-// serve daemon's result store write through it, so that tests can fail
-// or record each operation; OSFiles is the real file system.
+// serve daemon's store (its directories and result documents) write
+// through it, so that tests can fail or record each operation; OSFiles
+// is the real file system.
 type Files interface {
 	OpenFile(name string, flag int, perm fs.FileMode) (File, error)
+	Mkdir(name string, perm fs.FileMode) error
 	Rename(oldpath, newpath string) error
 	SyncDir(dir string) error
 }
@@ -216,6 +226,8 @@ func (OSFiles) OpenFile(name string, flag int, perm fs.FileMode) (File, error) {
 	}
 	return f, nil
 }
+
+func (OSFiles) Mkdir(name string, perm fs.FileMode) error { return os.Mkdir(name, perm) }
 
 func (OSFiles) Rename(oldpath, newpath string) error { return os.Rename(oldpath, newpath) }
 

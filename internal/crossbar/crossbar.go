@@ -149,17 +149,6 @@ func TargetResistance(w, wMin, wMax, rLo, rHi float64) float64 {
 	return 1 / g
 }
 
-// EffectiveWeight inverts eq. (4): the weight actually realized by a
-// device programmed to resistance r under the given mapping ranges.
-func EffectiveWeight(r, wMin, wMax, rLo, rHi float64) float64 {
-	gMin, gMax := 1/rHi, 1/rLo
-	if gMax <= gMin {
-		return wMin
-	}
-	g := 1 / r
-	return (g-gMin)/(gMax-gMin)*(wMax-wMin) + wMin
-}
-
 // MapStats reports the cost of one MapWeights call.
 type MapStats struct {
 	Pulses  int

@@ -117,9 +117,3 @@ func (d *DifferentialCrossbar) MeanRelConductance() float64 {
 	}
 	return total / float64(n)
 }
-
-// Drift applies relative read-disturb drift to both halves.
-func (d *DifferentialCrossbar) Drift(sigma float64, rng *tensor.RNG) {
-	d.Pos.Drift(sigma, rng)
-	d.Neg.Drift(sigma, rng)
-}

@@ -116,7 +116,8 @@ func TestDifferentialStressAccounting(t *testing.T) {
 	if math.Abs(stats.Stress-d.TotalStress()) > 1e-9 {
 		t.Fatalf("stress accounting: %g vs %g", stats.Stress, d.TotalStress())
 	}
-	d.Drift(0.05, rng)
+	d.Pos.Drift(0.05, rng)
+	d.Neg.Drift(0.05, rng)
 	eff := mustDiffEff(t, d)
 	for _, v := range eff.Data() {
 		if math.IsNaN(v) {

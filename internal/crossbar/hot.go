@@ -26,7 +26,8 @@ import (
 //     recomputed on its next lookup.
 //   - mapConv: the eq. (4) weight<->resistance affine transform with
 //     its range constants precomputed once per mapping pass, in the
-//     exact association of TargetResistance/EffectiveWeight.
+//     exact association of TargetResistance and of the test oracle
+//     EffectiveWeight.
 //   - QuantizeWeightsInto writing into a caller-owned buffer (see
 //     DESIGN.md "Scratch arenas & buffer ownership").
 //   - StepDevices: applies a whole pulse list (with per-step
@@ -55,10 +56,10 @@ func (c *Crossbar) agedBoundsIdx(idx int) (lo, hi float64) {
 }
 
 // mapConv is eq. (4) with the range constants of one mapping pass
-// precomputed. target and eff reproduce TargetResistance and
-// EffectiveWeight bit-for-bit: the hoisted subexpressions are exactly
-// the ones Go's left-to-right evaluation computes first in the package
-// functions.
+// precomputed. target reproduces TargetResistance bit-for-bit, and eff
+// the test oracle EffectiveWeight: the hoisted subexpressions are
+// exactly the ones Go's left-to-right evaluation computes first in
+// those functions.
 type mapConv struct {
 	wMin, wMax float64
 	gMin, gMax float64
@@ -98,7 +99,9 @@ func (m mapConv) target(w float64) float64 {
 	return 1 / g
 }
 
-// eff is EffectiveWeight(r, wMin, wMax, rLo, rHi).
+// eff inverts eq. (4): the weight realized by a device at resistance
+// r under the mapping ranges (pinned by the EffectiveWeight test
+// oracle).
 func (m mapConv) eff(r float64) float64 {
 	if m.gMax <= m.gMin {
 		return m.wMin

@@ -2,9 +2,21 @@ package crossbar
 
 import "memlife/internal/tensor"
 
-// Test-only reference implementations: the single-cell tuning pulse
-// and the differential readback. Production code pulses through
-// StepDevices; the single-cell oracle pins it bit-for-bit.
+// Test-only reference implementations: the eq. (4) inverse, the
+// single-cell tuning pulse and the differential readback. Production
+// code reads back through mapConv.eff and pulses through StepDevices;
+// these oracles pin both bit-for-bit.
+
+// EffectiveWeight inverts eq. (4): the weight actually realized by a
+// device programmed to resistance r under the given mapping ranges.
+func EffectiveWeight(r, wMin, wMax, rLo, rHi float64) float64 {
+	gMin, gMax := 1/rHi, 1/rLo
+	if gMax <= gMin {
+		return wMin
+	}
+	g := 1 / r
+	return (g-gMin)/(gMax-gMin)*(wMax-wMin) + wMin
+}
 
 // StepDevice applies one online-tuning pulse to device (i, j) — the
 // single-cell reference StepDevices is proven equivalent against: dir

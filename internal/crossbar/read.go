@@ -16,7 +16,7 @@ var ErrNotMapped = errors.New("crossbar: read before MapWeights")
 // ReadWeightsInto writes one readback of the effective weight matrix
 // into dst without allocating (dst must hold Rows*Cols elements,
 // row-major). Every cell is recomputed from device state: the eq. (4)
-// inverse EffectiveWeight of the device's resistance under the current
+// inverse (mapConv.eff) of the device's resistance under the current
 // mapping ranges. Stuck devices read at their pinned resistance, so dst
 // receives the fault-aware truth of what the hardware computes. When
 // the attached fault injector fires a read-noise burst, every device's

@@ -184,9 +184,6 @@ func NewInjector(cfg Config, n int, seed int64) (*Injector, error) {
 // N returns the number of devices the injector was built for.
 func (in *Injector) N() int { return len(in.u) }
 
-// Config returns the injector's configuration.
-func (in *Injector) Config() Config { return in.cfg }
-
 // InitialFault returns the fault device i carries at deployment
 // (manufacturing defect), or FaultNone.
 func (in *Injector) InitialFault(i int) device.FaultKind {

@@ -28,9 +28,8 @@ type jobEnvelope struct {
 	Seeds int    `json:"seeds"`
 	// Cached is true when a submission was served straight from the
 	// content-addressed store without enqueueing anything.
-	Cached   bool   `json:"cached,omitempty"`
-	Attempts int    `json:"attempts,omitempty"`
-	Error    string `json:"error,omitempty"`
+	Cached bool   `json:"cached,omitempty"`
+	Error  string `json:"error,omitempty"`
 	// ResultURL points at the stored result document once the job is
 	// done.
 	ResultURL string `json:"result_url,omitempty"`
@@ -38,12 +37,11 @@ type jobEnvelope struct {
 
 func envelope(j Job, cached bool) jobEnvelope {
 	e := jobEnvelope{
-		ID:       j.ID,
-		State:    string(j.State),
-		Seeds:    j.Seeds,
-		Cached:   cached,
-		Attempts: j.Attempts,
-		Error:    j.Error,
+		ID:     j.ID,
+		State:  string(j.State),
+		Seeds:  j.Seeds,
+		Cached: cached,
+		Error:  j.Error,
 	}
 	if j.State == JobDone {
 		e.ResultURL = "/v1/results/" + j.ID

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -127,6 +128,10 @@ func Doctor(dir string, w io.Writer) (ok bool, err error) {
 	// Result store: every document must decode and carry the id its
 	// filename claims — the content-addressing invariant.
 	keys, kerr := st.Keys()
+	if errors.Is(kerr, fs.ErrNotExist) {
+		warn("store has no %s directory (a first boot cut short, or not a store)", resultsDirName)
+		kerr = nil
+	}
 	if kerr != nil {
 		return false, kerr
 	}
@@ -162,8 +167,9 @@ func Doctor(dir string, w io.Writer) (ok bool, err error) {
 			len(tmp), strings.Join(tmp, ", "))
 	}
 
-	// Checkpoint journals: tails must be clean or torn-final-line only;
-	// checkpoints for settled or unknown jobs are crash leftovers.
+	// Checkpoint journals: tails must be clean or torn-final-line only.
+	// A failed job's checkpoint is what its resubmit resumes from;
+	// checkpoints for done or unknown jobs are crash leftovers.
 	ents, derr := os.ReadDir(filepath.Join(dir, workDirName))
 	if derr != nil && !errors.Is(derr, os.ErrNotExist) {
 		return false, fmt.Errorf("server: list checkpoints: %w", derr)
@@ -184,9 +190,12 @@ func Doctor(dir string, w io.Writer) (ok bool, err error) {
 		default:
 			fail("checkpoint %s: %v", key, cerr)
 		}
-		if state, known := jobs[key]; !known {
+		switch state, known := jobs[key]; {
+		case !known:
 			warn("checkpoint %s belongs to no journaled job (stale; safe to delete)", key)
-		} else if state != JobQueued && state != JobRunning {
+		case state == JobFailed:
+			pass("checkpoint %s belongs to a failed job; kept for a resubmit to resume", key)
+		case state == JobDone:
 			warn("checkpoint %s belongs to a settled (%s) job (stale; safe to delete)", key, state)
 		}
 	}

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"memlife/internal/campaign"
 )
 
 // seedHealthyStore builds a store with one settled job the way the
@@ -13,11 +15,11 @@ import (
 func seedHealthyStore(t *testing.T) string {
 	t.Helper()
 	dir := t.TempDir()
-	st, err := openStore(dir)
+	st, err := openStore(campaign.OSFiles{}, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := openQueue(st.queuePath(), 8)
+	q, err := openQueue(campaign.OSFiles{}, st.queuePath(), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,6 +152,35 @@ func TestDoctorWarnsOnCrashLeftovers(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("doctor output missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestDoctorKeepsFailedJobCheckpoint: a failed job's checkpoint is
+// what a resubmit resumes from, so doctor reports it as kept, not as a
+// stale leftover.
+func TestDoctorKeepsFailedJobCheckpoint(t *testing.T) {
+	dir := seedHealthyStore(t)
+	q, err := openQueue(campaign.OSFiles{}, filepath.Join(dir, queueFileName), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustSubmit(t, q, "bbbb2222")
+	if err := q.MarkFailed("bbbb2222", "boom"); err != nil {
+		t.Fatal(err)
+	}
+	q.Close()
+	if err := os.WriteFile(filepath.Join(dir, workDirName, "bbbb2222.ckpt.jsonl"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ok, out := runDoctorTest(t, dir)
+	if !ok {
+		t.Fatalf("a failed job's checkpoint is not a problem:\n%s", out)
+	}
+	if !strings.Contains(out, "ok    checkpoint bbbb2222 belongs to a failed job; kept for a resubmit") {
+		t.Errorf("doctor must report the failed job's checkpoint as kept:\n%s", out)
+	}
+	if strings.Contains(out, "warn  checkpoint") {
+		t.Errorf("doctor must not call the failed job's checkpoint stale:\n%s", out)
 	}
 }
 

@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"memlife/internal/campaign"
-	"memlife/internal/retry"
 )
 
 // Fault-injection and crash-point tests of the daemon's fail-stop
@@ -40,7 +39,8 @@ func (ff faultFiles) OpenFile(name string, flag int, perm fs.FileMode) (campaign
 	return faultFile{File: f, failSync: ff.failSync}, nil
 }
 
-func (faultFiles) Rename(oldpath, newpath string) error { return os.Rename(oldpath, newpath) }
+func (faultFiles) Mkdir(name string, perm fs.FileMode) error { return os.Mkdir(name, perm) }
+func (faultFiles) Rename(oldpath, newpath string) error      { return os.Rename(oldpath, newpath) }
 
 func (ff faultFiles) SyncDir(dir string) error {
 	if ff.failSyncDir {
@@ -61,20 +61,6 @@ func (f faultFile) Sync() error {
 	return f.File.Sync()
 }
 
-// reopenJournal swaps the queue's job journal for one that writes
-// through files.
-func reopenJournal(t *testing.T, s *Server, files campaign.Files) {
-	t.Helper()
-	if err := s.queue.j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	j, err := campaign.OpenJournal(files, s.store.queuePath(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.queue.j = j
-}
-
 // TestStorePutFailureStoresNothing: a Put whose temp-file fsync or
 // directory fsync fails makes one attempt and leaves no document (and
 // no temp file) behind, so the job settles failed rather than being
@@ -86,7 +72,7 @@ func TestStorePutFailureStoresNothing(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
-			st, err := openStore(dir)
+			st, err := openStore(campaign.OSFiles{}, dir)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -110,11 +96,10 @@ func TestStorePutFailureStoresNothing(t *testing.T) {
 // the submission is refused with 503 (it was never durably accepted),
 // the daemon drains by itself, and Run returns the journal failure.
 func TestServerJournalFailureStopsIntake(t *testing.T) {
-	srv, err := New(Config{Dir: t.TempDir(), Addr: "127.0.0.1:0", Retry: fastRetry, Runner: instantRunner(nil)})
+	srv, err := newServer(Config{Dir: t.TempDir(), Addr: "127.0.0.1:0", Runner: instantRunner(nil)}, faultFiles{failSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	reopenJournal(t, srv, faultFiles{failSync: true})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	ran := make(chan error, 1)
@@ -143,9 +128,9 @@ type recFiles struct {
 	ops []fileOp
 }
 
-// fileOp is one logged operation: "open", "write", "sync", "rename" or
-// "syncdir" on path, or "ack", the test's note that the job named by
-// path got its 202.
+// fileOp is one logged operation: "mkdir", "open", "write", "sync",
+// "rename" or "syncdir" on path, or "ack", the test's note that the job
+// named by path got its 202.
 type fileOp struct {
 	kind, path string
 	to         string // rename target
@@ -170,6 +155,14 @@ func (r *recFiles) OpenFile(name string, flag int, perm fs.FileMode) (campaign.F
 	}
 	r.log(fileOp{kind: "open", path: name})
 	return &recFile{File: f, r: r, path: name}, nil
+}
+
+func (r *recFiles) Mkdir(name string, perm fs.FileMode) error {
+	if err := os.Mkdir(name, perm); err != nil {
+		return err
+	}
+	r.log(fileOp{kind: "mkdir", path: name})
+	return nil
 }
 
 func (r *recFiles) Rename(oldpath, newpath string) error {
@@ -208,15 +201,17 @@ func (f *recFile) Sync() error {
 	return nil
 }
 
-// inode is one file of the crash model: the bytes its last fsync made
-// durable, then the writes since, which a crash may tear or lose.
+// inode is one file or directory of the crash model. A file holds the
+// bytes its last fsync made durable, then the writes since, which a
+// crash may tear or lose.
 type inode struct {
+	dir      bool
 	synced   []byte
 	unsynced [][]byte
 }
 
 // nsOp is a directory-entry change (create: from == ""; rename) that
-// is not durable until its directory is fsynced.
+// is not durable until the directory holding it is fsynced.
 type nsOp struct {
 	dir, from, to string
 	ino           *inode
@@ -225,36 +220,28 @@ type nsOp struct {
 // crashModel replays a fileOp log under the persistence model of
 // ALICE (Pillai et al., OSDI 2014) restricted to this store's
 // operations: file data is durable up to the file's last fsync,
-// directory entries up to their directory's last fsync, and entry
-// changes persist in the order they were made.
+// directory entries (of files and of directories) up to their
+// directory's last fsync, and entry changes persist in the order they
+// were made. Everything starts under root, an existing directory taken
+// as durable; an entry whose directory a crash lost is lost with it.
 type crashModel struct {
+	root          string
 	live, durable map[string]*inode
 	pending       []nsOp
 	acked         []string
 }
 
-// newCrashModel starts from the files under dir, all durable.
-func newCrashModel(t *testing.T, dir string) *crashModel {
-	t.Helper()
-	m := &crashModel{live: map[string]*inode{}, durable: map[string]*inode{}}
-	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() {
-			return err
-		}
-		b, err := os.ReadFile(path)
-		ino := &inode{synced: b}
-		m.live[path], m.durable[path] = ino, ino
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m
+func newCrashModel(root string) *crashModel {
+	return &crashModel{root: root, live: map[string]*inode{}, durable: map[string]*inode{}}
 }
 
 func (m *crashModel) apply(t *testing.T, op fileOp) {
 	t.Helper()
 	switch op.kind {
+	case "mkdir":
+		ino := &inode{dir: true}
+		m.live[op.path] = ino
+		m.pending = append(m.pending, nsOp{dir: filepath.Dir(op.path), to: op.path, ino: ino})
 	case "open":
 		if m.live[op.path] == nil {
 			ino := &inode{}
@@ -303,21 +290,42 @@ func persist(ns map[string]*inode, p nsOp) map[string]*inode {
 	return out
 }
 
+// reachable reports whether path's directory survives in ns.
+func (m *crashModel) reachable(ns map[string]*inode, path string) bool {
+	for d := filepath.Dir(path); d != m.root; d = filepath.Dir(d) {
+		if ino := ns[d]; ino == nil || !ino.dir {
+			return false
+		}
+	}
+	return true
+}
+
 // states returns every on-disk state a crash at this point can leave,
-// as path -> content. The directory entries are the durable ones plus
-// any in-order prefix of the pending changes. In each, every file
-// holds its synced bytes; then, one file at a time, the writes since
-// its last fsync land whole, or land up to a torn half of one of them.
+// as path -> content, with each directory as path + "/" -> nil. The
+// directory entries are the durable ones plus any in-order prefix of
+// the pending changes, less those in a lost directory. In each, every
+// file holds its synced bytes; then, one file at a time, the writes
+// since its last fsync land whole, or land up to a torn half of one of
+// them.
 func (m *crashModel) states() []map[string][]byte {
 	var out []map[string][]byte
 	ns := m.durable
 	for p := 0; ; p++ {
 		base := map[string][]byte{}
+		var files []string
 		for path, ino := range ns {
-			base[path] = ino.synced
+			switch {
+			case !m.reachable(ns, path):
+			case ino.dir:
+				base[path+"/"] = nil
+			default:
+				base[path] = ino.synced
+				files = append(files, path)
+			}
 		}
 		out = append(out, base)
-		for path, ino := range ns {
+		for _, path := range files {
+			ino := ns[path]
 			for i, w := range ino.unsynced {
 				prefix := bytes.Join(append([][]byte{ino.synced}, ino.unsynced[:i]...), nil)
 				for _, tail := range [][]byte{w[:len(w)/2], w} {
@@ -338,14 +346,16 @@ func (m *crashModel) states() []map[string][]byte {
 }
 
 // stateKey identifies a crash state, so each distinct one is checked
-// once.
-func stateKey(st map[string][]byte) string {
+// once per count of ACKed jobs: a state that was fine before an ACK
+// may lose the job ACKed after it.
+func stateKey(acked int, st map[string][]byte) string {
 	paths := make([]string, 0, len(st))
 	for p := range st {
 		paths = append(paths, p)
 	}
 	sort.Strings(paths)
 	var b strings.Builder
+	fmt.Fprintf(&b, "%d\x00", acked)
 	for _, p := range paths {
 		fmt.Fprintf(&b, "%s\x00%q\x00", p, st[p])
 	}
@@ -353,32 +363,32 @@ func stateKey(st map[string][]byte) string {
 }
 
 // TestServeCrashPointsKeepDurabilityContract records a serve session's
-// file operations (accepts, a cache hit, a failure and its resubmit,
-// results stored) and checks every state a crash at any point between
-// two operations can leave on disk. In each: every job ACKed with 202
-// before the crash replays, `doctor` passes (a torn tail is only a
-// warning), and each result document is whole or absent.
+// file operations (the store's creation, accepts, a cache hit, a
+// failure and its resubmit, results stored) and checks every state a
+// crash at any point between two operations can leave on disk. In
+// each: every job ACKed with 202 before the crash replays, `doctor`
+// passes (a torn tail is only a warning), and each result document is
+// whole or absent.
 //
-// The model starts from the store New created (directories, LOCK and
-// the empty job journal), taken as durable.
+// Recording starts before the store exists, in a directory taken as
+// durable.
 func TestServeCrashPointsKeepDurabilityContract(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "store")
-	// Jobs with 3 seeds fail for good, so the session journals a
-	// failure and re-queues it on resubmit.
+	root := t.TempDir()
+	dir := filepath.Join(root, "store")
+	// Jobs with 3 seeds fail, so the session journals a failure and
+	// re-queues it on resubmit.
 	runner := func(ctx context.Context, job Job) ([]byte, error) {
 		if job.Seeds == 3 {
-			return nil, retry.Permanent(errors.New("spec cannot run"))
+			return nil, errors.New("spec cannot run")
 		}
 		return instantRunner(nil)(ctx, job)
 	}
-	srv, err := New(Config{Dir: dir, Addr: "127.0.0.1:0", Retry: fastRetry, Runner: runner})
+	rec := &recFiles{}
+	srv, err := newServer(Config{Dir: dir, Addr: "127.0.0.1:0", Runner: runner}, rec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := &recFiles{}
-	reopenJournal(t, srv, rec)
-	srv.store.files = rec
-	model := newCrashModel(t, dir)
+	model := newCrashModel(root)
 	srv.Start()
 
 	for _, step := range []struct {
@@ -428,13 +438,13 @@ func TestServeCrashPointsKeepDurabilityContract(t *testing.T) {
 			model.apply(t, rec.ops[k-1])
 		}
 		for _, st := range model.states() {
-			key := stateKey(st)
+			key := stateKey(len(model.acked), st)
 			if seen[key] {
 				continue
 			}
 			seen[key] = true
 			checked++
-			checkCrashState(t, filepath.Join(scratch, fmt.Sprint(checked)), dir, st, model.acked, want)
+			checkCrashState(t, filepath.Join(scratch, fmt.Sprint(checked)), root, st, model.acked, want)
 			if t.Failed() {
 				t.Fatalf("crash after operation %d of %d (%+v)", k, len(rec.ops), rec.ops[max(k-1, 0)])
 			}
@@ -452,32 +462,40 @@ func TestServeCrashPointsKeepDurabilityContract(t *testing.T) {
 	}
 }
 
-// checkCrashState writes one crash state of the store at src into dir
-// and checks the durability contract on it.
-func checkCrashState(t *testing.T, dir, src string, st map[string][]byte, acked []string, want map[string][]byte) {
+// checkCrashState writes one crash state of the directory src (which
+// holds the store) into dst and checks the durability contract on it.
+func checkCrashState(t *testing.T, dst, src string, st map[string][]byte, acked []string, want map[string][]byte) {
 	t.Helper()
-	for _, d := range []string{resultsDirName, workDirName} {
-		if err := os.MkdirAll(filepath.Join(dir, d), 0o755); err != nil {
-			t.Fatal(err)
-		}
-	}
+	defer os.RemoveAll(dst)
 	for path, b := range st {
 		rel, err := filepath.Rel(src, path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(filepath.Join(dir, rel), b, 0o644); err != nil {
+		to := filepath.Join(dst, rel)
+		if strings.HasSuffix(path, "/") {
+			err = os.MkdirAll(to, 0o755)
+		} else if err = os.MkdirAll(filepath.Dir(to), 0o755); err == nil {
+			err = os.WriteFile(to, b, 0o644)
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
 	}
-	defer os.RemoveAll(dir)
+	dir := filepath.Join(dst, "store")
+	if _, err := os.Stat(dir); err != nil {
+		if len(acked) > 0 {
+			t.Errorf("store lost with %d ACKed job(s)", len(acked))
+		}
+		return
+	}
 
 	var report bytes.Buffer
 	if ok, err := Doctor(dir, &report); err != nil || !ok {
 		t.Errorf("doctor: ok=%v err=%v\n%s", ok, err, report.String())
 	}
 	keys, err := (&store{dir: dir}).Keys()
-	if err != nil {
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
 		t.Fatal(err)
 	}
 	for _, key := range keys {
@@ -489,7 +507,7 @@ func checkCrashState(t *testing.T, dir, src string, st map[string][]byte, acked 
 			t.Errorf("result %s is not the whole stored document: %q", key, got)
 		}
 	}
-	q, err := openQueue(filepath.Join(dir, queueFileName), 64)
+	q, err := openQueue(campaign.OSFiles{}, filepath.Join(dir, queueFileName), 64)
 	if err != nil {
 		t.Errorf("job journal does not reopen: %v", err)
 		return

@@ -9,6 +9,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"memlife/internal/campaign"
 )
 
 // FuzzQueueReplay feeds arbitrary bytes to the daemon's job-journal
@@ -25,7 +27,7 @@ func FuzzQueueReplay(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		q, err := openQueue(path, 8)
+		q, err := openQueue(campaign.OSFiles{}, path, 8)
 		if err != nil {
 			return
 		}
@@ -33,7 +35,7 @@ func FuzzQueueReplay(f *testing.F) {
 		if err := q.Close(); err != nil {
 			t.Fatal(err)
 		}
-		q2, err := openQueue(path, 8)
+		q2, err := openQueue(campaign.OSFiles{}, path, 8)
 		if err != nil {
 			t.Fatalf("reopen of a journal that opened cleanly: %v", err)
 		}
@@ -67,11 +69,11 @@ func FuzzQueueReplay(f *testing.F) {
 func FuzzHandleSubmit(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte, seeds string) {
 		dir := t.TempDir()
-		st, err := openStore(dir)
+		st, err := openStore(campaign.OSFiles{}, dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		q, err := openQueue(st.queuePath(), 8)
+		q, err := openQueue(campaign.OSFiles{}, st.queuePath(), 8)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -45,8 +45,6 @@ type Job struct {
 	State JobState `json:"state"`
 	// Error holds the terminal failure message of a failed job.
 	Error string `json:"error,omitempty"`
-	// Attempts counts execution attempts (including retries).
-	Attempts int `json:"attempts,omitempty"`
 }
 
 // queueRecord is one line of the job journal.
@@ -79,19 +77,19 @@ type queue struct {
 	err     error         // that failure: the daemon stops taking jobs and drains
 }
 
-// openQueue replays the journal at path and opens it for appending.
-// A torn final line (killed mid-append) is discarded, and cut from the
-// file before the first append: the submit it recorded was never
-// ACKed, the terminal transition it recorded will simply re-run its
-// job.
-func openQueue(path string, capacity int) (*queue, error) {
+// openQueue replays the journal at path and opens it for appending
+// through files. A torn final line (killed mid-append) is discarded,
+// and cut from the file before the first append: the submit it
+// recorded was never ACKed, the terminal transition it recorded will
+// simply re-run its job.
+func openQueue(files campaign.Files, path string, capacity int) (*queue, error) {
 	q := &queue{
 		jobs:   make(map[string]*Job),
 		cap:    capacity,
 		notify: make(chan struct{}, 1),
 		failed: make(chan struct{}),
 	}
-	j, err := campaign.OpenJournal(campaign.OSFiles{}, path, q.replayer(path))
+	j, err := campaign.OpenJournal(files, path, q.replayer(path))
 	if err != nil {
 		return nil, err
 	}
@@ -255,8 +253,8 @@ func (q *queue) MarkDone(id string) error {
 	return q.settle(queueRecord{Op: "done", ID: id})
 }
 
-// MarkFailed settles a job as failed (retry budget exhausted),
-// journaling the transition durably.
+// MarkFailed settles a job as failed, journaling the transition
+// durably. Only a resubmit runs it again.
 func (q *queue) MarkFailed(id, msg string) error {
 	return q.settle(queueRecord{Op: "failed", ID: id, Error: msg})
 }
@@ -282,16 +280,6 @@ func (q *queue) Requeue(id string) {
 	j.State = JobQueued
 	q.pending = append([]string{id}, q.pending...)
 	q.wake()
-}
-
-// NoteAttempt bumps a job's execution-attempt counter (display
-// bookkeeping; never journaled).
-func (q *queue) NoteAttempt(id string) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if j, ok := q.jobs[id]; ok {
-		j.Attempts++
-	}
 }
 
 // Get returns a snapshot of one job.

@@ -32,7 +32,7 @@ func mustSubmit(t *testing.T, q *queue, id string) Job {
 // SIGKILL immediately after the ACK loses nothing.
 func TestQueueJournalBeforeACK(t *testing.T) {
 	path := testQueuePath(t)
-	q, err := openQueue(path, 8)
+	q, err := openQueue(campaign.OSFiles{}, path, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestQueueJournalBeforeACK(t *testing.T) {
 	if !strings.Contains(string(b), `"op":"submit"`) || !strings.Contains(string(b), "aaaa1111") {
 		t.Fatalf("journal missing the submit record: %q", b)
 	}
-	q2, err := openQueue(path, 8)
+	q2, err := openQueue(campaign.OSFiles{}, path, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestQueueJournalBeforeACK(t *testing.T) {
 }
 
 func TestQueueDedupeAndResubmitFailed(t *testing.T) {
-	q, err := openQueue(testQueuePath(t), 8)
+	q, err := openQueue(campaign.OSFiles{}, testQueuePath(t), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestQueueDedupeAndResubmitFailed(t *testing.T) {
 }
 
 func TestQueueCapacityRejects(t *testing.T) {
-	q, err := openQueue(testQueuePath(t), 2)
+	q, err := openQueue(campaign.OSFiles{}, testQueuePath(t), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestQueueCapacityRejects(t *testing.T) {
 // terminal record) comes back queued and will re-run.
 func TestQueueReplayTerminalStates(t *testing.T) {
 	path := testQueuePath(t)
-	q, err := openQueue(path, 8)
+	q, err := openQueue(campaign.OSFiles{}, path, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestQueueReplayTerminalStates(t *testing.T) {
 	}
 	q.Close()
 
-	q2, err := openQueue(path, 8)
+	q2, err := openQueue(campaign.OSFiles{}, path, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestQueueReplayTerminalStates(t *testing.T) {
 // line; the reboot discards it and keeps everything before it.
 func TestQueueTornTailTolerated(t *testing.T) {
 	path := testQueuePath(t)
-	q, err := openQueue(path, 8)
+	q, err := openQueue(campaign.OSFiles{}, path, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestQueueTornTailTolerated(t *testing.T) {
 	}
 	f.Close()
 
-	q2, err := openQueue(path, 8)
+	q2, err := openQueue(campaign.OSFiles{}, path, 8)
 	if err != nil {
 		t.Fatalf("torn final line must be tolerated: %v", err)
 	}
@@ -175,7 +175,7 @@ func TestQueueTornTailTolerated(t *testing.T) {
 // land on the torn bytes and the second reboot replays cleanly.
 func TestQueueReopenTwiceAfterTornTail(t *testing.T) {
 	path := testQueuePath(t)
-	q, err := openQueue(path, 8)
+	q, err := openQueue(campaign.OSFiles{}, path, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,14 +190,14 @@ func TestQueueReopenTwiceAfterTornTail(t *testing.T) {
 	}
 	f.Close()
 
-	q2, err := openQueue(path, 8)
+	q2, err := openQueue(campaign.OSFiles{}, path, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	mustSubmit(t, q2, "bbbb2222")
 	q2.Close()
 
-	q3, err := openQueue(path, 8)
+	q3, err := openQueue(campaign.OSFiles{}, path, 8)
 	if err != nil {
 		t.Fatalf("second reopen after a torn tail: %v", err)
 	}
@@ -219,7 +219,7 @@ func TestQueueInteriorCorruptionFatal(t *testing.T) {
 	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := openQueue(path, 8); err == nil {
+	if _, err := openQueue(campaign.OSFiles{}, path, 8); err == nil {
 		t.Fatal("interior corruption must refuse to open")
 	} else if errors.Is(err, campaign.ErrTornTail) {
 		t.Fatalf("interior corruption must not be classified as a torn tail: %v", err)
@@ -232,13 +232,13 @@ func TestQueueUnknownOpFatal(t *testing.T) {
 	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := openQueue(path, 8); err == nil || !strings.Contains(err.Error(), "unknown op") {
+	if _, err := openQueue(campaign.OSFiles{}, path, 8); err == nil || !strings.Contains(err.Error(), "unknown op") {
 		t.Fatalf("unknown op must refuse to open, got: %v", err)
 	}
 }
 
 func TestQueueRequeuePreservesFIFOHead(t *testing.T) {
-	q, err := openQueue(testQueuePath(t), 8)
+	q, err := openQueue(campaign.OSFiles{}, testQueuePath(t), 8)
 	if err != nil {
 		t.Fatal(err)
 	}

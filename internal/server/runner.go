@@ -9,7 +9,6 @@ import (
 
 	"memlife/internal/campaign"
 	"memlife/internal/experiments"
-	"memlife/internal/retry"
 	"memlife/internal/spec"
 )
 
@@ -36,8 +35,7 @@ func scenarioRunner(st *store, shardWorkers int, log io.Writer) Runner {
 	return func(ctx context.Context, job Job) ([]byte, error) {
 		s, err := spec.ResolveBytes(job.Spec, spec.Overrides{})
 		if err != nil {
-			// A spec that no longer resolves cannot succeed on retry.
-			return nil, retry.Permanent(err)
+			return nil, err
 		}
 		cs := campaign.Spec{
 			Experiments: []string{experiments.ScenarioExperiment},

@@ -7,8 +7,6 @@ import (
 	"io"
 	"sync"
 	"time"
-
-	"memlife/internal/retry"
 )
 
 // Runner executes one job and returns its result document (the bytes
@@ -16,19 +14,21 @@ import (
 // the job — the crash-safety contract "resumed result is byte-identical
 // to an uninterrupted run" is only as strong as this property — and
 // must return promptly once ctx is cancelled (a drain), leaving any
-// partial progress in the job's checkpoint journal.
+// partial progress in the job's checkpoint journal. A job runs once:
+// any error but that cancellation settles it failed, since a
+// deterministic run would fail the same way again, and only a resubmit
+// runs it again (resuming that checkpoint).
 type Runner func(ctx context.Context, job Job) ([]byte, error)
 
-// scheduler drives the worker pool: dequeue, execute under the retry
-// budget, settle (store + journal). Drain is two-phase: first stop
-// dequeuing and give in-flight jobs a grace period to finish, then
-// cancel their contexts so they checkpoint and return.
+// scheduler drives the worker pool: dequeue, execute once, settle
+// (store + journal). Drain is two-phase: first stop dequeuing and give
+// in-flight jobs a grace period to finish, then cancel their contexts
+// so they checkpoint and return.
 type scheduler struct {
 	q       *queue
 	st      *store
 	run     Runner
 	workers int
-	pol     retry.Policy
 	tel     *serverTel
 	log     io.Writer
 
@@ -38,13 +38,13 @@ type scheduler struct {
 	wg         sync.WaitGroup
 }
 
-func newScheduler(q *queue, st *store, run Runner, workers int, pol retry.Policy, tel *serverTel, log io.Writer) *scheduler {
+func newScheduler(q *queue, st *store, run Runner, workers int, tel *serverTel, log io.Writer) *scheduler {
 	if workers < 1 {
 		workers = 1
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	return &scheduler{
-		q: q, st: st, run: run, workers: workers, pol: pol, tel: tel, log: log,
+		q: q, st: st, run: run, workers: workers, tel: tel, log: log,
 		stop: make(chan struct{}), jobsCtx: ctx, cancelJobs: cancel,
 	}
 }
@@ -81,19 +81,7 @@ func (s *scheduler) execute(job Job) {
 		return
 	}
 	t0 := time.Now()
-	attempt := 0
-	var data []byte
-	err := s.pol.Do(s.jobsCtx, func() error {
-		attempt++
-		s.q.NoteAttempt(job.ID)
-		if attempt > 1 {
-			s.tel.jobsRetried.Inc()
-			s.logf("job %s: retrying (attempt %d/%d)", job.ID, attempt, s.pol.Attempts())
-		}
-		var rerr error
-		data, rerr = s.run(s.jobsCtx, job)
-		return rerr
-	})
+	data, err := s.run(s.jobsCtx, job)
 	if err != nil {
 		if s.jobsCtx.Err() != nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			// Drain, not failure: the job's submit record is durable and

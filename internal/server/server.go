@@ -8,7 +8,11 @@
 // Durability contract (proven by the crash tests and `memlife doctor`):
 //
 //   - a job is journaled (write + fsync) before its submission is
-//     ACKed; SIGKILL after the ACK never loses it;
+//     ACKed, into a journal whose directory entries were fsynced when
+//     the store was opened; SIGKILL or power loss after the ACK never
+//     loses it;
+//   - a job runs once: a failed run settles it failed, and only a
+//     resubmit runs it again, resuming its checkpoint;
 //   - in-flight progress lives in a per-job campaign checkpoint; a
 //     restarted daemon resumes it and produces a result byte-identical
 //     to an uninterrupted run;
@@ -30,7 +34,7 @@ import (
 	"net/http"
 	"time"
 
-	"memlife/internal/retry"
+	"memlife/internal/campaign"
 )
 
 // Config parameterizes one daemon.
@@ -47,9 +51,6 @@ type Config struct {
 	// QueueCap bounds queued+running jobs; submissions beyond it get
 	// 429 + Retry-After. <= 0 means 64.
 	QueueCap int
-	// Retry is the per-job execution retry budget. MaxAttempts <= 0 means
-	// 3; BaseDelay <= 0 means 500ms..30s capped backoff, 50% jitter, seed 1.
-	Retry retry.Policy
 	// DrainGrace is how long Drain waits for in-flight jobs before
 	// cancelling them to their checkpoints; <= 0 means 5s.
 	DrainGrace time.Duration
@@ -66,12 +67,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueueCap <= 0 {
 		c.QueueCap = 64
-	}
-	if c.Retry.MaxAttempts <= 0 {
-		c.Retry.MaxAttempts = 3
-	}
-	if c.Retry.BaseDelay <= 0 {
-		c.Retry.BaseDelay, c.Retry.MaxDelay, c.Retry.Jitter, c.Retry.Seed = 500*time.Millisecond, 30*time.Second, 0.5, 1
 	}
 	if c.DrainGrace <= 0 {
 		c.DrainGrace = 5 * time.Second
@@ -97,8 +92,14 @@ type Server struct {
 // lock, replays the job journal, and binds the listen address. Nothing
 // runs until Start.
 func New(cfg Config) (*Server, error) {
+	return newServer(cfg, campaign.OSFiles{})
+}
+
+// newServer is New with the store's directories, job journal and
+// result documents created and written through files.
+func newServer(cfg Config, files campaign.Files) (*Server, error) {
 	cfg = cfg.withDefaults()
-	st, err := openStore(cfg.Dir)
+	st, err := openStore(files, cfg.Dir)
 	if err != nil {
 		return nil, err
 	}
@@ -106,7 +107,7 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	q, err := openQueue(st.queuePath(), cfg.QueueCap)
+	q, err := openQueue(files, st.queuePath(), cfg.QueueCap)
 	if err != nil {
 		lock.Release()
 		return nil, err
@@ -122,7 +123,7 @@ func New(cfg Config) (*Server, error) {
 		store:    st,
 		queue:    q,
 		tel:      tel,
-		sched:    newScheduler(q, st, run, cfg.JobWorkers, cfg.Retry, tel, cfg.Log),
+		sched:    newScheduler(q, st, run, cfg.JobWorkers, tel, cfg.Log),
 		draining: make(chan struct{}),
 	}
 	ln, err := net.Listen("tcp", cfg.Addr)

@@ -18,18 +18,11 @@ import (
 	"time"
 
 	"memlife/internal/campaign"
-	"memlife/internal/retry"
 )
-
-// fastRetry keeps scheduler retries out of test wall-clock.
-var fastRetry = retry.Policy{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond, Jitter: 0, Seed: 1}
 
 func startServer(t *testing.T, cfg Config) *Server {
 	t.Helper()
 	cfg.Addr = "127.0.0.1:0"
-	if cfg.Retry == (retry.Policy{}) {
-		cfg.Retry = fastRetry
-	}
 	srv, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -247,53 +240,33 @@ func TestServerRejectsInvalidSubmissions(t *testing.T) {
 	}
 }
 
-func TestServerRetriesTransientFailures(t *testing.T) {
+// TestServerFailedJobRunsOnceUntilResubmit: a job whose run fails is
+// not re-run by the scheduler. It settles failed with its cause, and
+// only an explicit resubmit runs it again.
+func TestServerFailedJobRunsOnceUntilResubmit(t *testing.T) {
 	var calls atomic.Int32
-	flaky := func(_ context.Context, job Job) ([]byte, error) {
-		if calls.Add(1) < 3 {
-			return nil, fmt.Errorf("transient I/O hiccup")
+	failFirst := func(ctx context.Context, job Job) ([]byte, error) {
+		if calls.Add(1) == 1 {
+			return nil, fmt.Errorf("spec cannot run")
 		}
-		return marshalResultDoc(ResultDoc{ID: job.ID, Seeds: job.Seeds, Spec: job.Spec, Result: json.RawMessage(`{"ok":true}`)})
+		return instantRunner(nil)(ctx, job)
 	}
-	srv := startServer(t, Config{Dir: t.TempDir(), Runner: flaky})
-	_, env, _ := submit(t, srv.Addr(), `{}`, 1)
-	done := waitState(t, srv.Addr(), env.ID, JobDone)
-	if done.Attempts != 3 {
-		t.Fatalf("attempts = %d, want 3 (two retries then success)", done.Attempts)
-	}
-}
-
-func TestServerPermanentFailureSkipsRetries(t *testing.T) {
-	var calls atomic.Int32
-	broken := func(context.Context, Job) ([]byte, error) {
-		calls.Add(1)
-		return nil, retry.Permanent(fmt.Errorf("spec cannot run"))
-	}
-	srv := startServer(t, Config{Dir: t.TempDir(), Runner: broken})
+	srv := startServer(t, Config{Dir: t.TempDir(), Runner: failFirst})
 	_, env, _ := submit(t, srv.Addr(), `{}`, 1)
 	failed := waitState(t, srv.Addr(), env.ID, JobFailed)
-	if calls.Load() != 1 {
-		t.Fatalf("permanent failure ran %d times, want 1", calls.Load())
+	if got := calls.Load(); got != 1 {
+		t.Fatalf("failing runner called %d times, want 1", got)
 	}
 	if !strings.Contains(failed.Error, "spec cannot run") {
 		t.Fatalf("failed job error = %q, want the cause", failed.Error)
 	}
-	// An explicit resubmit of a failed job re-queues it.
 	code, env2, _ := submit(t, srv.Addr(), `{}`, 1)
 	if code != http.StatusAccepted || env2.Cached {
-		t.Fatalf("resubmit of failed job = %d cached=%v, want 202 fresh attempt", code, env2.Cached)
+		t.Fatalf("resubmit of failed job = %d cached=%v, want 202 fresh run", code, env2.Cached)
 	}
-}
-
-func TestServerRetryBudgetExhaustionFails(t *testing.T) {
-	always := func(context.Context, Job) ([]byte, error) {
-		return nil, fmt.Errorf("still broken")
-	}
-	srv := startServer(t, Config{Dir: t.TempDir(), Runner: always})
-	_, env, _ := submit(t, srv.Addr(), `{}`, 1)
-	failed := waitState(t, srv.Addr(), env.ID, JobFailed)
-	if failed.Attempts != fastRetry.MaxAttempts {
-		t.Fatalf("attempts = %d, want the full budget %d", failed.Attempts, fastRetry.MaxAttempts)
+	waitState(t, srv.Addr(), env.ID, JobDone)
+	if got := calls.Load(); got != 2 {
+		t.Fatalf("runner called %d times after the resubmit, want 2", got)
 	}
 }
 

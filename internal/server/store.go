@@ -37,14 +37,34 @@ type store struct {
 	files campaign.Files // every write, fsync and rename of Put
 }
 
-// openStore prepares the directory tree of a store rooted at dir.
-func openStore(dir string) (*store, error) {
+// openStore prepares the directory tree of a store rooted at dir
+// through files.
+func openStore(files campaign.Files, dir string) (*store, error) {
 	for _, d := range []string{dir, filepath.Join(dir, resultsDirName), filepath.Join(dir, workDirName)} {
-		if err := os.MkdirAll(d, 0o755); err != nil {
+		if err := mkdirSynced(files, d); err != nil {
 			return nil, fmt.Errorf("server: create store dir: %w", err)
 		}
 	}
-	return &store{dir: dir, files: campaign.OSFiles{}}, nil
+	return &store{dir: dir, files: files}, nil
+}
+
+// mkdirSynced creates dir and its missing parents, and fsyncs the
+// parent of each, so no entry on the path is lost in a crash. An
+// existing dir's parent is synced too: a killed process may have
+// created it without the fsync. The parent is dir joined with "..":
+// filepath.Dir would name the directory itself for "." and a child for
+// "..".
+func mkdirSynced(files campaign.Files, dir string) error {
+	parent := filepath.Join(dir, "..")
+	if _, err := os.Stat(parent); errors.Is(err, fs.ErrNotExist) && parent != dir {
+		if err := mkdirSynced(files, parent); err != nil {
+			return err
+		}
+	}
+	if err := files.Mkdir(dir, 0o755); err != nil && !errors.Is(err, fs.ErrExist) {
+		return err
+	}
+	return files.SyncDir(parent)
 }
 
 // validKey reports whether key is a well-formed job fingerprint

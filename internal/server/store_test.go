@@ -6,10 +6,12 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"memlife/internal/campaign"
 )
 
 func TestStorePutGetRoundTrip(t *testing.T) {
-	st, err := openStore(t.TempDir())
+	st, err := openStore(campaign.OSFiles{}, t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +44,7 @@ func TestStorePutGetRoundTrip(t *testing.T) {
 
 func TestStorePutLeavesNoTempFiles(t *testing.T) {
 	dir := t.TempDir()
-	st, err := openStore(dir)
+	st, err := openStore(campaign.OSFiles{}, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +65,7 @@ func TestStorePutLeavesNoTempFiles(t *testing.T) {
 }
 
 func TestStoreRejectsPathEscapingKeys(t *testing.T) {
-	st, err := openStore(t.TempDir())
+	st, err := openStore(campaign.OSFiles{}, t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,6 @@ type serverTel struct {
 	jobsDeduped   *telemetry.Counter // submissions joined onto a live job
 	jobsDone      *telemetry.Counter
 	jobsFailed    *telemetry.Counter
-	jobsRetried   *telemetry.Counter // execution retries after transient failures
 	jobsRejected  *telemetry.Counter // 429 backpressure rejections
 	cacheHits     *telemetry.Counter // submissions served from the result store
 	cacheMisses   *telemetry.Counter // submissions that had to run
@@ -33,7 +32,6 @@ func newServerTel() *serverTel {
 		jobsDeduped:   r.Counter("server/jobs_deduped"),
 		jobsDone:      r.Counter("server/jobs_done"),
 		jobsFailed:    r.Counter("server/jobs_failed"),
-		jobsRetried:   r.Counter("server/jobs_retried"),
 		jobsRejected:  r.Counter("server/jobs_rejected"),
 		cacheHits:     r.Counter("server/cache_hits"),
 		cacheMisses:   r.Counter("server/cache_misses"),
