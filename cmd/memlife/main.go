@@ -477,7 +477,7 @@ func runCampaign(ctx context.Context, c cliConfig, stdout, stderr io.Writer) int
 		Stream:         c.stream,
 	}
 	if c.verb {
-		cfg.Reporter = campaign.NewLogReporter(stderr)
+		cfg.Progress = stderr
 		cfg.Log = stderr
 	}
 	res, err := campaign.Run(ctx, cspec, cfg)

@@ -27,8 +27,9 @@ type Config struct {
 	// Resume loads previously journaled shards of the same spec from
 	// CheckpointPath instead of re-running them.
 	Resume bool
-	// Reporter receives progress events; nil means no reporting.
-	Reporter Reporter
+	// Progress receives one-line progress messages (shards done, ETA,
+	// per-worker state); nil means no progress reporting.
+	Progress io.Writer
 	// Log receives the shards' experiment logs, multiplexed line-by-
 	// line with shard prefixes; nil silences them.
 	Log io.Writer
@@ -110,9 +111,9 @@ func run(ctx context.Context, spec Spec, cfg Config) (*Result, error) {
 		}
 		runners[exp] = r
 	}
-	rep := cfg.Reporter
-	if rep == nil {
-		rep = NopReporter()
+	var rep *logReporter
+	if cfg.Progress != nil {
+		rep = newLogReporter(cfg.Progress)
 	}
 	tel := newCampaignTel()
 
@@ -203,7 +204,9 @@ func run(ctx context.Context, spec Spec, cfg Config) (*Result, error) {
 		}
 		room = make(chan struct{}, window)
 	}
-	rep.CampaignStarted(len(shards), len(done), workers)
+	if rep != nil {
+		rep.CampaignStarted(len(shards), len(done), workers)
+	}
 
 	var logMux *SyncWriter
 	if cfg.Log != nil {
@@ -237,7 +240,9 @@ func run(ctx context.Context, spec Spec, cfg Config) (*Result, error) {
 				if runCtx.Err() != nil {
 					return
 				}
-				rep.ShardStarted(worker, s)
+				if rep != nil {
+					rep.ShardStarted(worker, s)
+				}
 				tel.busyWorkers.Add(1)
 				var shardLog io.Writer = io.Discard
 				var closer io.Closer
@@ -290,7 +295,9 @@ func run(ctx context.Context, spec Spec, cfg Config) (*Result, error) {
 				if ran := doneN - len(done); ran > 0 {
 					eta = time.Since(start) / time.Duration(ran) * time.Duration(total-doneN)
 				}
-				rep.ShardDone(worker, s, elapsed, doneN, total, eta)
+				if rep != nil {
+					rep.ShardDone(worker, s, elapsed, doneN, total, eta)
+				}
 			}
 		}(w)
 	}
@@ -327,6 +334,8 @@ feed:
 	out.Aggregates = agg.aggregates(cfg.Stream)
 	out.Resumed = len(shards) - len(pending)
 	out.Elapsed = time.Since(start)
-	rep.CampaignDone(out.Elapsed)
+	if rep != nil {
+		rep.CampaignDone(out.Elapsed)
+	}
 	return out, nil
 }

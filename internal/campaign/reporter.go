@@ -8,36 +8,12 @@ import (
 	"time"
 )
 
-// Reporter receives campaign progress events. Implementations must be
-// safe for concurrent use: shard events arrive from worker goroutines.
-// Reporters exist for display only — nothing they observe (timings,
-// worker ids, completion order) feeds back into campaign results.
-type Reporter interface {
-	// CampaignStarted fires once: total shards in the spec, how many
-	// were restored from the checkpoint, and the worker count.
-	CampaignStarted(total, resumed, workers int)
-	// ShardStarted fires when a worker picks up a shard.
-	ShardStarted(worker int, s Shard)
-	// ShardDone fires when a shard completes: its wall time, overall
-	// progress, and the ETA estimated from completed-shard throughput
-	// (zero until the first completion).
-	ShardDone(worker int, s Shard, elapsed time.Duration, done, total int, eta time.Duration)
-	// CampaignDone fires once after the last shard.
-	CampaignDone(elapsed time.Duration)
-}
-
-type nopReporter struct{}
-
-func (nopReporter) CampaignStarted(int, int, int)                                {}
-func (nopReporter) ShardStarted(int, Shard)                                      {}
-func (nopReporter) ShardDone(int, Shard, time.Duration, int, int, time.Duration) {}
-func (nopReporter) CampaignDone(time.Duration)                                   {}
-
-// NopReporter returns a reporter that discards every event.
-func NopReporter() Reporter { return nopReporter{} }
-
-// logReporter renders events as one-line progress messages, tracking
-// per-worker state so every line shows what the pool is doing.
+// logReporter renders campaign progress events as one-line messages,
+// tracking per-worker state so every line shows what the pool is
+// doing. It is safe for concurrent use: shard events arrive from
+// worker goroutines. It exists for display only — nothing it observes
+// (timings, worker ids, completion order) feeds back into campaign
+// results.
 type logReporter struct {
 	mu      sync.Mutex
 	w       io.Writer
@@ -45,12 +21,12 @@ type logReporter struct {
 	working map[int]string // worker -> shard label
 }
 
-// NewLogReporter returns a Reporter that writes one-line progress
-// events (shards done, ETA, per-worker state) to w.
-func NewLogReporter(w io.Writer) Reporter {
+func newLogReporter(w io.Writer) *logReporter {
 	return &logReporter{w: w, working: make(map[int]string)}
 }
 
+// CampaignStarted fires once: total shards in the spec, how many were
+// restored from the checkpoint, and the worker count.
 func (r *logReporter) CampaignStarted(total, resumed, workers int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -58,6 +34,7 @@ func (r *logReporter) CampaignStarted(total, resumed, workers int) {
 	fmt.Fprintf(r.w, "campaign: %d shards (%d from checkpoint), %d workers\n", total, resumed, workers)
 }
 
+// ShardStarted fires when a worker picks up a shard.
 func (r *logReporter) ShardStarted(worker int, s Shard) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -65,6 +42,9 @@ func (r *logReporter) ShardStarted(worker int, s Shard) {
 	fmt.Fprintf(r.w, "campaign: w%d -> %s (seed %d)\n", worker, s.Label(), s.Seed)
 }
 
+// ShardDone fires when a shard completes: its wall time, overall
+// progress, and the ETA estimated from completed-shard throughput
+// (zero until the first completion).
 func (r *logReporter) ShardDone(worker int, s Shard, elapsed time.Duration, done, total int, eta time.Duration) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -94,6 +74,7 @@ func (r *logReporter) ShardDone(worker int, s Shard, elapsed time.Duration, done
 	fmt.Fprintln(r.w, line)
 }
 
+// CampaignDone fires once after the last shard.
 func (r *logReporter) CampaignDone(elapsed time.Duration) {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -18,7 +18,7 @@ func shardFor(idx int, exp string, seedIdx int) Shard {
 // final shard, and the busy-worker list sorted by worker id.
 func TestLogReporterLifecycle(t *testing.T) {
 	var buf bytes.Buffer
-	r := NewLogReporter(&buf)
+	r := newLogReporter(&buf)
 
 	sA := shardFor(0, "alpha", 0)
 	sB := shardFor(1, "alpha", 1)
@@ -80,7 +80,7 @@ func TestLogReporterLifecycle(t *testing.T) {
 // "eta estimating..." — never a bogus "eta 0s".
 func TestLogReporterZeroETAEstimating(t *testing.T) {
 	var buf bytes.Buffer
-	r := NewLogReporter(&buf)
+	r := newLogReporter(&buf)
 	r.CampaignStarted(2, 0, 1)
 	r.ShardDone(0, shardFor(0, "alpha", 0), 50*time.Millisecond, 1, 2, 0)
 	out := buf.String()
@@ -97,7 +97,7 @@ func TestLogReporterZeroETAEstimating(t *testing.T) {
 // nor the estimating marker may appear.
 func TestLogReporterZeroETAFinalShard(t *testing.T) {
 	var buf bytes.Buffer
-	r := NewLogReporter(&buf)
+	r := newLogReporter(&buf)
 	r.CampaignStarted(1, 0, 1)
 	r.ShardDone(0, shardFor(0, "alpha", 0), 50*time.Millisecond, 1, 1, 0)
 	if out := buf.String(); strings.Contains(out, "eta") {
@@ -110,7 +110,7 @@ func TestLogReporterZeroETAFinalShard(t *testing.T) {
 // and diffable.
 func TestLogReporterBusyListSorted(t *testing.T) {
 	var buf bytes.Buffer
-	r := NewLogReporter(&buf)
+	r := newLogReporter(&buf)
 	r.CampaignStarted(5, 0, 4)
 	r.ShardStarted(3, shardFor(3, "beta", 1))
 	r.ShardStarted(0, shardFor(0, "alpha", 0))
@@ -131,7 +131,7 @@ func TestLogReporterBusyListSorted(t *testing.T) {
 // every emitted line must be whole (exactly one "campaign:" prefix).
 func TestLogReporterConcurrentEvents(t *testing.T) {
 	var buf bytes.Buffer
-	r := NewLogReporter(&buf)
+	r := newLogReporter(&buf)
 	r.CampaignStarted(64, 0, 8)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -152,14 +152,4 @@ func TestLogReporterConcurrentEvents(t *testing.T) {
 			t.Fatalf("line %d mangled under contention: %q", i, line)
 		}
 	}
-}
-
-// TestNopReporterIsInert: the default reporter must accept every event
-// without side effects (it is wired in whenever Config.Reporter is nil).
-func TestNopReporterIsInert(t *testing.T) {
-	r := NopReporter()
-	r.CampaignStarted(1, 0, 1)
-	r.ShardStarted(0, shardFor(0, "alpha", 0))
-	r.ShardDone(0, shardFor(0, "alpha", 0), time.Second, 1, 1, 0)
-	r.CampaignDone(time.Second)
 }

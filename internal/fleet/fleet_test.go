@@ -32,22 +32,10 @@ func testRun(t *testing.T, mutate func(*Config), seed int64) Result {
 
 func TestDefaultsValidate(t *testing.T) {
 	for _, fast := range []bool{true, false} {
-		c := Defaults(10, fast).Normalized()
+		c := Defaults(10, fast)
 		if err := c.Validate(); err != nil {
 			t.Errorf("Defaults(10, %v) invalid: %v", fast, err)
 		}
-	}
-}
-
-func TestNormalizedIdempotent(t *testing.T) {
-	sparse := Config{Instances: 6, Ticks: 200}
-	once := sparse.Normalized()
-	twice := once.Normalized()
-	if once != twice {
-		t.Fatalf("Normalized is not idempotent:\nonce  %+v\ntwice %+v", once, twice)
-	}
-	if err := once.Validate(); err != nil {
-		t.Fatalf("normalized sparse config invalid: %v", err)
 	}
 }
 
@@ -61,9 +49,8 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		{func(c *Config) { c.Traffic.Pattern = "steady" }, "fleet.traffic.pattern"},
 		{func(c *Config) { c.Traffic.Load = -1 }, "fleet.traffic.load"},
 		{func(c *Config) { c.Traffic.Keys = maxKeys + 1 }, "fleet.traffic.keys"},
-		{func(c *Config) { c.Service.QueueCap = 1 }, "fleet.service.queue_cap"},
 		{func(c *Config) { c.Service.TuneMargin = 0.5 }, "fleet.service.tune_margin"},
-		{func(c *Config) { c.Wear.BaseAcc = 0.5 }, "fleet.wear.base_acc"},
+		{func(c *Config) { c.Service.MaxIters = baseIters - 1 }, "fleet.service.max_iters"},
 	}
 	for _, tc := range cases {
 		c := Defaults(10, true)
@@ -202,11 +189,11 @@ func TestEagerTuningTradesWearForAccuracy(t *testing.T) {
 // device can never satisfy.
 func TestRunRejectsInvalidConfig(t *testing.T) {
 	cfg := Defaults(10, true)
-	cfg.Service.MinLevels = 64 // Params32 has 32 levels fresh
-	if _, err := New(cfg, device.Params32(), testModel(), 300, 1); err == nil {
-		t.Fatal("MinLevels above the fresh level count must be rejected")
+	p := device.Params32()
+	p.Levels = minLevels - 1 // every level usable fresh, still below the floor
+	if _, err := New(cfg, p, testModel(), 300, 1); err == nil || !strings.Contains(err.Error(), "usable levels") {
+		t.Fatalf("a fresh device below the usable-level floor must be rejected, got %v", err)
 	}
-	cfg = Defaults(10, true)
 	if _, err := New(cfg, device.Params32(), testModel(), -1, 1); err == nil {
 		t.Fatal("non-positive temperature must be rejected")
 	}

@@ -136,12 +136,11 @@ type Sim struct {
 	cost         float64
 }
 
-// New validates the (normalized) configuration against the device and
-// aging model and builds a simulator seeded with the splitmix64 stream
-// of seed. The fresh device must have at least MinLevels usable
-// levels, or every instance would be dead on arrival.
+// New validates the configuration against the device and aging model
+// and builds a simulator seeded with the splitmix64 stream of seed.
+// The fresh device must have at least minLevels usable levels, or
+// every instance would be dead on arrival.
 func New(cfg Config, p device.Params, m aging.Model, tempK float64, seed int64) (*Sim, error) {
-	cfg = cfg.Normalized()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -164,9 +163,9 @@ func New(cfg Config, p device.Params, m aging.Model, tempK float64, seed int64) 
 		tel:  newFleetTel(cfg.Instances),
 	}
 	s.usableFresh = s.usableLevels(0)
-	if s.usableFresh < cfg.Service.MinLevels {
-		return nil, fmt.Errorf("fleet: fresh device has %d usable levels, below service.min_levels %d",
-			s.usableFresh, cfg.Service.MinLevels)
+	if s.usableFresh < minLevels {
+		return nil, fmt.Errorf("fleet: fresh device has %d usable levels, below the %d-level floor",
+			s.usableFresh, minLevels)
 	}
 	s.insts = make([]instance, cfg.Instances)
 	for i := range s.insts {
@@ -179,7 +178,7 @@ func New(cfg Config, p device.Params, m aging.Model, tempK float64, seed int64) 
 		in.alive = true
 	}
 	s.order = make([]int32, 0, cfg.Instances)
-	s.sampleEvery = int64(cfg.Ticks / cfg.SamplePoints)
+	s.sampleEvery = int64(cfg.Ticks / samplePoints)
 	if s.sampleEvery < 1 {
 		s.sampleEvery = 1
 	}
@@ -200,7 +199,7 @@ func (s *Sim) usableLevels(stress float64) int {
 // given usable-level count: the fresh accuracy minus the aging floor.
 func (s *Sim) postTuneAcc(usable int) float64 {
 	frac := float64(usable) / float64(s.p.Levels)
-	return s.cfg.Wear.BaseAcc - s.cfg.Wear.LevelPenalty*(1-frac)
+	return baseAcc - levelPenalty*(1-frac)
 }
 
 // Tick advances the clock by one tick: every instance whose
@@ -223,8 +222,8 @@ func (s *Sim) Tick() {
 // serve, accrue read-disturb drift, run health checks, publish
 // telemetry, and sample the survival curve.
 func (s *Sim) doTick() {
-	qcap := int64(s.cfg.Service.QueueCap)
-	cap64 := int64(s.cfg.Service.Capacity)
+	qcap := int64(queueCap)
+	cap64 := int64(capacity)
 	for i := range s.insts {
 		s.insts[i].assigned = 0
 	}
@@ -262,14 +261,14 @@ func (s *Sim) doTick() {
 			served = cap64
 		}
 		in.queue -= served
-		in.drift += s.cfg.Wear.DriftPerApp * float64(served)
+		in.drift += driftPerApp * float64(served)
 		in.acc = in.postTune - in.drift
 		s.servedTotal += served
 		s.accSketch.AddN(in.acc, served)
 	}
 	// Health: below the maintenance threshold -> retune, remap, or
 	// (window exhausted) die.
-	thr := s.cfg.Service.TargetAcc + s.cfg.Service.TuneMargin
+	thr := targetAcc + s.cfg.Service.TuneMargin
 	for i := range s.insts {
 		in := &s.insts[i]
 		if in.state == stServing && in.acc < thr {
@@ -356,29 +355,28 @@ func (s *Sim) routeRR(qcap int64) int32 {
 // startMaintenance decides retune vs remap vs death for instance i and
 // sets the tick its maintenance completes. Tuning cost grows as the usable
 // window shrinks relative to the last map:
-// iters = BaseIters * (remapUsable/usable)^CostExponent.
+// iters = baseIters * (remapUsable/usable)^costExponent.
 func (s *Sim) startMaintenance(i int32) {
 	in := &s.insts[i]
-	svc := &s.cfg.Service
-	if in.usable < svc.MinLevels {
+	if in.usable < minLevels {
 		s.die(i)
 		return
 	}
-	iters := svc.BaseIters * math.Pow(float64(in.remapUsable)/float64(in.usable), svc.CostExponent)
+	iters := baseIters * math.Pow(float64(in.remapUsable)/float64(in.usable), costExponent)
 	var down int64
-	if iters > svc.MaxIters {
+	if iters > s.cfg.Service.MaxIters {
 		// Retuning inside the collapsed window would blow the
 		// iteration budget: remap into the aged window (fresh
 		// baseline), then tune there.
 		in.state = stRemapping
-		in.pendingIters = svc.BaseIters
-		down = int64(svc.RemapTicks) + ticksFor(svc.BaseIters, svc.ItersPerTick)
+		in.pendingIters = baseIters
+		down = int64(remapTicks) + ticksFor(baseIters)
 		s.remaps++
-		s.tuneIters += svc.BaseIters
+		s.tuneIters += baseIters
 	} else {
 		in.state = stTuning
 		in.pendingIters = iters
-		down = ticksFor(iters, svc.ItersPerTick)
+		down = ticksFor(iters)
 		s.retunes++
 		s.tuneIters += iters
 	}
@@ -387,8 +385,8 @@ func (s *Sim) startMaintenance(i int32) {
 }
 
 // ticksFor converts tuning iterations to downtime ticks (minimum 1).
-func ticksFor(iters, perTick float64) int64 {
-	t := int64(math.Ceil(iters / perTick))
+func ticksFor(iters float64) int64 {
+	t := int64(math.Ceil(iters / itersPerTick))
 	if t < 1 {
 		t = 1
 	}
@@ -414,8 +412,8 @@ func (s *Sim) die(i int32) {
 	}
 	in.state = stReplacing
 	s.replacements++
-	s.cost += s.cfg.Replace.Cost
-	down := int64(s.cfg.Replace.Ticks)
+	s.cost += replaceCost
+	down := int64(replaceTicks)
 	s.downtime += down
 	in.doneAt = s.clock + down
 }
@@ -431,7 +429,7 @@ func (s *Sim) complete(i int32) {
 		in.stress += w.StressPerIter * in.pendingIters
 		in.usable = s.usableLevels(in.stress)
 	case stRemapping:
-		in.stress += w.MapStress + w.StressPerIter*in.pendingIters
+		in.stress += mapStress + w.StressPerIter*in.pendingIters
 		in.usable = s.usableLevels(in.stress)
 		in.remapUsable = in.usable
 	case stReplacing:

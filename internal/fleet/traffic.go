@@ -11,7 +11,11 @@ func newRNG(seed int64) rng { return rng{s: uint64(seed)} }
 
 func (r *rng) next() uint64 {
 	r.s += 0x9E3779B97F4A7C15
-	x := r.s
+	return mix(r.s)
+}
+
+// mix is the splitmix64 finalizer.
+func mix(x uint64) uint64 {
 	x ^= x >> 30
 	x *= 0xBF58476D1CE4E5B9
 	x ^= x >> 27
@@ -28,13 +32,7 @@ func (r *rng) float64() float64 {
 // hashKey is a stateless splitmix64 finalizer used for hash-affinity
 // routing (deterministic, independent of the arrival stream).
 func hashKey(key int32) uint64 {
-	x := uint64(key) + 0x9E3779B97F4A7C15
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
-	return x
+	return mix(uint64(key) + 0x9E3779B97F4A7C15)
 }
 
 // traffic generates the synthetic request stream: a deterministic load
@@ -51,10 +49,7 @@ func newTraffic(cfg Traffic) *traffic {
 	t := &traffic{cfg: cfg, cum: make([]float64, cfg.Keys)}
 	sum := 0.0
 	for k := 0; k < cfg.Keys; k++ {
-		w := 1.0
-		if cfg.ZipfS > 0 {
-			w = math.Pow(float64(k+1), -cfg.ZipfS)
-		}
+		w := math.Pow(float64(k+1), -zipfS)
 		sum += w
 		t.cum[k] = sum
 	}
@@ -70,11 +65,11 @@ func (t *traffic) load(tk int64) float64 {
 	switch t.cfg.Pattern {
 	case PatternDiurnal:
 		phase := 2 * math.Pi * float64(tk%int64(t.cfg.PeriodTicks)) / float64(t.cfg.PeriodTicks)
-		return t.cfg.Load * (1 + t.cfg.PeakFactor*math.Sin(phase))
+		return t.cfg.Load * (1 + peakFactor*math.Sin(phase))
 	case PatternBursty:
-		period := int64(t.cfg.BurstOn + t.cfg.BurstOff)
-		if tk%period < int64(t.cfg.BurstOn) {
-			return t.cfg.Load * t.cfg.BurstFactor
+		period := int64(burstOn + burstOff)
+		if tk%period < int64(burstOn) {
+			return t.cfg.Load * burstFactor
 		}
 		return t.cfg.Load
 	default: // PatternZipf: steady envelope, skew in the key mix

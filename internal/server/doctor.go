@@ -43,15 +43,13 @@ func Doctor(dir string, w io.Writer) (ok bool, err error) {
 
 	// Lock health: a held lock means a live daemon (flock dies with its
 	// process, so there are no stale locks to detect).
-	if lock, lerr := acquireLock(dir); lerr != nil {
-		if strings.Contains(lerr.Error(), "locked by another process") {
-			warn("store is locked by a running process; auditing read-only alongside it")
-		} else {
-			fail("lock: %v", lerr)
-		}
-	} else {
-		lock.Release()
-		pass("lock is free and acquirable")
+	switch held, holder, lerr := lockHeld(dir); {
+	case lerr != nil:
+		fail("lock: %v", lerr)
+	case held:
+		warn("store is locked by a running process%s; auditing read-only alongside it", holder)
+	default:
+		pass("lock is free")
 	}
 
 	// Job journal: replay it exactly the way the daemon would.

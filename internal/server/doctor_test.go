@@ -2,10 +2,13 @@ package server
 
 import (
 	"bytes"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"memlife/internal/campaign"
 )
@@ -197,5 +200,61 @@ func TestDoctorWarnsWhileDaemonHoldsLock(t *testing.T) {
 	}
 	if !strings.Contains(out, "locked by a running process") {
 		t.Fatalf("doctor must note the live lock:\n%s", out)
+	}
+}
+
+// TestDoctorLeavesStoreUntouched: doctor is read-only. It must neither
+// create a LOCK where none exists nor rewrite the one a drained daemon
+// left: every file name, and the LOCK's bytes and mtime, are the same
+// after the audit.
+func TestDoctorLeavesStoreUntouched(t *testing.T) {
+	names := func(dir string) []string {
+		var out []string
+		filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+			if err != nil {
+				t.Fatal(err)
+			}
+			rel, _ := filepath.Rel(dir, path)
+			out = append(out, rel)
+			return nil
+		})
+		return out
+	}
+
+	dir := seedHealthyStore(t)
+	before := names(dir)
+	runDoctorTest(t, dir)
+	if after := names(dir); !reflect.DeepEqual(before, after) {
+		t.Fatalf("doctor changed the store's files:\nbefore %v\nafter  %v", before, after)
+	}
+
+	lock := filepath.Join(dir, lockFileName)
+	if err := os.WriteFile(lock, []byte("12345\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	past := time.Now().Add(-time.Hour).Truncate(time.Second)
+	if err := os.Chtimes(lock, past, past); err != nil {
+		t.Fatal(err)
+	}
+	before = names(dir)
+	if ok, out := runDoctorTest(t, dir); !ok || !strings.Contains(out, "ok    lock is free") {
+		t.Fatalf("a released LOCK means a free store:\n%s", out)
+	}
+	if after := names(dir); !reflect.DeepEqual(before, after) {
+		t.Fatalf("doctor changed the store's files:\nbefore %v\nafter  %v", before, after)
+	}
+	b, err := os.ReadFile(lock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(b) != "12345\n" {
+		t.Errorf("doctor rewrote LOCK: %q", b)
+	}
+	fi, err := os.Stat(lock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !fi.ModTime().Equal(past) {
+		t.Errorf("doctor touched LOCK: mtime %v, want %v", fi.ModTime(), past)
 	}
 }

@@ -1,7 +1,9 @@
 package server
 
 import (
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -46,6 +48,29 @@ func acquireLock(dir string) (*dirLock, error) {
 		_ = f.Sync()
 	}
 	return &dirLock{f: f}, nil
+}
+
+// lockHeld reports whether a live process holds dir's lock, and the
+// pid suffix it recorded, without creating or writing the lock file:
+// it opens LOCK read-only and only tries the flock. A missing LOCK
+// means no daemon holds the store. Closing the probe's descriptor
+// drops the flock it may have taken.
+func lockHeld(dir string) (held bool, holder string, err error) {
+	f, err := os.Open(filepath.Join(dir, lockFileName))
+	if errors.Is(err, fs.ErrNotExist) {
+		return false, "", nil
+	}
+	if err != nil {
+		return false, "", fmt.Errorf("server: open lock file: %w", err)
+	}
+	defer f.Close()
+	switch err := syscall.Flock(int(f.Fd()), syscall.LOCK_EX|syscall.LOCK_NB); {
+	case err == syscall.EWOULDBLOCK:
+		return true, lockHolder(f), nil
+	case err != nil:
+		return false, "", fmt.Errorf("server: lock store %s: %w", dir, err)
+	}
+	return false, "", nil
 }
 
 // lockHolder reads the pid a live holder recorded, for error messages.

@@ -138,8 +138,10 @@ type Spec struct {
 	// Fleet, when present, switches the scenario from a single-crossbar
 	// lifetime study to a fleet simulation: a population of crossbar
 	// instances behind a load balancer under synthetic traffic (see
-	// internal/fleet). The pointer is omitted from serialization when
-	// nil, so non-fleet specs keep their historical fingerprints.
+	// internal/fleet). A file's fleet block overlays DefaultFleet of
+	// its fixture and speed tier. The pointer is omitted from
+	// serialization when nil, so non-fleet specs keep their historical
+	// fingerprints.
 	Fleet *fleet.Config `json:"fleet,omitempty"`
 	// Run holds seed, fast mode and target-derivation options.
 	Run Run `json:"run"`
@@ -195,8 +197,8 @@ func Defaults(fixture string, fast bool) Spec {
 	}
 }
 
-// DefaultFleet derives the fleet configuration the fleet-survival
-// experiment uses when a scenario has no explicit fleet block: fleet
+// DefaultFleet derives the fleet configuration of the fleet-survival
+// experiment and the defaults a scenario's fleet block overlays: fleet
 // defaults in the spec's speed tier, with the traffic key space sized
 // to the fixture's class count (each key models one request class).
 func DefaultFleet(s Spec) fleet.Config {
@@ -370,10 +372,8 @@ func (s Spec) FixtureFingerprint() (string, error) {
 // chain; nil fields were not set on the command line and leave the
 // file/default value untouched.
 type Overrides struct {
-	Fast     *bool
-	Seed     *int64
-	Scenario *string
-	Policy   *string
+	Fast *bool
+	Seed *int64
 	// DeviceModel overrides the device-physics model kind
 	// (device.model.kind): "linear", "mms", "yacopcic" or "diffusive".
 	// Variation sigmas and the drift block come from the file/defaults.
@@ -390,12 +390,6 @@ func (o Overrides) apply(s *Spec) {
 	if o.Seed != nil {
 		s.Run.Seed = *o.Seed
 	}
-	if o.Scenario != nil {
-		s.Scenario = *o.Scenario
-	}
-	if o.Policy != nil {
-		s.Policy = *o.Policy
-	}
 	if o.DeviceModel != nil {
 		s.Device.Model.Kind = *o.DeviceModel
 	}
@@ -407,7 +401,8 @@ func (o Overrides) apply(s *Spec) {
 // probe is the loose pre-pass of Resolve: before the strict decode can
 // overlay the file onto the right defaults, the resolver has to know
 // which defaults the file wants — the fixture name picks the skew
-// constants and the fast flag picks the budget tier.
+// constants and the fleet key space, the fast flag picks the budget
+// tier, and a fleet key asks for the fleet defaults.
 type probe struct {
 	Fixture struct {
 		Name *string `json:"name"`
@@ -415,16 +410,20 @@ type probe struct {
 	Run struct {
 		Fast *bool `json:"fast"`
 	} `json:"run"`
+	Fleet json.RawMessage `json:"fleet"`
 }
 
 // ResolveBytes runs the full resolution chain over an in-memory
 // scenario document: probe the file for fixture/fast (flag overrides
 // win even here, so defaults and final values can't disagree), build
-// Defaults, strictly overlay the file (unknown fields are errors),
-// apply the flag overrides, validate. A nil or empty raw skips stage 2.
+// Defaults — plus DefaultFleet when the file has a fleet block, which
+// then overlays the fleet defaults of its fixture and tier — strictly
+// overlay the file (unknown fields are errors), apply the flag
+// overrides, validate. A nil or empty raw skips stage 2.
 func ResolveBytes(raw []byte, o Overrides) (Spec, error) {
 	fixture := FixtureLeNet
 	fast := false
+	hasFleet := false
 	if len(raw) > 0 {
 		var p probe
 		if err := json.Unmarshal(raw, &p); err != nil {
@@ -436,12 +435,17 @@ func ResolveBytes(raw []byte, o Overrides) (Spec, error) {
 		if p.Run.Fast != nil {
 			fast = *p.Run.Fast
 		}
+		hasFleet = p.Fleet != nil
 	}
 	if o.Fast != nil {
 		fast = *o.Fast
 	}
 
 	s := Defaults(fixture, fast)
+	if hasFleet {
+		f := DefaultFleet(s)
+		s.Fleet = &f
+	}
 	if len(raw) > 0 {
 		dec := json.NewDecoder(bytes.NewReader(raw))
 		dec.DisallowUnknownFields()
@@ -450,13 +454,6 @@ func ResolveBytes(raw []byte, o Overrides) (Spec, error) {
 		}
 	}
 	o.apply(&s)
-	if s.Fleet != nil {
-		// A sparse fleet block resolves its "zero means default"
-		// fallbacks here, so the dumped spec is explicit and a
-		// fixed point under re-resolution.
-		norm := s.Fleet.Normalized()
-		s.Fleet = &norm
-	}
 	if err := s.Validate(); err != nil {
 		return Spec{}, fmt.Errorf("spec: invalid scenario:\n%w", err)
 	}

@@ -68,6 +68,7 @@ func TestResolvePrecedence(t *testing.T) {
 		"version": 1,
 		"fixture": {"name": "lenet"},
 		"scenario": "T+T",
+		"device": {"model": {"kind": "mms"}},
 		"temp_k": 310,
 		"lifetime": {"max_cycles": 33},
 		"run": {"fast": true, "seed": 7}
@@ -89,9 +90,9 @@ func TestResolvePrecedence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if s.Scenario != "T+T" || s.TempK != 310 || s.Lifetime.MaxCycles != 33 || s.Run.Seed != 7 {
-			t.Fatalf("file values must override defaults, got scenario=%q temp=%g cycles=%d seed=%d",
-				s.Scenario, s.TempK, s.Lifetime.MaxCycles, s.Run.Seed)
+		if s.Scenario != "T+T" || s.Device.Model.Kind != "mms" || s.TempK != 310 || s.Lifetime.MaxCycles != 33 || s.Run.Seed != 7 {
+			t.Fatalf("file values must override defaults, got scenario=%q model=%q temp=%g cycles=%d seed=%d",
+				s.Scenario, s.Device.Model.Kind, s.TempK, s.Lifetime.MaxCycles, s.Run.Seed)
 		}
 		// run.fast=true in the file must have selected the fast defaults
 		// tier for everything the file does not mention.
@@ -101,7 +102,9 @@ func TestResolvePrecedence(t *testing.T) {
 				s.Lifetime.Tuning, s.Lifetime.EvalN)
 		}
 		// Fields the file omits keep their (tiered) defaults.
-		if s.Device != fast.Device || s.Aging != fast.Aging {
+		dev := fast.Device
+		dev.Model.Kind = "mms"
+		if s.Device != dev || s.Aging != fast.Aging {
 			t.Fatal("unmentioned sections must keep their defaults")
 		}
 	})
@@ -109,15 +112,15 @@ func TestResolvePrecedence(t *testing.T) {
 	t.Run("flags over file", func(t *testing.T) {
 		fastOff := false
 		seed := int64(99)
-		scenario := "ST+AT"
+		model := "yacopcic"
 		s, err := ResolveBytes([]byte(file), Overrides{
-			Fast: &fastOff, Seed: &seed, Scenario: &scenario,
+			Fast: &fastOff, Seed: &seed, DeviceModel: &model,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if s.Run.Fast || s.Run.Seed != 99 || s.Scenario != "ST+AT" {
-			t.Fatalf("flag overrides must win over the file, got %+v", s.Run)
+		if s.Run.Fast || s.Run.Seed != 99 || s.Device.Model.Kind != model {
+			t.Fatalf("flag overrides must win over the file, got run=%+v model=%q", s.Run, s.Device.Model.Kind)
 		}
 		// The -fast override participates in the probe too: with fast
 		// forced off, the defaults tier under the file must be the full
@@ -128,7 +131,7 @@ func TestResolvePrecedence(t *testing.T) {
 				s.Lifetime.Tuning.MaxIters)
 		}
 		// File values no flag touches survive.
-		if s.TempK != 310 || s.Lifetime.MaxCycles != 33 {
+		if s.Scenario != "T+T" || s.TempK != 310 || s.Lifetime.MaxCycles != 33 {
 			t.Fatal("file values without overriding flags must survive")
 		}
 	})
@@ -434,30 +437,42 @@ func TestScenarioKind(t *testing.T) {
 	}
 }
 
-// TestFleetBlockResolution: a scenario with a sparse fleet block must
-// resolve to a normalized, valid config that is a fixed point under
-// dump -> resolve, and fleet validation errors must surface under
-// their JSON paths.
+// TestFleetBlockResolution: a sparse fleet block overlays DefaultFleet
+// of the file's fixture and speed tier — the tier after the -fast
+// override — so only the fields it lists differ from those defaults.
+// The resolved block is a fixed point under dump -> resolve, and fleet
+// validation errors surface under their JSON paths.
 func TestFleetBlockResolution(t *testing.T) {
-	s, err := ResolveBytes([]byte(`{
+	file := []byte(`{
 		"version": 1,
-		"fleet": {"instances": 6, "ticks": 300}
-	}`), Overrides{})
+		"fleet": {"instances": 6, "ticks": 300, "traffic": {"load": 360}},
+		"run": {"fast": true}
+	}`)
+	fastOff := false
+	for _, tc := range []struct {
+		name string
+		o    Overrides
+		fast bool
+	}{
+		{"file tier", Overrides{}, true},
+		{"fast forced off", Overrides{Fast: &fastOff}, false},
+	} {
+		s, err := ResolveBytes(file, tc.o)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if s.Fleet == nil {
+			t.Fatalf("%s: fleet block lost in resolution", tc.name)
+		}
+		want := DefaultFleet(Defaults(FixtureLeNet, tc.fast))
+		want.Instances, want.Ticks, want.Traffic.Load = 6, 300, 360
+		if *s.Fleet != want {
+			t.Fatalf("%s: fleet block must overlay the tier defaults:\ngot  %+v\nwant %+v", tc.name, *s.Fleet, want)
+		}
+	}
+	s, err := ResolveBytes(file, Overrides{})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if s.Fleet == nil {
-		t.Fatal("fleet block lost in resolution")
-	}
-	if s.Fleet.Instances != 6 || s.Fleet.Ticks != 300 {
-		t.Fatalf("explicit fleet fields lost: %+v", s.Fleet)
-	}
-	// Sparse fields must have been normalized to their defaults.
-	if s.Fleet.Balancer == "" || s.Fleet.Traffic.Pattern == "" || s.Fleet.Service.Capacity == 0 {
-		t.Fatalf("fleet fallbacks not resolved: %+v", s.Fleet)
-	}
-	if *s.Fleet != s.Fleet.Normalized() {
-		t.Fatal("resolved fleet block must be a normalization fixed point")
 	}
 
 	// Dump -> resolve must reproduce the identical fleet block.
