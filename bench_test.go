@@ -9,6 +9,7 @@ package memlife_test
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -344,9 +345,10 @@ func BenchmarkIm2Col(b *testing.B) {
 	in := tensor.New(g.InC, g.InH, g.InW)
 	rng.FillNormal(in, 0, 1)
 	cols := tensor.New(g.OutH()*g.OutW(), g.InC*g.KH*g.KW)
+	pad := make([]float64, g.PaddedSize())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tensor.Im2Col(cols, in, g)
+		tensor.Im2Col(cols, in, pad, g)
 	}
 }
 
@@ -392,16 +394,18 @@ func BenchmarkIm2ColLeNetFast(b *testing.B) {
 		{InC: 6, InH: 6, InW: 6, KH: 5, KW: 5, StrideH: 1, StrideW: 1, PadH: 2, PadW: 2},
 	}
 	var ins, cols []*tensor.Tensor
+	var pads [][]float64
 	for _, g := range geoms {
 		in := tensor.New(g.InC, g.InH, g.InW)
 		reluSparse(in, rng)
 		ins = append(ins, in)
 		cols = append(cols, tensor.New(g.OutH()*g.OutW(), g.InC*g.KH*g.KW))
+		pads = append(pads, make([]float64, g.PaddedSize()))
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for j, g := range geoms {
-			tensor.Im2Col(cols[j], ins[j], g)
+			tensor.Im2Col(cols[j], ins[j], pads[j], g)
 		}
 	}
 }
@@ -413,6 +417,48 @@ func BenchmarkLeNetForward(b *testing.B) {
 		b.Fatal(err)
 	}
 	x := tensor.New(16, 3*16*16)
+	rng.FillNormal(x, 0, 1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		net.Forward(x, false)
+	}
+}
+
+// fastVGGConfig is the fast VGG fixture's network (width x0.125).
+var fastVGGConfig = nn.VGGConfig{InC: 3, H: 32, W: 32, Classes: 10, WidthMult: 0.125, FCWidth: 64}
+
+// BenchmarkConvVGGFast times one training forward and backward of a
+// 32-sample batch through a 3x3, pad-1 conv at each width of the fast
+// VGG (8, 16, 32 and 64 channels in and out, at 32, 16, 8 and 4 pixels
+// square), on ReLU-sparse inputs and gradients.
+func BenchmarkConvVGGFast(b *testing.B) {
+	for _, s := range []struct{ width, size int }{{8, 32}, {16, 16}, {32, 8}, {64, 4}} {
+		b.Run(fmt.Sprintf("w%d", s.width), func(b *testing.B) {
+			rng := tensor.NewRNG(1)
+			g := tensor.ConvGeom{InC: s.width, InH: s.size, InW: s.size, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
+			l := nn.NewConv2D("conv", g, s.width, rng)
+			x := tensor.New(32, l.InputSize())
+			dout := tensor.New(32, l.OutputSize(l.InputSize()))
+			reluSparse(x, rng)
+			reluSparse(dout, rng)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				l.Forward(x, true)
+				l.Backward(dout)
+			}
+		})
+	}
+}
+
+// BenchmarkVGGFastEvalForward times one eval forward of a 64-sample
+// batch (the lifetime eval batch) through a fast VGG.
+func BenchmarkVGGFastEvalForward(b *testing.B) {
+	rng := tensor.NewRNG(1)
+	net, err := nn.NewVGG16(fastVGGConfig, rng)
+	if err != nil {
+		b.Fatal(err)
+	}
+	x := tensor.New(64, net.InputSize)
 	rng.FillNormal(x, 0, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -44,6 +44,7 @@ func serialConvBackward(l *Conv2D, dout *tensor.Tensor, g *oracleGrads) {
 	dW := tensor.New(patch, l.OutC)
 	dcols := tensor.New(positions, patch)
 	dimg := tensor.New(l.Geom.InC, l.Geom.InH, l.Geom.InW)
+	pad := make([]float64, l.Geom.PaddedSize())
 	for s := 0; s < b; s++ {
 		row := dout.RowSlice(s).Data()
 		dp := dpos.Data()
@@ -59,7 +60,7 @@ func serialConvBackward(l *Conv2D, dout *tensor.Tensor, g *oracleGrads) {
 		tensor.MatMulATInto(dW, l.cols[s], dpos)
 		g.dW.Axpy(1, dW)
 		matMulBTDense(dcols, dpos, l.Weight.W)
-		tensor.Col2Im(dimg, dcols, l.Geom)
+		tensor.Col2Im(dimg, dcols, pad, l.Geom)
 		copy(g.dx.RowSlice(s).Data(), dimg.Data())
 	}
 }
@@ -220,4 +221,127 @@ func TestElementwiseLayersMatchSerialBits(t *testing.T) {
 			}
 		}
 	}
+}
+
+// reluReference is ReLU one element at a time, with branches: the
+// forward keeps v where v > 0 and writes +0 elsewhere (-0 and NaN
+// too), and the backward passes g where the mask is set, +0 elsewhere.
+func reluReference(x, dout *tensor.Tensor) (out *tensor.Tensor, mask []bool, dx *tensor.Tensor) {
+	out, dx = tensor.New(x.Shape()...), tensor.New(x.Shape()...)
+	mask = make([]bool, x.Size())
+	for i, v := range x.Data() {
+		if v > 0 {
+			mask[i] = true
+			out.Data()[i] = v
+			dx.Data()[i] = dout.Data()[i]
+		}
+	}
+	return out, mask, dx
+}
+
+// poolReference is max pooling one window at a time, with branches:
+// each window starts at -Inf with argmax -1, and only a strictly
+// greater value replaces the best, so the first maximum wins and NaN
+// never does. dx adds each output gradient into its argmax from +0 in
+// output order; it is nil when dout is.
+func poolReference(g tensor.ConvGeom, x, dout *tensor.Tensor) (out *tensor.Tensor, argmax []int, dx *tensor.Tensor) {
+	outH, outW := g.OutH(), g.OutW()
+	per := g.InC * outH * outW
+	out = tensor.New(x.Dim(0), per)
+	argmax = make([]int, x.Dim(0)*per)
+	for s := 0; s < x.Dim(0); s++ {
+		in := x.RowSlice(s).Data()
+		oi := s * per
+		for c := 0; c < g.InC; c++ {
+			for oy := 0; oy < outH; oy++ {
+				for ox := 0; ox < outW; ox++ {
+					best, bestIdx := math.Inf(-1), -1
+					for ky := 0; ky < g.KH; ky++ {
+						for kx := 0; kx < g.KW; kx++ {
+							iy, ix := oy*g.StrideH-g.PadH+ky, ox*g.StrideW-g.PadW+kx
+							if iy < 0 || iy >= g.InH || ix < 0 || ix >= g.InW {
+								continue
+							}
+							if idx := (c*g.InH+iy)*g.InW + ix; in[idx] > best {
+								best, bestIdx = in[idx], idx
+							}
+						}
+					}
+					out.Data()[oi], argmax[oi] = best, bestIdx
+					oi++
+				}
+			}
+		}
+	}
+	if dout != nil {
+		dx = tensor.New(x.Shape()...)
+		for s := 0; s < x.Dim(0); s++ {
+			for oi, v := range dout.RowSlice(s).Data() {
+				dx.RowSlice(s).Data()[argmax[s*per+oi]] += v
+			}
+		}
+	}
+	return out, argmax, dx
+}
+
+// TestReLUAndMaxPoolMatchReferenceBits compares the mask-select ReLU
+// and max-pool with their branchy per-element references, bit for
+// bit: outputs, mask, argmax and dx. Inputs hold -0, +0, NaN and ±Inf
+// throughout, and sample 0 adds hand-set windows: tied maxima, NaN
+// before a maximum, -0 tied with +0, and windows of only NaN and only
+// -Inf (argmax -1). Backward cannot take those last two (their
+// gradient has nowhere to go), so dx is compared on samples 1..3.
+func TestReLUAndMaxPoolMatchReferenceBits(t *testing.T) {
+	nan, inf, negZero := math.NaN(), math.Inf(1), math.Copysign(0, -1)
+	g := tensor.ConvGeom{InC: 2, InH: 4, InW: 6, KH: 2, KW: 2, StrideH: 2, StrideW: 2}
+	rng := tensor.NewRNG(17)
+	x := tensor.New(4, g.InC*g.InH*g.InW)
+	rng.FillNormal(x, 0, 1)
+	special := []float64{negZero, 0, nan, inf, -inf}
+	for i := 0; i < x.Size(); i += 4 {
+		x.Data()[i] = special[(i/4)%len(special)]
+	}
+	// Windows of sample 0 (channel c, row oy, column ox start at
+	// c*24 + 12*oy + 2*ox): each lists its four inputs in scan order.
+	windows := map[int][4]float64{
+		0:  {1, 2, 2, -1},            // tied maxima: the first (index 1) wins
+		2:  {nan, nan, nan, nan},     // all NaN: -Inf, argmax -1
+		4:  {nan, -1, 3, 3},          // NaN never wins; index 10 does
+		12: {-inf, -inf, -inf, -inf}, // all -Inf: argmax -1
+		24: {negZero, 0, -1, -2},     // -0 comes first and +0 is not greater
+		28: {inf, inf, nan, 1},       // +Inf ties: the first wins
+	}
+	for at, v := range windows {
+		x.Data()[at], x.Data()[at+1], x.Data()[at+g.InW], x.Data()[at+g.InW+1] = v[0], v[1], v[2], v[3]
+	}
+
+	relu := NewReLU()
+	dout := sparseGrad(rng, x.Dim(0), x.Dim(1))
+	dout.Data()[7], dout.Data()[9] = nan, inf
+	wantOut, wantMask, wantDX := reluReference(x, dout)
+	assertBits(t, "relu forward", relu.Forward(x, true), wantOut)
+	if fmt.Sprint(relu.mask) != fmt.Sprint(wantMask) {
+		t.Fatalf("relu mask %v, want %v", relu.mask, wantMask)
+	}
+	assertBits(t, "relu dx", relu.Backward(dout), wantDX)
+	assertBits(t, "relu eval forward", relu.Forward(x, false), wantOut)
+
+	pool := NewMaxPool2D("p", g)
+	pOut, pArgmax, _ := poolReference(g, x, nil)
+	assertBits(t, "pool forward", pool.Forward(x, true), pOut)
+	if fmt.Sprint(pool.argmax) != fmt.Sprint(pArgmax) {
+		t.Fatalf("pool argmax %v, want %v", pool.argmax, pArgmax)
+	}
+	for _, oi := range []int{1, 3} {
+		if pArgmax[oi] != -1 {
+			t.Fatalf("reference argmax[%d] = %d, want -1", oi, pArgmax[oi])
+		}
+	}
+	assertBits(t, "pool eval forward", pool.Forward(x, false), pOut)
+
+	rest := tensor.FromSlice(x.Data()[x.Dim(1):], x.Dim(0)-1, x.Dim(1))
+	pdout := sparseGrad(rng, rest.Dim(0), g.InC*g.OutH()*g.OutW())
+	pOut, _, pDX := poolReference(g, rest, pdout)
+	assertBits(t, "pool forward 1..3", pool.Forward(rest, true), pOut)
+	assertBits(t, "pool dx", pool.Backward(pdout), pDX)
 }

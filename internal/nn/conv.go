@@ -62,7 +62,9 @@ func (l *Conv2D) OutputSize(in int) int {
 // (OutC, OutH, OutW) volume of one sample. Only a training forward
 // keeps state for Backward; an eval forward writes nothing to the
 // layer, so eval forwards may run concurrently. Both run over the
-// kernel token pool.
+// kernel token pool, and each chunk of samples owns its scratch: the
+// position-major product, the padded image pad that Im2Col copies each
+// sample into and, on an eval forward, one patch matrix.
 func (l *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	b := x.Dim(0)
 	if x.Dim(1) != l.InputSize() {
@@ -81,11 +83,11 @@ func (l *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 
 	// Samples are independent, so chunking them leaves the output
-	// bit-identical for every chunk count. Each chunk owns a private
-	// position-major scratch buffer; an eval forward also reuses one
-	// im2col scratch per chunk instead of keeping a matrix per sample.
+	// bit-identical for every chunk count. An eval forward reuses its
+	// chunk's patch matrix instead of keeping a matrix per sample.
 	tensor.ParallelRows(b, func(s0, s1 int) {
 		pos := tensor.New(positions, l.OutC)
+		pad := make([]float64, l.Geom.PaddedSize())
 		var cols *tensor.Tensor
 		for s := s0; s < s1; s++ {
 			if train {
@@ -96,7 +98,7 @@ func (l *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 			} else if cols == nil {
 				cols = tensor.New(positions, patch)
 			}
-			tensor.Im2Col(cols, x.RowSlice(s), l.Geom)
+			tensor.Im2Col(cols, x.RowSlice(s), pad, l.Geom)
 			tensor.MatMulInto(pos, cols, l.Weight.W)
 			// Transpose position-major [positions, OutC] into the
 			// channel-major output row, adding the per-channel bias.
@@ -130,6 +132,7 @@ func (l *Conv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	tensor.ParallelRows(b, func(s0, s1 int) {
 		dpos := tensor.New(positions, l.OutC)
 		dcols := tensor.New(positions, patch)
+		pad := make([]float64, l.Geom.PaddedSize())
 		for s := s0; s < s1; s++ {
 			// Channel-major gradient row -> position-major matrix.
 			row := dout.RowSlice(s).Data()
@@ -141,7 +144,7 @@ func (l *Conv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 			}
 			// dcols = dpos @ Wᵀ, scattered back to the input image.
 			tensor.MatMulInto(dcols, dpos, wT)
-			tensor.Col2Im(dx.RowSlice(s), dcols, l.Geom)
+			tensor.Col2Im(dx.RowSlice(s), dcols, pad, l.Geom)
 		}
 	})
 

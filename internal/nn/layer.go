@@ -1,6 +1,10 @@
 package nn
 
-import "memlife/internal/tensor"
+import (
+	"math"
+
+	"memlife/internal/tensor"
+)
 
 // Layer is one differentiable stage of a network. Forward consumes and
 // produces [B, D] batch tensors; Backward consumes the gradient with
@@ -36,6 +40,17 @@ func (l *ReLU) Params() []*Param { return nil }
 // OutputSize implements Layer.
 func (l *ReLU) OutputSize(in int) int { return in }
 
+// ones returns all one bits when b holds and zero otherwise. ANDed
+// with a float's bits it selects the float or +0 without a branch,
+// which a data-dependent sign would mispredict about half the time.
+func ones(b bool) uint64 {
+	var u uint64
+	if b {
+		u = 1
+	}
+	return -u
+}
+
 // Forward implements Layer; only a training forward writes the mask
 // Backward reads. Samples run over the kernel token pool. Every input
 // that is not above zero (-0 and NaN too) leaves its output at +0.
@@ -56,23 +71,20 @@ func (l *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 			if train {
 				mask[i] = keep
 			}
-			if keep {
-				d[i] = v
-			}
+			d[i] = math.Float64frombits(math.Float64bits(v) & ones(keep))
 		}
 	})
 	return out
 }
 
 // Backward implements Layer; samples run over the kernel token pool.
+// A gradient passes where the mask is set and is +0 elsewhere.
 func (l *ReLU) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	dx := tensor.New(dout.Shape()...)
-	g, d, w := dout.Data(), dx.Data(), dout.Dim(1)
+	g, d, w, mask := dout.Data(), dx.Data(), dout.Dim(1), l.mask
 	tensor.ParallelRows(dout.Dim(0), func(s0, s1 int) {
 		for i := s0 * w; i < s1*w; i++ {
-			if l.mask[i] {
-				d[i] = g[i]
-			}
+			d[i] = math.Float64frombits(math.Float64bits(g[i]) & ones(mask[i]))
 		}
 	})
 	return dx

@@ -97,11 +97,13 @@ func (l *MaxPool2D) poolSample(in, o []float64, argmax []int) {
 						if ix < 0 || ix >= g.InW {
 							continue
 						}
+						// Only a strictly greater value wins, so the
+						// first maximum stays and NaN never wins; the
+						// select is a mask, not a branch.
 						idx := cOff + iy*g.InW + ix
-						if in[idx] > best {
-							best = in[idx]
-							bestIdx = idx
-						}
+						m := ones(in[idx] > best)
+						best = math.Float64frombits(math.Float64bits(best)&^m | math.Float64bits(in[idx])&m)
+						bestIdx ^= (bestIdx ^ idx) & int(m)
 					}
 				}
 				o[oi] = best

@@ -36,12 +36,18 @@ func (g ConvGeom) Validate() error {
 	return nil
 }
 
+// PaddedSize returns the length of the padded-image scratch Im2Col and
+// Col2Im take: InC planes of (InH+2*PadH) x (InW+2*PadW).
+func (g ConvGeom) PaddedSize() int { return g.InC * (g.InH + 2*g.PadH) * (g.InW + 2*g.PadW) }
+
 // Im2Col expands a single image of shape [C,H,W] (flattened in input)
 // into a patch matrix of shape [OutH*OutW, C*KH*KW], writing into dst.
 // Each row of dst holds one receptive field in channel-major order, so
 // a convolution becomes dst @ W with W shaped [C*KH*KW, OutC].
-// Out-of-bounds (padding) positions contribute zeros.
-func Im2Col(dst, input *Tensor, g ConvGeom) {
+// Out-of-bounds (padding) positions contribute zeros: the image is
+// copied once into pad, a caller-owned scratch of g.PaddedSize()
+// floats with a zeroed border, so every kernel row is one plain run.
+func Im2Col(dst, input *Tensor, pad []float64, g ConvGeom) {
 	outH, outW := g.OutH(), g.OutW()
 	patch := g.InC * g.KH * g.KW
 	if dst.Size() != outH*outW*patch {
@@ -50,53 +56,46 @@ func Im2Col(dst, input *Tensor, g ConvGeom) {
 	if input.Size() != g.InC*g.InH*g.InW {
 		panic(fmt.Sprintf("tensor: Im2Col input size %d, want %d", input.Size(), g.InC*g.InH*g.InW))
 	}
+	if len(pad) != g.PaddedSize() {
+		panic(fmt.Sprintf("tensor: Im2Col pad size %d, want %d", len(pad), g.PaddedSize()))
+	}
+	ph, pw := g.InH+2*g.PadH, g.InW+2*g.PadW
+	clear(pad)
 	in := input.data
+	for c := 0; c < g.InC; c++ {
+		for y := 0; y < g.InH; y++ {
+			r := (c*ph+y+g.PadH)*pw + g.PadW
+			copy(pad[r:r+g.InW], in[(c*g.InH+y)*g.InW:])
+		}
+	}
 	out := dst.data
-	row := 0
+	col := 0
 	for oy := 0; oy < outH; oy++ {
-		iy0 := oy*g.StrideH - g.PadH
 		for ox := 0; ox < outW; ox++ {
-			ix0 := ox*g.StrideW - g.PadW
-			// A window wholly inside the image in x copies each kernel
-			// row as one run, with no per-element bounds test.
-			interior := ix0 >= 0 && ix0+g.KW <= g.InW
-			col := row * patch
+			at := oy*g.StrideH*pw + ox*g.StrideW
 			for c := 0; c < g.InC; c++ {
-				cOff := c * g.InH * g.InW
+				src := c*ph*pw + at
 				for ky := 0; ky < g.KH; ky++ {
-					d := out[col : col+g.KW]
-					col += g.KW
-					iy := iy0 + ky
-					if iy < 0 || iy >= g.InH {
-						clear(d)
-						continue
-					}
-					rOff := cOff + iy*g.InW
-					if interior {
-						src := in[rOff+ix0 : rOff+ix0+len(d)]
-						for kx := range d {
-							d[kx] = src[kx]
-						}
-						continue
-					}
+					d, s := out[col:col+g.KW], pad[src:src+g.KW]
 					for kx := range d {
-						if ix := ix0 + kx; ix < 0 || ix >= g.InW {
-							d[kx] = 0
-						} else {
-							d[kx] = in[rOff+ix]
-						}
+						d[kx] = s[kx]
 					}
+					col += g.KW
+					src += pw
 				}
 			}
-			row++
 		}
 	}
 }
 
 // Col2Im is the adjoint of Im2Col: it scatter-adds the patch matrix
 // cols of shape [OutH*OutW, C*KH*KW] back into an image gradient of
-// shape [C,H,W] in dst. dst is zeroed first.
-func Col2Im(dst, cols *Tensor, g ConvGeom) {
+// shape [C,H,W] in dst. The sums run in pad, a caller-owned scratch of
+// g.PaddedSize() floats zeroed first, so no entry is bounds-tested;
+// the interior is then copied to dst. Each dst element adds its
+// entries from +0 in (oy, ox, c, ky, kx) order, as a scatter straight
+// into dst would.
+func Col2Im(dst, cols *Tensor, pad []float64, g ConvGeom) {
 	outH, outW := g.OutH(), g.OutW()
 	patch := g.InC * g.KH * g.KW
 	if cols.Size() != outH*outW*patch {
@@ -105,35 +104,34 @@ func Col2Im(dst, cols *Tensor, g ConvGeom) {
 	if dst.Size() != g.InC*g.InH*g.InW {
 		panic(fmt.Sprintf("tensor: Col2Im dst size %d, want %d", dst.Size(), g.InC*g.InH*g.InW))
 	}
-	dst.Zero()
-	out := dst.data
+	if len(pad) != g.PaddedSize() {
+		panic(fmt.Sprintf("tensor: Col2Im pad size %d, want %d", len(pad), g.PaddedSize()))
+	}
+	ph, pw := g.InH+2*g.PadH, g.InW+2*g.PadW
+	clear(pad)
 	in := cols.data
-	row := 0
+	col := 0
 	for oy := 0; oy < outH; oy++ {
-		iy0 := oy*g.StrideH - g.PadH
 		for ox := 0; ox < outW; ox++ {
-			ix0 := ox*g.StrideW - g.PadW
-			base := row * patch
-			col := 0
+			at := oy*g.StrideH*pw + ox*g.StrideW
 			for c := 0; c < g.InC; c++ {
-				cOff := c * g.InH * g.InW
+				d := c*ph*pw + at
 				for ky := 0; ky < g.KH; ky++ {
-					iy := iy0 + ky
-					if iy < 0 || iy >= g.InH {
-						col += g.KW
-						continue
+					t, s := pad[d:d+g.KW], in[col:col+g.KW]
+					for kx := range t {
+						t[kx] += s[kx]
 					}
-					rOff := cOff + iy*g.InW
-					for kx := 0; kx < g.KW; kx++ {
-						ix := ix0 + kx
-						if ix >= 0 && ix < g.InW {
-							out[rOff+ix] += in[base+col]
-						}
-						col++
-					}
+					col += g.KW
+					d += pw
 				}
 			}
-			row++
+		}
+	}
+	out := dst.data
+	for c := 0; c < g.InC; c++ {
+		for y := 0; y < g.InH; y++ {
+			r := (c*ph+y+g.PadH)*pw + g.PadW
+			copy(out[(c*g.InH+y)*g.InW:(c*g.InH+y+1)*g.InW], pad[r:r+g.InW])
 		}
 	}
 }

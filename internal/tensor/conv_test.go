@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -45,7 +46,7 @@ func TestIm2ColKnownPatch(t *testing.T) {
 		7, 8, 9,
 	}, 1, 3, 3)
 	cols := New(g.OutH()*g.OutW(), g.InC*g.KH*g.KW)
-	Im2Col(cols, in, g)
+	Im2Col(cols, in, make([]float64, g.PaddedSize()), g)
 	// First patch: rows (1,2),(4,5); last patch: (5,6),(8,9).
 	want0 := []float64{1, 2, 4, 5}
 	want3 := []float64{5, 6, 8, 9}
@@ -65,7 +66,7 @@ func TestIm2ColPaddingZeros(t *testing.T) {
 	g := ConvGeom{InC: 1, InH: 2, InW: 2, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
 	in := FromSlice([]float64{1, 2, 3, 4}, 1, 2, 2)
 	cols := New(g.OutH()*g.OutW(), 9)
-	Im2Col(cols, in, g)
+	Im2Col(cols, in, make([]float64, g.PaddedSize()), g)
 	// Top-left output position: the 3x3 window centred at (0,0) has its
 	// first row and first column in padding.
 	row := cols.RowSlice(0).Data()
@@ -84,7 +85,7 @@ func TestIm2ColMultiChannelOrder(t *testing.T) {
 		5, 6, 7, 8, // channel 1
 	}, 2, 2, 2)
 	cols := New(1, 8)
-	Im2Col(cols, in, g)
+	Im2Col(cols, in, make([]float64, g.PaddedSize()), g)
 	want := []float64{1, 2, 3, 4, 5, 6, 7, 8}
 	for i, v := range want {
 		if cols.Data()[i] != v {
@@ -94,7 +95,7 @@ func TestIm2ColMultiChannelOrder(t *testing.T) {
 }
 
 // im2colReference is the per-element Im2Col: every patch entry tests
-// its own bounds. It is the oracle for Im2Col's interior fast path.
+// its own bounds. It is the oracle for Im2Col's padded copy.
 func im2colReference(dst, input *Tensor, g ConvGeom) {
 	in, out := input.data, dst.data
 	col := 0
@@ -118,34 +119,102 @@ func im2colReference(dst, input *Tensor, g ConvGeom) {
 	}
 }
 
-// TestIm2ColMatchesReference compares Im2Col with the per-element
-// oracle, bit for bit, over strides 1 and 2, padding 0 to 2 and
-// kernels from 1 wide to wider than the input, on a dst prefilled with
-// garbage so every entry must be written.
-func TestIm2ColMatchesReference(t *testing.T) {
-	rng := NewRNG(11)
-	for _, stride := range []int{1, 2} {
-		for _, pad := range []int{0, 1, 2} {
-			for _, kw := range []int{1, 3, 5, 7} {
-				g := ConvGeom{InC: 2, InH: 6, InW: 5, KH: 3, KW: kw, StrideH: stride, StrideW: stride, PadH: pad, PadW: pad}
-				if g.Validate() != nil {
-					continue
-				}
-				x := New(g.InC, g.InH, g.InW)
-				rng.FillNormal(x, 0, 1)
-				rows, patch := g.OutH()*g.OutW(), g.InC*g.KH*g.KW
-				want, got := New(rows, patch), New(rows, patch)
-				got.Fill(math.NaN())
-				im2colReference(want, x, g)
-				Im2Col(got, x, g)
-				for i, v := range want.data {
-					if math.Float64bits(got.data[i]) != math.Float64bits(v) {
-						t.Fatalf("%+v: entry %d is %v, want %v", g, i, got.data[i], v)
+// col2imReference is the per-element Col2Im: dst starts at +0 and each
+// patch entry whose position is inside the image is added to it in
+// (oy, ox, c, ky, kx) order. It is the oracle for Col2Im's padded sums.
+func col2imReference(dst, cols *Tensor, g ConvGeom) {
+	in, out := cols.data, dst.data
+	clear(out)
+	col := 0
+	for oy := 0; oy < g.OutH(); oy++ {
+		for ox := 0; ox < g.OutW(); ox++ {
+			for c := 0; c < g.InC; c++ {
+				for ky := 0; ky < g.KH; ky++ {
+					for kx := 0; kx < g.KW; kx++ {
+						iy := oy*g.StrideH - g.PadH + ky
+						ix := ox*g.StrideW - g.PadW + kx
+						if iy >= 0 && iy < g.InH && ix >= 0 && ix < g.InW {
+							out[(c*g.InH+iy)*g.InW+ix] += in[col]
+						}
+						col++
 					}
 				}
 			}
 		}
 	}
+}
+
+// refGeoms calls f for every valid geometry of a grid over strides 1
+// and 2, padding 0 to 2 and kernels from 1 wide to wider than the
+// input.
+func refGeoms(f func(g ConvGeom)) {
+	for _, stride := range []int{1, 2} {
+		for _, pad := range []int{0, 1, 2} {
+			for _, kw := range []int{1, 3, 5, 7} {
+				g := ConvGeom{InC: 2, InH: 6, InW: 5, KH: 3, KW: kw, StrideH: stride, StrideW: stride, PadH: pad, PadW: pad}
+				if g.Validate() == nil {
+					f(g)
+				}
+			}
+		}
+	}
+}
+
+// assertSameBits fails unless got and want hold the same bits.
+func assertSameBits(t *testing.T, what string, got, want *Tensor) {
+	t.Helper()
+	for i, v := range want.data {
+		if math.Float64bits(got.data[i]) != math.Float64bits(v) {
+			t.Fatalf("%s: entry %d is %v, want %v", what, i, got.data[i], v)
+		}
+	}
+}
+
+// TestIm2ColMatchesReference compares Im2Col with the per-element
+// oracle, bit for bit, over the refGeoms grid, on a dst and a pad
+// prefilled with garbage so every entry and the border must be
+// written.
+func TestIm2ColMatchesReference(t *testing.T) {
+	rng := NewRNG(11)
+	refGeoms(func(g ConvGeom) {
+		x := New(g.InC, g.InH, g.InW)
+		rng.FillNormal(x, 0, 1)
+		rows, patch := g.OutH()*g.OutW(), g.InC*g.KH*g.KW
+		want, got := New(rows, patch), New(rows, patch)
+		got.Fill(math.NaN())
+		pad := make([]float64, g.PaddedSize())
+		for i := range pad {
+			pad[i] = math.NaN()
+		}
+		im2colReference(want, x, g)
+		Im2Col(got, x, pad, g)
+		assertSameBits(t, fmt.Sprintf("%+v", g), got, want)
+	})
+}
+
+// TestCol2ImMatchesReference compares Col2Im with the per-element
+// scatter, bit for bit, over the refGeoms grid. cols holds -0 entries
+// (so a sum that started from anything but +0 would show) and dst and
+// pad are prefilled with garbage.
+func TestCol2ImMatchesReference(t *testing.T) {
+	rng := NewRNG(13)
+	refGeoms(func(g ConvGeom) {
+		rows, patch := g.OutH()*g.OutW(), g.InC*g.KH*g.KW
+		cols := New(rows, patch)
+		rng.FillNormal(cols, 0, 1)
+		for i := 0; i < len(cols.data); i += 3 {
+			cols.data[i] = math.Copysign(0, -1)
+		}
+		want, got := New(g.InC, g.InH, g.InW), New(g.InC, g.InH, g.InW)
+		got.Fill(math.NaN())
+		pad := make([]float64, g.PaddedSize())
+		for i := range pad {
+			pad[i] = math.NaN()
+		}
+		col2imReference(want, cols, g)
+		Col2Im(got, cols, pad, g)
+		assertSameBits(t, fmt.Sprintf("%+v", g), got, want)
+	})
 }
 
 // TestCol2ImIsAdjointOfIm2Col verifies <Im2Col(x), y> == <x, Col2Im(y)>
@@ -169,11 +238,11 @@ func TestCol2ImIsAdjointOfIm2Col(t *testing.T) {
 		patch := g.InC * g.KH * g.KW
 
 		ax := New(rows, patch)
-		Im2Col(ax, x, g)
+		Im2Col(ax, x, make([]float64, g.PaddedSize()), g)
 		y := New(rows, patch)
 		rng.FillNormal(y, 0, 1)
 		aty := New(g.InC, g.InH, g.InW)
-		Col2Im(aty, y, g)
+		Col2Im(aty, y, make([]float64, g.PaddedSize()), g)
 
 		lhs, rhs := 0.0, 0.0
 		for i, v := range ax.Data() {
@@ -200,7 +269,7 @@ func TestIm2ColConvolutionEquivalence(t *testing.T) {
 	rng.FillNormal(w, 0, 1)
 
 	cols := New(g.OutH()*g.OutW(), g.InC*g.KH*g.KW)
-	Im2Col(cols, x, g)
+	Im2Col(cols, x, make([]float64, g.PaddedSize()), g)
 	got := matMul(cols, w) // [OutH*OutW, outC]
 
 	for oc := 0; oc < outC; oc++ {

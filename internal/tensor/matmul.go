@@ -2,23 +2,6 @@ package tensor
 
 import "fmt"
 
-// MatMulInto computes dst = a @ b for rank-2 tensors a[m,k] and
-// b[k,n], reusing dst's storage. dst must have shape [m, n] and must
-// not alias a or b.
-func MatMulInto(dst, a, b *Tensor) {
-	if len(a.shape) != 2 || len(b.shape) != 2 {
-		panic(fmt.Sprintf("tensor: MatMulInto needs rank-2 operands, got %v and %v", a.shape, b.shape))
-	}
-	if a.shape[1] != b.shape[0] {
-		panic(fmt.Sprintf("tensor: MatMulInto inner dimensions differ: %v @ %v", a.shape, b.shape))
-	}
-	m, n := a.shape[0], b.shape[1]
-	if dst.shape[0] != m || dst.shape[1] != n {
-		panic(fmt.Sprintf("tensor: MatMulInto dst shape %v, want [%d %d]", dst.shape, m, n))
-	}
-	matMulRows(dst, a, b, 0, m)
-}
-
 // Cache-blocking parameters for the tiled matmul kernel. A b-tile is
 // blockK x blockN float64s (256 KiB), sized to stay resident in L2
 // while every row of the chunk streams over it. Blocking only pays once
@@ -74,6 +57,23 @@ func matMulRows(dst, a, b *Tensor, r0, r1 int) {
 	}
 }
 
+// MatMulInto computes dst = a @ b for rank-2 tensors a[m,k] and
+// b[k,n], reusing dst's storage. dst must have shape [m, n] and must
+// not alias a or b.
+func MatMulInto(dst, a, b *Tensor) {
+	if len(a.shape) != 2 || len(b.shape) != 2 {
+		panic(fmt.Sprintf("tensor: MatMulInto needs rank-2 operands, got %v and %v", a.shape, b.shape))
+	}
+	if a.shape[1] != b.shape[0] {
+		panic(fmt.Sprintf("tensor: MatMulInto inner dimensions differ: %v @ %v", a.shape, b.shape))
+	}
+	m, n := a.shape[0], b.shape[1]
+	if dst.shape[0] != m || dst.shape[1] != n {
+		panic(fmt.Sprintf("tensor: MatMulInto dst shape %v, want [%d %d]", dst.shape, m, n))
+	}
+	matMulRows(dst, a, b, 0, m)
+}
+
 // matMulRowsNarrow is the kernel for products whose b has at most
 // matMulNarrowMaxN columns, where the streaming kernel's inner loop is
 // too short to pay for loading and storing dst on every step. For each
@@ -82,15 +82,20 @@ func matMulRows(dst, a, b *Tensor, r0, r1 int) {
 // a once per block, and stores the block once. A row of more than one
 // block gathers its nonzero positions once up front, so the blocks do
 // not each re-test (and mispredict) the zero skip; a single block
-// tests inline, which is cheaper on dense rows. Each accumulator
+// tests inline, which is cheaper on dense rows. Six columns, the
+// fast LeNet's conv1, have a kernel of their own. Each accumulator
 // starts at +0 and adds av*b[p][j] for ascending p, skipping exact-zero
 // av, just as the streaming kernel does for that element, so no bit
 // depends on the blocking.
 func matMulRowsNarrow(dst, a, b *Tensor, r0, r1 int) {
 	k, n := a.shape[1], b.shape[1]
 	if n <= 8 {
+		row := narrowRow
+		if n == 6 {
+			row = narrowRow6
+		}
 		for i := r0; i < r1; i++ {
-			narrowRow(dst.data[i*n:(i+1)*n], a.data[i*k:(i+1)*k], b.data)
+			row(dst.data[i*n:(i+1)*n], a.data[i*k:(i+1)*k], b.data)
 		}
 		return
 	}
@@ -157,6 +162,26 @@ func narrowRow(d, arow, bd []float64) {
 	}
 	s := [8]float64{s0, s1, s2, s3, s4, s5, s6, s7}
 	copy(d, s[:n])
+}
+
+// narrowRow6 is narrowRow for a b of exactly six columns (the fast
+// LeNet's conv1), with no width switch on every step of p.
+func narrowRow6(d, arow, bd []float64) {
+	var s0, s1, s2, s3, s4, s5 float64
+	for p, av := range arow {
+		if av == 0 {
+			continue
+		}
+		bb := bd[p*6 : p*6+6]
+		s0 += av * bb[0]
+		s1 += av * bb[1]
+		s2 += av * bb[2]
+		s3 += av * bb[3]
+		s4 += av * bb[4]
+		s5 += av * bb[5]
+	}
+	d = d[:6]
+	d[0], d[1], d[2], d[3], d[4], d[5] = s0, s1, s2, s3, s4, s5
 }
 
 // narrowBlock8 computes the eight columns d of one output row from the
