@@ -22,6 +22,7 @@ import (
 	"memlife/internal/lifetime"
 	"memlife/internal/mapping"
 	"memlife/internal/nn"
+	"memlife/internal/spec"
 	"memlife/internal/telemetry"
 	"memlife/internal/tensor"
 	"memlife/internal/train"
@@ -29,6 +30,10 @@ import (
 )
 
 var benchOpt = experiments.Options{Fast: true, Seed: 1}
+
+// benchSpec supplies the device, aging calibration and temperature of
+// every experiment.
+var benchSpec = spec.Defaults(spec.FixtureLeNet, false)
 
 // benchLifetimeConfig is the shortened budget macro benches use so a
 // single iteration stays in the seconds range.
@@ -217,7 +222,7 @@ func BenchmarkFig10TuningTrend(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := lifetime.RunCtx(context.Background(), bundle.Normal, bundle.TrainDS, lifetime.TT,
-			experiments.DeviceParams(), experiments.AgingModel(), experiments.TempK, cfg)
+			benchSpec.Device, benchSpec.Aging, benchSpec.TempK, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -235,7 +240,7 @@ func BenchmarkFig11ConvVsFC(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := lifetime.RunCtx(context.Background(), bundle.Normal, bundle.TrainDS, lifetime.TT,
-			experiments.DeviceParams(), experiments.AgingModel(), experiments.TempK, cfg)
+			benchSpec.Device, benchSpec.Aging, benchSpec.TempK, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -255,10 +260,10 @@ func BenchmarkAblationStressModel(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, uniform := range []bool{false, true} {
-			p := experiments.DeviceParams()
+			p := benchSpec.Device
 			p.UniformStress = uniform
 			_, err := lifetime.RunCtx(context.Background(), bundle.Skewed, bundle.TrainDS, lifetime.STT,
-				p, experiments.AgingModel(), experiments.TempK, cfg)
+				p, benchSpec.Aging, benchSpec.TempK, cfg)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -276,7 +281,7 @@ func BenchmarkAblationTracingDensity(b *testing.B) {
 			cfg := benchLifetimeConfig(benchTarget(b, bundle))
 			cfg.TraceStride = stride
 			_, err := lifetime.RunCtx(context.Background(), bundle.Skewed, bundle.TrainDS, lifetime.STAT,
-				experiments.DeviceParams(), experiments.AgingModel(), experiments.TempK, cfg)
+				benchSpec.Device, benchSpec.Aging, benchSpec.TempK, cfg)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -293,7 +298,7 @@ func BenchmarkAblationLevels(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, p := range []device.Params{device.Params32(), device.Params64()} {
 			_, err := lifetime.RunCtx(context.Background(), bundle.Skewed, bundle.TrainDS, lifetime.STAT,
-				p, experiments.AgingModel(), experiments.TempK, cfg)
+				p, benchSpec.Aging, benchSpec.TempK, cfg)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -312,7 +317,7 @@ func BenchmarkAblationRangePolicy(b *testing.B) {
 			p := pol
 			cfg.PolicyOverride = &p
 			_, err := lifetime.RunCtx(context.Background(), bundle.Skewed, bundle.TrainDS, lifetime.STAT,
-				experiments.DeviceParams(), experiments.AgingModel(), experiments.TempK, cfg)
+				benchSpec.Device, benchSpec.Aging, benchSpec.TempK, cfg)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -523,12 +528,13 @@ func BenchmarkTuneIteration(b *testing.B) {
 		b.Fatal(err)
 	}
 	batch := trainDS.Batches(64, nil)[0]
+	tc := lifetime.DefaultConfig().Tuning
+	tc.MaxIters, tc.TargetAcc = 2, 1.0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		mn.Drift(0.05, tensor.NewRNG(int64(i)))
-		if _, err := tuning.Tune(mn, trainDS, batch.X, batch.Y, tuning.Config{
-			MaxIters: 2, TargetAcc: 1.0, BatchSize: 32, Seed: int64(i),
-		}); err != nil {
+		tc.Seed = int64(i)
+		if _, err := tuning.Tune(mn, trainDS, batch.X, batch.Y, tc); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -14,6 +14,7 @@ import (
 	"memlife/internal/crossbar"
 	"memlife/internal/dataset"
 	"memlife/internal/device"
+	"memlife/internal/lifetime"
 	"memlife/internal/mapping"
 	"memlife/internal/nn"
 	"memlife/internal/tensor"
@@ -76,9 +77,9 @@ func run() error {
 	fmt.Printf("accuracy after drift: %.3f\n", acc)
 
 	trainBatch := trainDS.Batches(96, nil)[0]
-	tuneRes, err := tuning.Tune(mn, trainDS, trainBatch.X, trainBatch.Y, tuning.Config{
-		MaxIters: 50, TargetAcc: res.FinalTestAcc - 0.05, BatchSize: 32, Seed: 2,
-	})
+	tc := lifetime.DefaultConfig().Tuning
+	tc.MaxIters, tc.TargetAcc, tc.Seed = 50, res.FinalTestAcc-0.05, 2
+	tuneRes, err := tuning.Tune(mn, trainDS, trainBatch.X, trainBatch.Y, tc)
 	if err != nil {
 		return err
 	}

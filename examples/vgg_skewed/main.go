@@ -46,7 +46,7 @@ func run(fast bool) error {
 	fmt.Print(hist.Render(40))
 
 	// Where do these weights land in resistance space? (Fig. 6b)
-	p := experiments.DeviceParams()
+	p := b.Spec.Device
 	wMin, wMax := third.Param.W.MinMax()
 	g := p.Grid()
 	var res []float64

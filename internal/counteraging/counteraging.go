@@ -81,11 +81,7 @@ func (s PulseShape) SlowdownFactor() int {
 // programming time.
 func ApplyPulseShape(p device.Params, s PulseShape) device.Params {
 	out := p
-	base := p.StressDerate
-	if base == 0 {
-		base = 1
-	}
-	out.StressDerate = base * s.EnergyFactor()
+	out.StressDerate = p.StressDerate * s.EnergyFactor()
 	out.PulseWidth = p.PulseWidth * float64(s.SlowdownFactor())
 	return out
 }

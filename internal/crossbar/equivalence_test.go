@@ -21,11 +21,14 @@ func newFaultedCrossbar(t testing.TB, rows, cols int, seed int64) *Crossbar {
 		t.Fatal(err)
 	}
 	inj, err := fault.NewInjector(fault.Config{
-		StuckRate:     0.03,
-		TransientProb: 0.05,
-		HazardScale:   40,
-		ReadBurstProb: 0.25,
-		Seed:          seed,
+		StuckRate:      0.03,
+		LRSFrac:        0.5,
+		TransientProb:  0.05,
+		HazardScale:    40,
+		HazardSpread:   0.5,
+		ReadBurstProb:  0.25,
+		ReadBurstSigma: 0.02,
+		Seed:           seed,
 	}, rows*cols, 0)
 	if err != nil {
 		t.Fatal(err)

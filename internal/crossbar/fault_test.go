@@ -31,7 +31,7 @@ func TestSetFaultInjectorSizeMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inj, err := fault.NewInjector(fault.Config{StuckRate: 0.1}, 9, 0)
+	inj, err := fault.NewInjector(fault.Config{StuckRate: 0.1, LRSFrac: 0.5}, 9, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestTracedUpperBoundsSkipsStuckWhenHealthyOnly(t *testing.T) {
 // array pushes devices over their capacity, AdvanceFaults converts them
 // to permanent faults, and the conversion is monotone.
 func TestAdvanceFaultsWearOut(t *testing.T) {
-	cfg := fault.Config{HazardScale: 3, HazardSpread: 0.3, Seed: 4}
+	cfg := fault.Config{LRSFrac: 0.5, HazardScale: 3, HazardSpread: 0.3, Seed: 4}
 	cb := newFaultArray(t, 10, 10, cfg)
 	if n := cb.AdvanceFaults(); n != 0 {
 		t.Fatalf("fresh array must have no wear-out faults, got %d", n)

@@ -118,7 +118,7 @@ func TestMapWeightsMatchesDirectOracle(t *testing.T) {
 					t.Fatal(err)
 				}
 				if tc.faults {
-					inj, err := fault.NewInjector(fault.Config{StuckRate: 0.08, Seed: 31}, rows*cols, 0)
+					inj, err := fault.NewInjector(fault.Config{StuckRate: 0.08, LRSFrac: 0.5, Seed: 31}, rows*cols, 0)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -124,15 +124,6 @@ func (m *MappedNetwork) StuckCounts() (lrs, hrs int) {
 	return lrs, hrs
 }
 
-// MapStatsTotal aggregates per-layer mapping stats.
-type MapStatsTotal struct {
-	Pulses  int
-	Stress  float64
-	Clipped int
-	Stuck   int
-	Skipped int
-}
-
 // Refresh loads every crossbar's effective weights into Net, so
 // subsequent Forward calls simulate hardware inference. It returns an
 // error (crossbar.ErrNotMapped wrapped per layer) if any crossbar has

@@ -30,8 +30,6 @@ type Params struct {
 	Vprog float64 `json:"vprog"`
 	// PulseWidth is the programming pulse duration in seconds.
 	PulseWidth float64 `json:"pulse_width"`
-	// Vread is the read voltage used during inference, in Volts.
-	Vread float64 `json:"vread"`
 	// UniformStress, when set, makes every programming pulse cost one
 	// reference unit of stress regardless of the device's conductance.
 	// This is an ablation switch: it removes the physical coupling
@@ -41,16 +39,8 @@ type Params struct {
 	// StressDerate scales every pulse's stress contribution; counter-
 	// aging techniques that reduce the effective programming power
 	// (shaped pulses [9], series resistors [11]) express their benefit
-	// here.
-	//
-	// The zero value means 1 (no derating), so a plain
-	// device.Params32() literal ages at the nominal rate:
-	//
-	//	p := device.Params32()      // StressDerate == 0 -> factor 1
-	//	p.StressDerate = 0.5        // halve every pulse's stress
-	//
-	// Negative values are rejected by Validate; to disable derating,
-	// leave the field zero (or set it to exactly 1).
+	// here. 1 is the nominal rate (Params32 writes it); zero makes
+	// pulses cost no stress; negative values are rejected by Validate.
 	StressDerate float64 `json:"stress_derate"`
 	// Model selects the pulse-response physics (see ModelSpec and the
 	// Model interface). The zero value is the linear model and is
@@ -68,14 +58,6 @@ type Params struct {
 // an unbounded allocation.
 const MaxLevels = 4096
 
-// stressDerate returns the effective derating factor.
-func (p Params) stressDerate() float64 {
-	if p.StressDerate == 0 {
-		return 1
-	}
-	return p.StressDerate
-}
-
 // Validate reports an error for physically meaningless parameters.
 func (p Params) Validate() error {
 	switch {
@@ -85,8 +67,6 @@ func (p Params) Validate() error {
 		return fmt.Errorf("device: levels must be in [2, %d], got %d", MaxLevels, p.Levels)
 	case p.Vprog <= 0 || p.PulseWidth <= 0:
 		return fmt.Errorf("device: programming pulse must have positive amplitude and width, got %gV/%gs", p.Vprog, p.PulseWidth)
-	case p.Vread <= 0 || p.Vread >= p.Vprog:
-		return fmt.Errorf("device: read voltage must be in (0, Vprog), got %g", p.Vread)
 	case p.StressDerate < 0:
 		return fmt.Errorf("device: stress derating must be non-negative, got %g", p.StressDerate)
 	}
@@ -97,9 +77,10 @@ func (p Params) Validate() error {
 }
 
 // Params32 returns a 32-level TiOx-style device (after [14]): a 10 kOhm
-// to 100 kOhm range with 2 V / 100 ns programming pulses.
+// to 100 kOhm range with 2 V / 100 ns programming pulses at the nominal
+// stress rate.
 func Params32() Params {
-	return Params{RminFresh: 10e3, RmaxFresh: 100e3, Levels: 32, Vprog: 2.0, PulseWidth: 100e-9, Vread: 0.3}
+	return Params{RminFresh: 10e3, RmaxFresh: 100e3, Levels: 32, Vprog: 2.0, PulseWidth: 100e-9, StressDerate: 1}
 }
 
 // Params64 returns a 64-level device (after [15]) on the same range.

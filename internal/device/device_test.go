@@ -19,14 +19,13 @@ func TestParamsValidate(t *testing.T) {
 		t.Fatalf("%d levels must be accepted: %v", MaxLevels, err)
 	}
 	bad := []Params{
-		{RminFresh: 0, RmaxFresh: 1e5, Levels: 32, Vprog: 2, PulseWidth: 1e-7, Vread: 0.3},
-		{RminFresh: 1e5, RmaxFresh: 1e4, Levels: 32, Vprog: 2, PulseWidth: 1e-7, Vread: 0.3},
-		{RminFresh: 1e4, RmaxFresh: 1e5, Levels: 1, Vprog: 2, PulseWidth: 1e-7, Vread: 0.3},
-		{RminFresh: 1e4, RmaxFresh: 1e5, Levels: MaxLevels + 1, Vprog: 2, PulseWidth: 1e-7, Vread: 0.3},
-		{RminFresh: 1e4, RmaxFresh: 1e5, Levels: 1_000_000_000_000, Vprog: 2, PulseWidth: 1e-7, Vread: 0.3},
-		{RminFresh: 1e4, RmaxFresh: 1e5, Levels: 32, Vprog: 0, PulseWidth: 1e-7, Vread: 0.3},
-		{RminFresh: 1e4, RmaxFresh: 1e5, Levels: 32, Vprog: 2, PulseWidth: 0, Vread: 0.3},
-		{RminFresh: 1e4, RmaxFresh: 1e5, Levels: 32, Vprog: 2, PulseWidth: 1e-7, Vread: 3},
+		{RminFresh: 0, RmaxFresh: 1e5, Levels: 32, Vprog: 2, PulseWidth: 1e-7},
+		{RminFresh: 1e5, RmaxFresh: 1e4, Levels: 32, Vprog: 2, PulseWidth: 1e-7},
+		{RminFresh: 1e4, RmaxFresh: 1e5, Levels: 1, Vprog: 2, PulseWidth: 1e-7},
+		{RminFresh: 1e4, RmaxFresh: 1e5, Levels: MaxLevels + 1, Vprog: 2, PulseWidth: 1e-7},
+		{RminFresh: 1e4, RmaxFresh: 1e5, Levels: 1_000_000_000_000, Vprog: 2, PulseWidth: 1e-7},
+		{RminFresh: 1e4, RmaxFresh: 1e5, Levels: 32, Vprog: 0, PulseWidth: 1e-7},
+		{RminFresh: 1e4, RmaxFresh: 1e5, Levels: 32, Vprog: 2, PulseWidth: 0},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {

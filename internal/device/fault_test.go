@@ -78,21 +78,24 @@ func TestProgramStuckDevice(t *testing.T) {
 	}
 }
 
-// TestStressDerateZeroMeansNoDerating locks the zero-value contract of
-// Params.StressDerate: the zero value behaves exactly like an explicit
-// factor of 1.
-func TestStressDerateZeroMeansNoDerating(t *testing.T) {
-	base := Params32() // StressDerate == 0
-	unit := Params32()
-	unit.StressDerate = 1
+// TestStressDerateScalesPulseStress locks the literal meaning of
+// Params.StressDerate: Params32 ages at the nominal factor 1, the
+// factor scales every pulse's stress, and zero makes pulses free.
+func TestStressDerateScalesPulseStress(t *testing.T) {
+	base := Params32()
+	if base.StressDerate != 1 {
+		t.Fatalf("Params32 must write the nominal StressDerate 1, got %g", base.StressDerate)
+	}
 	half := Params32()
 	half.StressDerate = 0.5
+	free := Params32()
+	free.StressDerate = 0
 
-	if got, want := base.Grid().PulseStress(base.RminFresh), unit.Grid().PulseStress(unit.RminFresh); got != want {
-		t.Fatalf("zero StressDerate must equal factor 1: %g vs %g", got, want)
-	}
 	if got, want := half.Grid().PulseStress(half.RminFresh), 0.5*base.Grid().PulseStress(base.RminFresh); got != want {
 		t.Fatalf("StressDerate=0.5 must halve pulse stress: %g vs %g", got, want)
+	}
+	if got := free.Grid().PulseStress(free.RminFresh); got != 0 {
+		t.Fatalf("StressDerate=0 must make pulses cost no stress, got %g", got)
 	}
 }
 

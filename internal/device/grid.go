@@ -60,11 +60,11 @@ func (p Params) Grid() *Grid {
 		spacing:       p.LevelSpacing(),
 		levelR:        make([]float64, p.Levels),
 		tuneDeltaG:    p.TunePulseDeltaG(),
-		uniformStress: math.Sqrt(p.RminFresh/p.RmaxFresh) * p.stressDerate(),
+		uniformStress: math.Sqrt(p.RminFresh/p.RmaxFresh) * p.StressDerate,
 		vprogSq:       p.Vprog * p.Vprog,
 		width:         p.PulseWidth,
 		refEnergy:     p.refPulseEnergy(),
-		derate:        p.stressDerate(),
+		derate:        p.StressDerate,
 	}
 	for i := range g.levelR {
 		g.levelR[i] = p.RminFresh + float64(i)*g.spacing

@@ -8,7 +8,7 @@ import (
 // TestGridMatchesParams pins every Grid method against its Params
 // counterpart or reference formula on the shipped technologies.
 func TestGridMatchesParams(t *testing.T) {
-	for _, p := range []Params{Params32(), Params64(), {RminFresh: 5e3, RmaxFresh: 2e5, Levels: 7, Vprog: 1.5, PulseWidth: 50e-9, Vread: 0.2, StressDerate: 0.4}} {
+	for _, p := range []Params{Params32(), Params64(), {RminFresh: 5e3, RmaxFresh: 2e5, Levels: 7, Vprog: 1.5, PulseWidth: 50e-9, StressDerate: 0.4}} {
 		g := p.Grid()
 		if g != p.Grid() {
 			t.Fatal("grid must be cached per Params value")
@@ -91,9 +91,9 @@ func refUsableLevels(p Params, lo, hi float64) int {
 
 func refPulseStress(p Params, r float64) float64 {
 	if p.UniformStress {
-		return math.Sqrt(p.RminFresh/p.RmaxFresh) * p.stressDerate()
+		return math.Sqrt(p.RminFresh/p.RmaxFresh) * p.StressDerate
 	}
-	return (p.Vprog * p.Vprog / r * p.PulseWidth) / p.refPulseEnergy() * p.stressDerate()
+	return (p.Vprog * p.Vprog / r * p.PulseWidth) / p.refPulseEnergy() * p.StressDerate
 }
 
 // FuzzQuantLUTMatchesDirect is the LUT-path equivalence fuzz: over
@@ -112,7 +112,7 @@ func FuzzQuantLUTMatchesDirect(f *testing.F) {
 	f.Fuzz(func(t *testing.T, rmin, rmax float64, levels int, r, lo, hi float64, derate float64, uniform bool) {
 		p := Params{
 			RminFresh: rmin, RmaxFresh: rmax, Levels: levels,
-			Vprog: 2.0, PulseWidth: 100e-9, Vread: 0.3,
+			Vprog: 2.0, PulseWidth: 100e-9,
 			UniformStress: uniform, StressDerate: derate,
 		}
 		if p.Validate() != nil || levels > 1<<16 {

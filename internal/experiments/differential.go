@@ -7,6 +7,7 @@ import (
 	"memlife/internal/analysis"
 	"memlife/internal/crossbar"
 	"memlife/internal/nn"
+	"memlife/internal/spec"
 )
 
 // DifferentialRow compares one mapping scheme on one trained network.
@@ -30,12 +31,12 @@ type DifferentialRow struct {
 // paper's skewed training reaches a similar operating point with no
 // extra hardware.
 func Differential(opt Options) ([]DifferentialRow, error) {
-	b, err := LeNetBundle(opt)
+	s := BaseSpec(spec.FixtureLeNet, opt)
+	b, err := BundleForSpec(s, opt)
 	if err != nil {
 		return nil, err
 	}
-	p := DeviceParams()
-	m := AgingModel()
+	p, m, tempK := s.Device, s.Aging, s.TempK
 	var rows []DifferentialRow
 	for _, variant := range []struct {
 		name string
@@ -44,7 +45,7 @@ func Differential(opt Options) ([]DifferentialRow, error) {
 		for _, wl := range variant.net.WeightLayers()[:1] { // fc-scale stats from the first conv layer
 			w := wl.Param.W
 
-			single, err := crossbar.New(w.Dim(0), w.Dim(1), p, m, TempK, 0)
+			single, err := crossbar.New(w.Dim(0), w.Dim(1), p, m, tempK, 0)
 			if err != nil {
 				return nil, err
 			}
@@ -64,7 +65,7 @@ func Differential(opt Options) ([]DifferentialRow, error) {
 				MapStress:          single.TotalStress(),
 			})
 
-			diff, err := crossbar.NewDifferential(w.Dim(0), w.Dim(1), p, m, TempK)
+			diff, err := crossbar.NewDifferential(w.Dim(0), w.Dim(1), p, m, tempK)
 			if err != nil {
 				return nil, err
 			}

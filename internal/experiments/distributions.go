@@ -8,6 +8,7 @@ import (
 	"memlife/internal/crossbar"
 	"memlife/internal/device"
 	"memlife/internal/nn"
+	"memlife/internal/spec"
 	"memlife/internal/train"
 )
 
@@ -53,8 +54,7 @@ type DistributionResult struct {
 
 // distributions computes the Fig. 3 (normal) or Fig. 6 (skewed)
 // histograms for a trained network.
-func distributions(net *nn.Network, name string, skewed bool) DistributionResult {
-	p := DeviceParams()
+func distributions(net *nn.Network, name string, p device.Params, skewed bool) DistributionResult {
 	weights := train.GatherWeights(net)
 	res := quantizedResistances(net, p)
 	cond := make([]float64, len(res))
@@ -82,20 +82,22 @@ func distributions(net *nn.Network, name string, skewed bool) DistributionResult
 
 // Fig3 reproduces Fig. 3: distributions after conventional training.
 func Fig3(opt Options) (DistributionResult, error) {
-	b, err := LeNetBundle(opt)
+	s := BaseSpec(spec.FixtureLeNet, opt)
+	b, err := BundleForSpec(s, opt)
 	if err != nil {
 		return DistributionResult{}, err
 	}
-	return distributions(b.Normal, b.Name, false), nil
+	return distributions(b.Normal, b.Name, s.Device, false), nil
 }
 
 // Fig6 reproduces Fig. 6: distributions after skewed training.
 func Fig6(opt Options) (DistributionResult, error) {
-	b, err := LeNetBundle(opt)
+	s := BaseSpec(spec.FixtureLeNet, opt)
+	b, err := BundleForSpec(s, opt)
 	if err != nil {
 		return DistributionResult{}, err
 	}
-	return distributions(b.Skewed, b.Name, true), nil
+	return distributions(b.Skewed, b.Name, s.Device, true), nil
 }
 
 func renderDistributions(w io.Writer, fig string, d DistributionResult) {
@@ -131,15 +133,16 @@ func Fig7(opt Options) (Fig7Result, error) {
 		return Fig7Result{}, err
 	}
 	stats := train.NetworkStats(b.Normal)
-	beta := b.Skew.BetaFactor * stats[0].Std
+	skew := b.Spec.Fixture.Skew
+	beta := skew.BetaFactor * stats[0].Std
 	wp := b.Normal.WeightParams()[0]
 	wMin, wMax := wp.W.MinMax()
-	reg, err := train.NewSkewed(b.Skew.Lambda1, b.Skew.Lambda2, nil)
+	reg, err := train.NewSkewed(skew.Lambda1, skew.Lambda2, nil)
 	if err != nil {
 		return Fig7Result{}, err
 	}
 	out := Fig7Result{
-		Beta: beta, Lambda1: b.Skew.Lambda1, Lambda2: b.Skew.Lambda2,
+		Beta: beta, Lambda1: skew.Lambda1, Lambda2: skew.Lambda2,
 		WeightHist: analysis.NewHistogram(wp.W.Data(), 16),
 	}
 	out.Penalty.Name = "two-segment penalty R1/R2"

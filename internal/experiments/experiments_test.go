@@ -9,6 +9,7 @@ import (
 	"memlife/internal/analysis"
 	"memlife/internal/lifetime"
 	"memlife/internal/nn"
+	"memlife/internal/spec"
 	"memlife/internal/train"
 )
 
@@ -140,8 +141,8 @@ func TestFig4LevelDecay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pts[0].UsableLevels != DeviceParams().Levels {
-		t.Fatalf("fresh device must expose all %d levels", DeviceParams().Levels)
+	if levels := BaseSpec(spec.FixtureLeNet, testOpt).Device.Levels; pts[0].UsableLevels != levels {
+		t.Fatalf("fresh device must expose all %d levels", levels)
 	}
 	for i := 1; i < len(pts); i++ {
 		if pts[i].UpperBound > pts[i-1].UpperBound {

@@ -39,9 +39,11 @@ func FaultSweepFaults(rate float64, seed int64) fault.Config {
 		// ~11-17, so a mean capacity of 40 makes the heavily stressed
 		// tail wear out in service while lightly stressed (skewed)
 		// arrays barely lose devices — the aging-correlated hazard.
-		HazardScale:   40,
-		ReadBurstProb: rate / 2,
-		Seed:          seed,
+		HazardScale:    40,
+		HazardSpread:   0.5,
+		ReadBurstProb:  rate / 2,
+		ReadBurstSigma: 0.02,
+		Seed:           seed,
 	}
 }
 

@@ -19,7 +19,7 @@ func TestFaultSweepFaultMapsDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	build := func(rate float64) *crossbar.MappedNetwork {
-		mn, err := crossbar.NewMappedNetwork(b.Normal, DeviceParams(), AgingModel(), TempK)
+		mn, err := crossbar.NewMappedNetwork(b.Normal, b.Spec.Device, b.Spec.Aging, b.Spec.TempK)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,7 +85,7 @@ func TestFaultSweepLifetimeDeterministic(t *testing.T) {
 				cfg.Faults = FaultSweepFaults(tc.rate, testOpt.Seed)
 				cfg.Mapping.FaultAware = tc.aware
 				cfg.DegradedAccFrac = 0.5
-				res, err := lifetime.RunCtx(context.Background(), net, b.TrainDS, tc.sc, DeviceParams(), AgingModel(), TempK, cfg)
+				res, err := lifetime.RunCtx(context.Background(), net, b.TrainDS, tc.sc, b.Spec.Device, b.Spec.Aging, b.Spec.TempK, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"memlife/internal/analysis"
+	"memlife/internal/spec"
 	"memlife/internal/telemetry"
 )
 
@@ -21,8 +22,8 @@ type Fig4Point struct {
 // of the usable level count (the paper's sketch shows 8 fresh levels
 // decaying to 3; our device has 32).
 func Fig4(opt Options) ([]Fig4Point, error) {
-	p := DeviceParams()
-	m := AgingModel()
+	s := BaseSpec(spec.FixtureLeNet, opt)
+	p, m := s.Device, s.Aging
 	var out []Fig4Point
 	points := 25
 	if opt.Fast {
@@ -33,7 +34,7 @@ func Fig4(opt Options) ([]Fig4Point, error) {
 	stress := 0.0
 	step := 1.0
 	for i := 0; i < points; i++ {
-		lo, hi := m.Bounds(p, stress, TempK)
+		lo, hi := m.Bounds(p, stress, s.TempK)
 		n := p.Grid().UsableLevels(lo, hi)
 		out = append(out, Fig4Point{
 			Stress:       stress,

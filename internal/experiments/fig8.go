@@ -7,6 +7,7 @@ import (
 	"memlife/internal/analysis"
 	"memlife/internal/crossbar"
 	"memlife/internal/mapping"
+	"memlife/internal/spec"
 	"memlife/internal/tensor"
 )
 
@@ -24,11 +25,12 @@ type Fig8Result struct {
 // disagree about the aged bound), then runs the aging-aware iterative
 // selection and reports the candidate scores.
 func Fig8(opt Options) (Fig8Result, error) {
-	b, err := LeNetBundle(opt)
+	s := BaseSpec(spec.FixtureLeNet, opt)
+	b, err := BundleForSpec(s, opt)
 	if err != nil {
 		return Fig8Result{}, err
 	}
-	mn, err := crossbar.NewMappedNetwork(b.Skewed, DeviceParams(), AgingModel(), TempK)
+	mn, err := crossbar.NewMappedNetwork(b.Skewed, s.Device, s.Aging, s.TempK)
 	if err != nil {
 		return Fig8Result{}, err
 	}
@@ -51,7 +53,9 @@ func Fig8(opt Options) (Fig8Result, error) {
 	}
 	evalDS := b.TrainDS.Subset(96)
 	eb := evalDS.Batches(evalDS.Len(), nil)[0]
-	res, err := mapping.Map(mn, mapping.Config{Policy: mapping.AgingAware}, eb.X, eb.Y)
+	mapCfg := s.Lifetime.Mapping
+	mapCfg.Policy = mapping.AgingAware
+	res, err := mapping.Map(mn, mapCfg, eb.X, eb.Y)
 	if err != nil {
 		return Fig8Result{}, err
 	}

@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"sync"
 
-	"memlife/internal/aging"
 	"memlife/internal/dataset"
-	"memlife/internal/device"
 	"memlife/internal/lifetime"
 	"memlife/internal/nn"
 	"memlife/internal/spec"
@@ -67,11 +65,6 @@ func cachedBundle(s spec.Spec, opt Options, build func(spec.Spec, Options) (*Bun
 	return e.b, e.err
 }
 
-// SkewParams are the skewed-training constants of Table II; the type
-// lives in internal/spec (the "fixture.skew" section of a scenario
-// spec) and is aliased here for the drivers.
-type SkewParams = spec.SkewParams
-
 // Bundle holds one network/dataset test case of Table I, trained both
 // conventionally (L2) and with the skewed regularizer.
 type Bundle struct {
@@ -83,7 +76,6 @@ type Bundle struct {
 	NormalAcc   float64
 	Skewed      *nn.Network
 	SkewedAcc   float64
-	Skew        SkewParams
 	// Spec is the resolved scenario spec the bundle was built from;
 	// drivers derive their lifetime runs from it (base spec + a small
 	// transform per experiment arm).
@@ -115,17 +107,6 @@ func BaseSpec(fixture string, opt Options) spec.Spec {
 	s.Run.Seed = opt.Seed
 	return s
 }
-
-// DeviceParams returns the memristor technology used by all experiments.
-func DeviceParams() device.Params { return spec.Defaults(spec.FixtureLeNet, false).Device }
-
-// AgingModel returns the aging calibration used by all experiments (see
-// spec.Defaults for the acceleration rationale).
-func AgingModel() aging.Model { return spec.Defaults(spec.FixtureLeNet, false).Aging }
-
-// TempK is the operating temperature of all experiments; it matches the
-// temp_k default of spec.Defaults.
-const TempK = 300.0
 
 // BundleForSpec builds (or returns the cached) trained bundle for the
 // spec's fixture section.
@@ -245,7 +226,6 @@ func makeBundle(name, dsName string, trainDS, testDS *dataset.Dataset,
 		NormalAcc:   normalRes.FinalTestAcc,
 		Skewed:      skewed.Clone(),
 		SkewedAcc:   skewedRes.FinalTestAcc,
-		Skew:        skew,
 		Spec:        s,
 	}, nil
 }

@@ -39,9 +39,9 @@ func Table2(opt Options) ([]Table2Row, error) {
 				Network:    b.Name,
 				Layer:      ns.Name,
 				Sigma:      ns.Std,
-				Beta:       b.Skew.BetaFactor * ns.Std,
-				Lambda1:    b.Skew.Lambda1,
-				Lambda2:    b.Skew.Lambda2,
+				Beta:       b.Spec.Fixture.Skew.BetaFactor * ns.Std,
+				Lambda1:    b.Spec.Fixture.Skew.Lambda1,
+				Lambda2:    b.Spec.Fixture.Skew.Lambda2,
 				SkewedMean: skewedStats[i].Mean,
 				SkewedSkew: skewedStats[i].Skewness,
 			})

@@ -40,10 +40,12 @@ import (
 )
 
 // Config parameterizes fault injection for one array (or, via
-// per-layer derived seeds, a whole mapped network). The zero value
-// disables every mechanism. The JSON tags are the schema of the
-// "faults" section of a scenario spec (internal/spec); Seed is
-// excluded because the run seed is injected at resolution time.
+// per-layer derived seeds, a whole mapped network). Every field means
+// what it says, zero included; with the three rates and the hazard
+// scale at zero, every mechanism is off (see Enabled). The JSON tags
+// are the schema of the "faults" section of a scenario spec
+// (internal/spec); Seed is excluded because the run seed is injected
+// at resolution time.
 type Config struct {
 	// StuckRate is the fraction of devices permanently stuck at
 	// deployment (manufacturing defects), in [0, 1). Stuck sets are
@@ -52,8 +54,8 @@ type Config struct {
 	// monotone in the rate.
 	StuckRate float64 `json:"stuck_rate"`
 	// LRSFrac is the fraction of stuck devices pinned at LRS (the
-	// high-current, high-damage polarity); the rest pin at HRS.
-	// Zero means 0.5.
+	// high-current, high-damage polarity); the rest pin at HRS. Zero
+	// pins every stuck device at HRS.
 	LRSFrac float64 `json:"lrs_frac"`
 	// TransientProb is the per-pulse probability that a programming
 	// pulse silently fails to move the device.
@@ -64,35 +66,16 @@ type Config struct {
 	// Zero disables wear-out faults.
 	HazardScale float64 `json:"hazard_scale"`
 	// HazardSpread is the lognormal sigma of the per-device capacity
-	// draw. Zero means 0.5.
+	// draw. Zero gives every device the same capacity, HazardScale.
 	HazardSpread float64 `json:"hazard_spread"`
 	// ReadBurstProb is the per-readback probability of a read-noise
 	// burst.
 	ReadBurstProb float64 `json:"read_burst_prob"`
 	// ReadBurstSigma is the relative resistance noise applied during a
-	// burst (0.02 = 2% of R). Zero means 0.02.
+	// burst (0.02 = 2% of R). Zero makes bursts add no noise.
 	ReadBurstSigma float64 `json:"read_burst_sigma"`
 	// Seed makes the injection deterministic.
 	Seed int64 `json:"-"`
-}
-
-// Normalized returns the config with its "zero means X" fields
-// resolved: LRSFrac 0 -> 0.5, HazardSpread 0 -> 0.5, ReadBurstSigma 0
-// -> 0.02. NewInjector applies it on entry; scenario specs serialize
-// the resolved form (internal/spec.Defaults). Note the resolved form
-// is not the zero value, so Enabled() must be consulted before
-// Normalized() if "all mechanisms off" matters.
-func (c Config) Normalized() Config {
-	if c.LRSFrac == 0 {
-		c.LRSFrac = 0.5
-	}
-	if c.HazardSpread == 0 {
-		c.HazardSpread = 0.5
-	}
-	if c.ReadBurstSigma == 0 {
-		c.ReadBurstSigma = 0.02
-	}
-	return c
 }
 
 // Enabled reports whether any fault mechanism is active.
@@ -148,7 +131,6 @@ type Injector struct {
 // The seed combines cfg.Seed with the caller-supplied stream offset so
 // each crossbar of a network gets an independent, reproducible stream.
 func NewInjector(cfg Config, n int, seed int64) (*Injector, error) {
-	cfg = cfg.Normalized()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}

@@ -8,11 +8,14 @@ import (
 
 func testConfig() Config {
 	return Config{
-		StuckRate:     0.1,
-		TransientProb: 0.2,
-		HazardScale:   10,
-		ReadBurstProb: 0.1,
-		Seed:          7,
+		StuckRate:      0.1,
+		LRSFrac:        0.5,
+		TransientProb:  0.2,
+		HazardScale:    10,
+		HazardSpread:   0.5,
+		ReadBurstProb:  0.1,
+		ReadBurstSigma: 0.02,
+		Seed:           7,
 	}
 }
 
@@ -143,17 +146,28 @@ func TestWearOutHazardOrdering(t *testing.T) {
 	}
 }
 
+// TestLRSFracPolarity: LRSFrac 1 pins every stuck device at LRS and
+// LRSFrac 0 pins every one at HRS; zero is not a default.
 func TestLRSFracPolarity(t *testing.T) {
-	cfg := testConfig()
-	cfg.StuckRate = 0.5
-	cfg.LRSFrac = 1.0
-	inj, err := NewInjector(cfg, 500, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < inj.N(); i++ {
-		if k := inj.InitialFault(i); k != device.FaultNone && k != device.FaultStuckLRS {
-			t.Fatalf("LRSFrac=1 must pin every stuck device at LRS, got %v", k)
+	for _, tc := range []struct {
+		lrsFrac float64
+		want    device.FaultKind
+	}{{1, device.FaultStuckLRS}, {0, device.FaultStuckHRS}} {
+		inj, err := NewInjector(Config{StuckRate: 0.5, LRSFrac: tc.lrsFrac, Seed: 7}, 500, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stuck := 0
+		for i := 0; i < inj.N(); i++ {
+			if k := inj.InitialFault(i); k != device.FaultNone {
+				stuck++
+				if k != tc.want {
+					t.Fatalf("LRSFrac=%g must pin every stuck device at %v, got %v", tc.lrsFrac, tc.want, k)
+				}
+			}
+		}
+		if stuck == 0 {
+			t.Fatalf("LRSFrac=%g: rate 0.5 produced no stuck devices", tc.lrsFrac)
 		}
 	}
 }

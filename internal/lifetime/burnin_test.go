@@ -111,6 +111,28 @@ func TestSingleCandidateMapping(t *testing.T) {
 	}
 }
 
+// TestZeroRemapIterFracRemapsEveryCycle: RemapIterFrac 0 means what it
+// says. Every cycle's tuning takes at least 0% of the budget, so every
+// cycle remaps, however quickly tuning converged.
+func TestZeroRemapIterFracRemapsEveryCycle(t *testing.T) {
+	net, trainDS := fixture(t, true)
+	cfg := testConfig(0.6)
+	cfg.MaxCycles = 4
+	cfg.RemapIterFrac = 0
+	res, err := RunCtx(context.Background(), net, trainDS, STAT, device.Params32(), fastAging(), 300, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Records) == 0 {
+		t.Fatal("run produced no records")
+	}
+	for _, rec := range res.Records {
+		if !rec.Remapped {
+			t.Fatalf("cycle %d (%d tuning iterations) did not remap under RemapIterFrac 0", rec.Cycle, rec.TuneIters)
+		}
+	}
+}
+
 // TestSingleMinLevelMappingErrors: with MinLevels 1 and heavy burn-in,
 // traced bounds fall below the fresh minimum and a zero-width range
 // floor would snap the common range to [RminFresh, RminFresh]. The run

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"memlife/internal/device"
-	"memlife/internal/fault"
 	"memlife/internal/telemetry"
 )
 
@@ -28,7 +27,10 @@ func TestNoDeadInstruments(t *testing.T) {
 	cfg.AgingVariability = 0.05
 	cfg.DriftSigma = 0.15
 	cfg.BurnInStress = 0.1
-	cfg.Faults = fault.Config{StuckRate: 0.01, TransientProb: 0.05, HazardScale: 40, Seed: 7}
+	cfg.Faults.StuckRate = 0.01
+	cfg.Faults.TransientProb = 0.05
+	cfg.Faults.HazardScale = 40
+	cfg.Faults.Seed = 7
 
 	reg := telemetry.NewRegistry()
 	telemetry.SetGlobal(reg)

@@ -99,7 +99,10 @@ func (s Scenario) MappingPolicy() mapping.PolicyKind {
 // schema of the "lifetime" section of a scenario spec (internal/spec):
 // the tuning, mapping, and fault sub-configs nest as JSON objects,
 // while runtime-injected knobs (Seed, PolicyOverride, and the tuning
-// target/seed the driver derives per cycle) are excluded.
+// target/seed the driver derives per cycle) are excluded. RunCtx uses
+// a config as given: every field means what it says, zero included,
+// except TargetAcc 0 (derive) and TraceStride 0 (the crossbar's own
+// stride). DefaultConfig is the one home of the defaults.
 type Config struct {
 	// AppsPerCycle is the number of applications served per deployment
 	// cycle (the granularity of the Fig. 10 x-axis).
@@ -133,7 +136,8 @@ type Config struct {
 	// RemapIterFrac triggers a re-mapping when a cycle's tuning took at
 	// least this fraction of the Tuning.MaxIters budget: tuning has
 	// become expensive, so the controller re-deploys the trained
-	// weights under the scenario's mapping policy. Zero means 0.5.
+	// weights under the scenario's mapping policy. Zero remaps every
+	// cycle.
 	RemapIterFrac float64 `json:"remap_iter_frac"`
 	// PolicyOverride, when non-nil, replaces the scenario's mapping
 	// policy — used by the range-policy ablation.
@@ -161,9 +165,9 @@ type Config struct {
 	// experiment.
 	Mapping mapping.Config `json:"mapping"`
 	// Faults configures device-fault injection (stuck-at devices,
-	// transient programming failures, read-noise bursts); the zero
-	// value runs the clean-room simulation with no faults. See
-	// internal/fault.
+	// transient programming failures, read-noise bursts); with every
+	// rate and the hazard scale at zero, as DefaultConfig writes them,
+	// the simulation runs clean-room with no faults. See internal/fault.
 	Faults fault.Config `json:"faults"`
 }
 
@@ -223,37 +227,51 @@ func (c Config) Validate() error {
 	return errors.Join(errs...)
 }
 
-// Normalized returns the config with every "zero means X" field
-// resolved, recursively through the tuning, mapping, and fault
-// sub-configs: RemapIterFrac 0 -> 0.5 plus the sub-configs' own
-// normalizations. RunCtx applies it on entry; scenario specs serialize
-// the resolved form (internal/spec.Defaults).
-func (c Config) Normalized() Config {
-	if c.RemapIterFrac == 0 {
-		c.RemapIterFrac = 0.5
-	}
-	c.Tuning = c.Tuning.Normalized()
-	c.Mapping = c.Mapping.Normalized()
-	c.Faults = c.Faults.Normalized()
-	return c
-}
+// Normalized returns c unchanged: RunCtx uses a config as given.
+//
+// Deprecated: the method stays only while the benchmark still calls
+// it; ROADMAP item 2's benchmark change deletes it.
+func (c Config) Normalized() Config { return c }
 
-// DefaultConfig returns the configuration used by the Table I / Fig. 10
-// experiments.
+// DefaultConfig returns the full-budget lifetime configuration of the
+// Table I / Fig. 10 experiments, every field written out. It is the one
+// home of the lifetime tree's defaults: spec.Defaults builds on it.
+// TargetAcc 0 derives the target from the fresh-mapped accuracy and
+// Seed 0 stands for the run seed a spec injects.
 func DefaultConfig() Config {
 	return Config{
 		AppsPerCycle:     1_000_000,
-		MaxCycles:        200,
-		TargetAcc:        0.75,
+		MaxCycles:        150,
+		TargetAcc:        0,
 		DriftSigma:       0.05,
 		EvalN:            96,
-		Seed:             1,
+		Seed:             0,
+		TraceStride:      0,
 		AgingVariability: 0.2,
+		BurnInStress:     0,
 		RemapIterFrac:    0.12,
+		DegradedAccFrac:  0,
 		Tuning: tuning.Config{
-			MaxIters:  150,
-			BatchSize: 32,
-			StepFrac:  0.25,
+			MaxIters:    150,
+			BatchSize:   32,
+			StepFrac:    0.25,
+			Patience:    10,
+			Policy:      "",
+			RetryBudget: 2,
+		},
+		Mapping: mapping.Config{
+			MaxCandidates: 8,
+			MinLevels:     4,
+			FaultAware:    false,
+		},
+		Faults: fault.Config{
+			StuckRate:      0,
+			LRSFrac:        0.5,
+			TransientProb:  0,
+			HazardScale:    0,
+			HazardSpread:   0.5,
+			ReadBurstProb:  0,
+			ReadBurstSigma: 0.02,
 		},
 	}
 }
@@ -334,7 +352,6 @@ func RunCtx(ctx context.Context, net *nn.Network, trainDS *dataset.Dataset, sc S
 
 func runCtx(ctx context.Context, net *nn.Network, trainDS *dataset.Dataset, sc Scenario, p device.Params, model aging.Model, tempK float64, cfg Config) (Result, error) {
 	res := Result{Scenario: sc}
-	cfg = cfg.Normalized()
 	if err := cfg.Validate(); err != nil {
 		return res, fmt.Errorf("lifetime: %w", err)
 	}

@@ -11,11 +11,9 @@ import (
 	"memlife/internal/aging"
 	"memlife/internal/dataset"
 	"memlife/internal/device"
-	"memlife/internal/mapping"
 	"memlife/internal/nn"
 	"memlife/internal/tensor"
 	"memlife/internal/train"
-	"memlife/internal/tuning"
 )
 
 // fastAging returns an aggressive aging model so failures occur within
@@ -58,16 +56,19 @@ func fixture(t *testing.T, skewed bool) (*nn.Network, *dataset.Dataset) {
 	return net, trainDS
 }
 
+// testConfig is DefaultConfig at a short budget, with identical
+// devices and a remap once tuning takes half its budget.
 func testConfig(target float64) Config {
-	return Config{
-		AppsPerCycle: 1000,
-		MaxCycles:    25,
-		TargetAcc:    target,
-		DriftSigma:   0.05,
-		EvalN:        64,
-		Seed:         5,
-		Tuning:       tuning.Config{MaxIters: 40, BatchSize: 32},
-	}
+	cfg := DefaultConfig()
+	cfg.AppsPerCycle = 1000
+	cfg.MaxCycles = 25
+	cfg.TargetAcc = target
+	cfg.EvalN = 64
+	cfg.Seed = 5
+	cfg.AgingVariability = 0
+	cfg.RemapIterFrac = 0.5
+	cfg.Tuning.MaxIters = 40
+	return cfg
 }
 
 // tuneAndRemapConfig is a short budget whose target sits just below
@@ -95,26 +96,29 @@ func TestConfigValidation(t *testing.T) {
 	if err := DefaultConfig().Validate(); err != nil {
 		t.Fatalf("default config rejected: %v", err)
 	}
-	tinyTune := tuning.Config{MaxIters: 1, BatchSize: 1}
-	bad := []Config{
-		{AppsPerCycle: 0, MaxCycles: 1, TargetAcc: 0.5, EvalN: 1, Tuning: tinyTune},
-		{AppsPerCycle: 1, MaxCycles: 0, TargetAcc: 0.5, EvalN: 1, Tuning: tinyTune},
-		{AppsPerCycle: 1, MaxCycles: 1, TargetAcc: 0.5, EvalN: 1, Tuning: tuning.Config{MaxIters: 0, BatchSize: 1}},
-		{AppsPerCycle: 1, MaxCycles: 1, TargetAcc: 1.5, EvalN: 1, Tuning: tinyTune},
-		{AppsPerCycle: math.MaxInt64/2 + 1, MaxCycles: 2, TargetAcc: 0.5, EvalN: 1, Tuning: tinyTune},
-		{AppsPerCycle: 1, MaxCycles: 1, TargetAcc: 0.5, EvalN: 1, Tuning: tinyTune, Mapping: mapping.Config{MinLevels: -1}},
-		{AppsPerCycle: 1, MaxCycles: 1, TargetAcc: 0.5, EvalN: 1, Tuning: tuning.Config{MaxIters: 1, BatchSize: 0}},
-		{AppsPerCycle: 1, MaxCycles: 1, TargetAcc: 0.5, EvalN: 0, Tuning: tinyTune},
-		{AppsPerCycle: 1, MaxCycles: 1, TargetAcc: 0.5, DriftSigma: -1, EvalN: 1, Tuning: tinyTune},
-	}
-	for i, c := range bad {
+	for i, mutate := range []func(*Config){
+		func(c *Config) { c.AppsPerCycle = 0 },
+		func(c *Config) { c.MaxCycles = 0 },
+		func(c *Config) { c.Tuning.MaxIters = 0 },
+		func(c *Config) { c.TargetAcc = 1.5 },
+		func(c *Config) { c.AppsPerCycle, c.MaxCycles = math.MaxInt64/2+1, 2 },
+		func(c *Config) { c.Mapping.MinLevels = -1 },
+		func(c *Config) { c.Mapping.MaxCandidates = 0 },
+		func(c *Config) { c.Tuning.BatchSize = 0 },
+		func(c *Config) { c.Tuning.Patience = 0 },
+		func(c *Config) { c.EvalN = 0 },
+		func(c *Config) { c.DriftSigma = -1 },
+		func(c *Config) { c.RemapIterFrac = -0.1 },
+	} {
+		c := testConfig(0.5)
+		mutate(&c)
 		if err := c.Validate(); err == nil {
 			t.Fatalf("case %d: config %+v should be rejected", i, c)
 		}
 	}
 	// Target 0 is a valid section value (a spec derives the target at
 	// run time), but a run needs the injected target to be positive.
-	zero := Config{AppsPerCycle: 1, MaxCycles: 1, EvalN: 1, Tuning: tinyTune}
+	zero := DefaultConfig()
 	if err := zero.Validate(); err != nil {
 		t.Fatalf("target 0 must pass Validate: %v", err)
 	}

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"memlife/internal/device"
-	"memlife/internal/fault"
 )
 
 // TestModelWorkersEquivalence extends the pool's bit-identity contract
@@ -37,7 +36,9 @@ func TestModelWorkersEquivalence(t *testing.T) {
 			cfg := testConfig(0.6)
 			cfg.MaxCycles = 5
 			cfg.Tuning.Policy = tc.policy
-			cfg.Faults = fault.Config{StuckRate: 0.01, TransientProb: 0.02, Seed: 9}
+			cfg.Faults.StuckRate = 0.01
+			cfg.Faults.TransientProb = 0.02
+			cfg.Faults.Seed = 9
 			cfg.Mapping.FaultAware = true
 
 			assertProcsEquivalent(t, func() (Result, error) {

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"memlife/internal/device"
-	"memlife/internal/fault"
 )
 
 // TestWorkersEquivalence pins the bit-identity contract of the kernel
@@ -22,13 +21,11 @@ func TestWorkersEquivalence(t *testing.T) {
 
 	cfg := testConfig(0.6)
 	cfg.MaxCycles = 6 // enough cycles to hit drift, tuning, and remap paths
-	cfg.Faults = fault.Config{
-		StuckRate:     0.01,
-		TransientProb: 0.02,
-		HazardScale:   50,
-		ReadBurstProb: 0.1,
-		Seed:          9,
-	}
+	cfg.Faults.StuckRate = 0.01
+	cfg.Faults.TransientProb = 0.02
+	cfg.Faults.HazardScale = 50
+	cfg.Faults.ReadBurstProb = 0.1
+	cfg.Faults.Seed = 9
 	cfg.Mapping.FaultAware = true
 
 	assertProcsEquivalent(t, func() (Result, error) {

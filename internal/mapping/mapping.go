@@ -77,11 +77,11 @@ type Config struct {
 	Policy PolicyKind `json:"-"`
 	// MaxCandidates bounds the number of candidate upper bounds the
 	// iterative selection evaluates (evenly subsampled from the sorted
-	// traced bounds). Zero means 8.
+	// traced bounds); at least 1.
 	MaxCandidates int `json:"max_candidates"`
 	// MinLevels is the smallest number of quantization levels a
-	// selected range may span. Zero means 4; 1 is rejected, since a
-	// one-level range has zero width.
+	// selected range may span; at least 2, since a one-level range has
+	// zero width.
 	MinLevels int `json:"min_levels"`
 	// FaultAware makes the mapping tolerate permanently stuck devices
 	// instead of fighting them: the common-range selection draws its
@@ -94,31 +94,15 @@ type Config struct {
 	FaultAware bool `json:"fault_aware"`
 }
 
-// Normalized returns the config with its "zero means X" fields
-// resolved: MaxCandidates 0 -> 8, MinLevels 0 -> 4. Map applies it
-// after Validate; scenario specs serialize the resolved form
-// (internal/spec.Defaults).
-func (c Config) Normalized() Config {
-	if c.MaxCandidates == 0 {
-		c.MaxCandidates = 8
-	}
-	if c.MinLevels == 0 {
-		c.MinLevels = 4
-	}
-	return c
-}
-
 // Validate checks the "mapping" section of a scenario spec and reports
-// every violation at once, each prefixed with its JSON field name. The
-// "zero means X" fields accept 0; Map validates before normalizing, so
-// a negative value is an error, not a default.
+// every violation at once, each prefixed with its JSON field name.
 func (c Config) Validate() error {
 	var errs []error
-	if c.MaxCandidates < 0 {
-		errs = append(errs, fmt.Errorf("max_candidates: must be non-negative, got %d", c.MaxCandidates))
+	if c.MaxCandidates < 1 {
+		errs = append(errs, fmt.Errorf("max_candidates: must be >= 1, got %d", c.MaxCandidates))
 	}
-	if c.MinLevels < 0 || c.MinLevels == 1 {
-		errs = append(errs, fmt.Errorf("min_levels: must be 0 (default 4) or >= 2, got %d", c.MinLevels))
+	if c.MinLevels < 2 {
+		errs = append(errs, fmt.Errorf("min_levels: must be >= 2, got %d", c.MinLevels))
 	}
 	return errors.Join(errs...)
 }
@@ -141,14 +125,15 @@ type LayerSelection struct {
 type Result struct {
 	Policy     PolicyKind
 	Selections []LayerSelection
-	Stats      crossbar.MapStatsTotal
+	Stats      crossbar.MapStats
 }
 
 // Map selects a common range per layer under cfg.Policy, programs every
 // crossbar accordingly, and refreshes the host network with the
 // effective weights. evalX/evalY are the labelled samples used to score
 // candidates; they are required for the AgingAware policy and ignored
-// otherwise.
+// otherwise. The Fresh policy reads neither MaxCandidates nor
+// MinLevels, so only the range policies validate them.
 //
 // Every invocation emits one "mapping/map" trace span and bumps the
 // mapping/* instruments (see telemetry.go).
@@ -175,10 +160,11 @@ func Map(mn *crossbar.MappedNetwork, cfg Config, evalX *tensor.Tensor, evalY []i
 
 func mapNetwork(mn *crossbar.MappedNetwork, cfg Config, evalX *tensor.Tensor, evalY []int) (Result, time.Duration, error) {
 	res := Result{Policy: cfg.Policy}
-	if err := cfg.Validate(); err != nil {
-		return res, 0, fmt.Errorf("mapping: %w", err)
+	if cfg.Policy != Fresh {
+		if err := cfg.Validate(); err != nil {
+			return res, 0, fmt.Errorf("mapping: %w", err)
+		}
 	}
-	cfg = cfg.Normalized()
 	if cfg.Policy == AgingAware {
 		if evalX == nil || len(evalY) == 0 {
 			return res, 0, fmt.Errorf("mapping: aging-aware policy needs evaluation samples")

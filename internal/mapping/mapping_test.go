@@ -14,6 +14,12 @@ import (
 	"memlife/internal/train"
 )
 
+// testConfig is a valid config for policy at the lifetime defaults'
+// candidate count and level floor.
+func testConfig(policy PolicyKind) Config {
+	return Config{Policy: policy, MaxCandidates: 8, MinLevels: 4}
+}
+
 // fixture builds a trained small MLP on crossbars plus an eval batch.
 func fixture(t *testing.T) (*crossbar.MappedNetwork, *tensor.Tensor, []int) {
 	t.Helper()
@@ -84,14 +90,14 @@ func TestFreshPolicyNeedsNoEvalData(t *testing.T) {
 
 func TestAgingAwareRequiresEvalData(t *testing.T) {
 	mn, _, _ := fixture(t)
-	if _, err := Map(mn, Config{Policy: AgingAware}, nil, nil); err == nil {
+	if _, err := Map(mn, testConfig(AgingAware), nil, nil); err == nil {
 		t.Fatal("aging-aware mapping must demand eval samples")
 	}
 }
 
 func TestAgingAwareSelectsFreshRangeOnFreshArray(t *testing.T) {
 	mn, x, y := fixture(t)
-	res, err := Map(mn, Config{Policy: AgingAware}, x, y)
+	res, err := Map(mn, testConfig(AgingAware), x, y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +112,7 @@ func TestAgingAwareSelectsFreshRangeOnFreshArray(t *testing.T) {
 func TestAgingAwareTracksAgedBounds(t *testing.T) {
 	mn, x, y := fixture(t)
 	ageLayer(mn.Layers[0].Crossbar, 4)
-	res, err := Map(mn, Config{Policy: AgingAware}, x, y)
+	res, err := Map(mn, testConfig(AgingAware), x, y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +167,7 @@ func TestAgingAwareBeatsFreshOnAgedArray(t *testing.T) {
 				}
 			}
 		}
-		if _, err := Map(mn, Config{Policy: policy}, x, y); err != nil {
+		if _, err := Map(mn, testConfig(policy), x, y); err != nil {
 			t.Fatal(err)
 		}
 		acc, err := mn.Accuracy(x, y)
@@ -180,14 +186,14 @@ func TestAgingAwareBeatsFreshOnAgedArray(t *testing.T) {
 func TestWorstCaseAndMeanBoundPolicies(t *testing.T) {
 	mn, x, y := fixture(t)
 	ageLayer(mn.Layers[0].Crossbar, 4)
-	worst, err := Map(mn, Config{Policy: WorstCase}, x, y)
+	worst, err := Map(mn, testConfig(WorstCase), x, y)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	mn2, x2, y2 := fixture(t)
 	ageLayer(mn2.Layers[0].Crossbar, 4)
-	mean, err := Map(mn2, Config{Policy: MeanBound}, x2, y2)
+	mean, err := Map(mn2, testConfig(MeanBound), x2, y2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +215,7 @@ func TestMinLevelsFloor(t *testing.T) {
 			d.Program(p.RmaxFresh, p.RminFresh, p.RmaxFresh)
 		}
 	}
-	res, err := Map(mn, Config{Policy: WorstCase, MinLevels: 6}, x, y)
+	res, err := Map(mn, Config{Policy: WorstCase, MaxCandidates: 8, MinLevels: 6}, x, y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,29 +269,38 @@ func TestCandidateBoundsSubsampling(t *testing.T) {
 // panic, when the eval labels do not match the eval batch.
 func TestAgingAwareRejectsMismatchedEvalData(t *testing.T) {
 	mn, x, y := fixture(t)
-	if _, err := Map(mn, Config{Policy: AgingAware}, x, y[:len(y)-1]); err == nil {
+	if _, err := Map(mn, testConfig(AgingAware), x, y[:len(y)-1]); err == nil {
 		t.Fatal("aging-aware mapping must reject a label count that differs from the batch")
 	}
 }
 
 // TestMapRejectsSingleMinLevel: a one-level range has zero width, so
-// MinLevels 1 is an error under every policy rather than a degenerate
-// mapping range; zero still means the default.
+// MinLevels 1 is an error under every range policy rather than a
+// degenerate mapping range; zero is an error too, not a default. Fresh
+// reads neither field, so its zero config maps.
 func TestMapRejectsSingleMinLevel(t *testing.T) {
 	mn, x, y := fixture(t)
-	for _, pol := range []PolicyKind{Fresh, AgingAware} {
-		if _, err := Map(mn, Config{Policy: pol, MinLevels: 1}, x, y); err == nil || !strings.Contains(err.Error(), "min_levels") {
-			t.Fatalf("policy %v: MinLevels 1 must be rejected, got %v", pol, err)
+	for _, pol := range []PolicyKind{AgingAware, WorstCase, MeanBound} {
+		for _, minLevels := range []int{-1, 0, 1} {
+			cfg := testConfig(pol)
+			cfg.MinLevels = minLevels
+			if _, err := Map(mn, cfg, x, y); err == nil || !strings.Contains(err.Error(), "min_levels") {
+				t.Fatalf("policy %v: MinLevels %d must be rejected, got %v", pol, minLevels, err)
+			}
+		}
+		for _, maxCandidates := range []int{-1, 0} {
+			cfg := testConfig(pol)
+			cfg.MaxCandidates = maxCandidates
+			if _, err := Map(mn, cfg, x, y); err == nil || !strings.Contains(err.Error(), "max_candidates") {
+				t.Fatalf("policy %v: MaxCandidates %d must be rejected, got %v", pol, maxCandidates, err)
+			}
 		}
 	}
-	// Negative values are errors, not defaults.
-	for _, cfg := range []Config{{MinLevels: -1}, {MaxCandidates: -1}} {
-		if _, err := Map(mn, cfg, x, y); err == nil {
-			t.Fatalf("config %+v must be rejected", cfg)
-		}
+	if _, err := Map(mn, testConfig(AgingAware), x, y); err != nil {
+		t.Fatalf("a valid config must map: %v", err)
 	}
-	if _, err := Map(mn, Config{Policy: AgingAware}, x, y); err != nil {
-		t.Fatalf("MinLevels 0 must resolve to the default: %v", err)
+	if _, err := Map(mn, Config{Policy: Fresh}, x, y); err != nil {
+		t.Fatalf("Fresh must map with a zero config: %v", err)
 	}
 }
 

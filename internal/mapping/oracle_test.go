@@ -20,7 +20,6 @@ import (
 // layers before the one being selected. It is the oracle for the
 // prefix-reuse scoring of Map.
 func referenceMap(mn *crossbar.MappedNetwork, cfg Config, evalX *tensor.Tensor, evalY []int) (Result, error) {
-	cfg = cfg.Normalized()
 	res := Result{Policy: cfg.Policy}
 	mn.RestoreSoftwareWeights()
 	for _, l := range mn.Layers {
@@ -123,16 +122,16 @@ func TestMapMatchesFullForwardScoring(t *testing.T) {
 		cfg   Config
 		setup func(mn *crossbar.MappedNetwork) error
 	}{
-		{"fresh", Config{Policy: AgingAware}, func(*crossbar.MappedNetwork) error { return nil }},
-		{"pre-aged", Config{Policy: AgingAware}, func(mn *crossbar.MappedNetwork) error {
+		{"fresh", testConfig(AgingAware), func(*crossbar.MappedNetwork) error { return nil }},
+		{"pre-aged", testConfig(AgingAware), func(mn *crossbar.MappedNetwork) error {
 			mn.RandomizeAging(0.3, tensor.NewRNG(9))
 			mn.AddStress(40)
 			return nil
 		}},
-		{"fault-aware", Config{Policy: AgingAware, FaultAware: true}, func(mn *crossbar.MappedNetwork) error {
+		{"fault-aware", Config{Policy: AgingAware, MaxCandidates: 8, MinLevels: 4, FaultAware: true}, func(mn *crossbar.MappedNetwork) error {
 			mn.RandomizeAging(0.3, tensor.NewRNG(9))
 			mn.AddStress(40)
-			return mn.SetFaults(fault.Config{StuckRate: 0.01, Seed: 3})
+			return mn.SetFaults(fault.Config{StuckRate: 0.01, LRSFrac: 0.5, Seed: 3})
 		}},
 	}
 	for _, netName := range []string{"lenet", "mlp", "vgg"} {

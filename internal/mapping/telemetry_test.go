@@ -21,7 +21,7 @@ func TestMapTelemetry(t *testing.T) {
 
 	candidates := 0
 	for pass := 0; pass < 2; pass++ {
-		res, err := Map(mn, Config{Policy: AgingAware}, x, y)
+		res, err := Map(mn, testConfig(AgingAware), x, y)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -18,8 +18,7 @@ var crashSpecs = []string{
 // malformed documents. Contract: ResolveBytes never panics, and any
 // document it accepts is a fixed point — its Dump resolves again to the
 // same Fingerprint, and whose lifetime, tuning and mapping sections
-// pass their owners' validators — before and after the run-time
-// normalization, at a positive injected target.
+// pass their owners' validators at a positive injected target.
 func FuzzResolveBytes(f *testing.F) {
 	for _, doc := range crashSpecs {
 		if _, err := ResolveBytes([]byte(doc), Overrides{}); err == nil {
@@ -52,10 +51,9 @@ func FuzzResolveBytes(f *testing.F) {
 		}
 		lt := s.LifetimeConfig(0.5)
 		for name, err := range map[string]error{
-			"lifetime":            lt.Validate(),
-			"normalized lifetime": lt.Normalized().Validate(),
-			"tuning":              lt.Tuning.Validate(),
-			"mapping":             lt.Mapping.Validate(),
+			"lifetime": lt.Validate(),
+			"tuning":   lt.Tuning.Validate(),
+			"mapping":  lt.Mapping.Validate(),
 		} {
 			if err != nil {
 				t.Fatalf("resolved spec fails the %s validator: %v\n%s", name, err, dump)

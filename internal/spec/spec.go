@@ -9,9 +9,10 @@
 //
 // Resolution is a three-stage chain:
 //
-//  1. Defaults(fixture, fast) — the package defaults, with every
-//     "zero means X" fallback of the underlying packages already
-//     resolved (the serialized form is the effective form);
+//  1. Defaults(fixture, fast) — the package defaults, built on
+//     lifetime.DefaultConfig with every field written out. The
+//     simulation packages use a config as given, zero included, so the
+//     serialized form is the effective form;
 //  2. a scenario file (JSON, strict: unknown fields are rejected)
 //     overlaid on the defaults — sparse files override only what they
 //     mention;
@@ -147,24 +148,19 @@ type Spec struct {
 	Run Run `json:"run"`
 }
 
-// Defaults returns the fully resolved default Spec for a fixture at the
-// given scale — the stage-1 base of the resolution chain and the single
-// home of every "zero means X" fallback the simulation packages used to
-// re-derive at each call site. The returned spec serializes with all
-// effective values explicit (e.g. tuning patience 10, mapping
-// max_candidates 8), so a dumped spec is self-describing.
+// Defaults returns the default Spec for a fixture at the given scale —
+// the stage-1 base of the resolution chain. Its lifetime section is
+// lifetime.DefaultConfig, the one home of the lifetime tree's defaults,
+// shrunk for the fast tier; the device section is device.Params32. No
+// package re-derives a default from a zero: every value a run uses is
+// in the spec, so a dumped spec is self-describing.
 func Defaults(fixture string, fast bool) Spec {
 	lt := lifetime.DefaultConfig()
-	lt.TargetAcc = 0 // auto-derive from the fresh-mapped accuracy
-	lt.Seed = 0      // injected from Run.Seed at run time
-	lt.AppsPerCycle = 1_000_000
-	lt.MaxCycles = 150
 	if fast {
 		lt.MaxCycles = 60
 		lt.Tuning.MaxIters = 40
 		lt.EvalN = 64
 	}
-	lt = lt.Normalized()
 
 	skew := LeNetSkew()
 	if fixture == FixtureVGG {

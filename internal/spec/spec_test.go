@@ -21,9 +21,11 @@ func writeScenario(t *testing.T, body string) string {
 	return path
 }
 
-// TestDefaultsResolvedAndValid: the stage-1 base must validate as-is and
-// carry every "zero means X" fallback already resolved, so the
-// serialized form is the effective form.
+// TestDefaultsResolvedAndValid: the stage-1 base must validate as-is,
+// and its lifetime section must be lifetime.DefaultConfig (shrunk for
+// the fast tier), which writes out every value a run uses — the
+// simulation packages use a config as given, so the serialized form is
+// the effective form.
 func TestDefaultsResolvedAndValid(t *testing.T) {
 	for _, tc := range []struct {
 		fixture string
@@ -38,19 +40,31 @@ func TestDefaultsResolvedAndValid(t *testing.T) {
 		if err := s.Validate(); err != nil {
 			t.Fatalf("Defaults(%q, fast=%v) must validate: %v", tc.fixture, tc.fast, err)
 		}
-		lt := s.Lifetime
-		if lt.Tuning.Patience != 10 || lt.Tuning.RetryBudget != 2 || lt.Tuning.StepFrac != 0.25 {
-			t.Fatalf("tuning fallbacks must be resolved in defaults, got %+v", lt.Tuning)
+		want := lifetime.DefaultConfig()
+		if tc.fast {
+			want.MaxCycles, want.Tuning.MaxIters, want.EvalN = 60, 40, 64
 		}
-		if lt.Mapping.MaxCandidates != 8 || lt.Mapping.MinLevels != 4 {
-			t.Fatalf("mapping fallbacks must be resolved in defaults, got %+v", lt.Mapping)
+		if s.Lifetime != want {
+			t.Fatalf("Defaults(%q, fast=%v) lifetime section must be DefaultConfig:\ngot  %+v\nwant %+v", tc.fixture, tc.fast, s.Lifetime, want)
 		}
-		if lt.Faults.LRSFrac != 0.5 || lt.Faults.HazardSpread != 0.5 {
-			t.Fatalf("fault fallbacks must be resolved in defaults, got %+v", lt.Faults)
+		if s.Device != device.Params32() {
+			t.Fatalf("device section must be Params32, got %+v", s.Device)
 		}
-		if lt.RemapIterFrac == 0 {
-			t.Fatal("lifetime remap fraction fallback must be resolved in defaults")
-		}
+	}
+	// The values the simulation packages once substituted for a zero
+	// are written out by DefaultConfig.
+	lt := lifetime.DefaultConfig()
+	if lt.Tuning.Patience != 10 || lt.Tuning.RetryBudget != 2 || lt.Tuning.StepFrac != 0.25 {
+		t.Fatalf("tuning defaults changed: %+v", lt.Tuning)
+	}
+	if lt.Mapping.MaxCandidates != 8 || lt.Mapping.MinLevels != 4 {
+		t.Fatalf("mapping defaults changed: %+v", lt.Mapping)
+	}
+	if lt.Faults.LRSFrac != 0.5 || lt.Faults.HazardSpread != 0.5 || lt.Faults.ReadBurstSigma != 0.02 || lt.Faults.Enabled() {
+		t.Fatalf("fault defaults changed: %+v", lt.Faults)
+	}
+	if lt.RemapIterFrac != 0.12 || lt.MaxCycles != 150 || lt.TargetAcc != 0 || lt.Seed != 0 {
+		t.Fatalf("lifetime defaults changed: %+v", lt)
 	}
 	if Defaults(FixtureLeNet, false).Fixture.Skew != LeNetSkew() {
 		t.Fatal("lenet defaults must carry the LeNet skew constants")
@@ -257,6 +271,12 @@ func TestValidationFieldTable(t *testing.T) {
 		{"negative candidates", func(s *Spec) { s.Lifetime.Mapping.MaxCandidates = -1 }, "lifetime.mapping.max_candidates"},
 		{"negative min levels", func(s *Spec) { s.Lifetime.Mapping.MinLevels = -1 }, "lifetime.mapping.min_levels"},
 		{"single min level", func(s *Spec) { s.Lifetime.Mapping.MinLevels = 1 }, "lifetime.mapping.min_levels"},
+		{"zero min levels", func(s *Spec) { s.Lifetime.Mapping.MinLevels = 0 }, "lifetime.mapping.min_levels"},
+		{"zero candidates", func(s *Spec) { s.Lifetime.Mapping.MaxCandidates = 0 }, "lifetime.mapping.max_candidates"},
+		{"zero step frac", func(s *Spec) { s.Lifetime.Tuning.StepFrac = 0 }, "lifetime.tuning.step_frac"},
+		{"zero patience", func(s *Spec) { s.Lifetime.Tuning.Patience = 0 }, "lifetime.tuning.patience"},
+		{"negative patience", func(s *Spec) { s.Lifetime.Tuning.Patience = -1 }, "lifetime.tuning.patience"},
+		{"negative retry budget", func(s *Spec) { s.Lifetime.Tuning.RetryBudget = -1 }, "lifetime.tuning.retry_budget"},
 		{"one level", func(s *Spec) { s.Device.Levels = 1 }, "device"},
 		{"huge level count", func(s *Spec) { s.Device.Levels = 1_000_000_000_000 }, "device"},
 		{"bad fault rate", func(s *Spec) { s.Lifetime.Faults.StuckRate = 2 }, "lifetime.faults"},

@@ -18,29 +18,21 @@ import (
 // are regularized; biases live in digital periphery and are exempt,
 // matching the usual practice and the paper's W_i notation.
 type Regularizer interface {
-	Name() string
 	// Penalty returns the value of R(W) over the given parameters.
 	Penalty(params []*nn.Param) float64
 	// AddGrad accumulates dR/dW into each parameter's gradient.
 	AddGrad(params []*nn.Param)
-}
-
-// Scaler is implemented by regularizers whose strength can be scaled,
-// enabling the trainer's warmup ramp (Config.RegWarmup): applying the
-// full two-segment penalty from the first batch can herd all weights to
-// the reference point before cross-entropy establishes a useful
-// representation, collapsing training.
-type Scaler interface {
 	// Scaled returns a copy of the regularizer with all penalty
-	// strengths multiplied by f (0 <= f <= 1 during warmup).
+	// strengths multiplied by f (0 <= f <= 1 during warmup). It backs
+	// the trainer's warmup ramp (Config.RegWarmup): applying the full
+	// two-segment penalty from the first batch can herd all weights to
+	// the reference point before cross-entropy establishes a useful
+	// representation, collapsing training.
 	Scaled(f float64) Regularizer
 }
 
 // None is the no-regularization baseline.
 type None struct{}
-
-// Name implements Regularizer.
-func (None) Name() string { return "none" }
 
 // Penalty implements Regularizer.
 func (None) Penalty([]*nn.Param) float64 { return 0 }
@@ -48,7 +40,7 @@ func (None) Penalty([]*nn.Param) float64 { return 0 }
 // AddGrad implements Regularizer.
 func (None) AddGrad([]*nn.Param) {}
 
-// Scaled implements Scaler.
+// Scaled implements Regularizer.
 func (n None) Scaled(float64) Regularizer { return n }
 
 // L2 is the standard weight-decay term of eq. (2): R(W) = lambda *
@@ -57,9 +49,6 @@ func (n None) Scaled(float64) Regularizer { return n }
 type L2 struct {
 	Lambda float64
 }
-
-// Name implements Regularizer.
-func (l L2) Name() string { return "l2" }
 
 // Penalty implements Regularizer.
 func (l L2) Penalty(params []*nn.Param) float64 {
@@ -88,7 +77,7 @@ func (l L2) AddGrad(params []*nn.Param) {
 	}
 }
 
-// Scaled implements Scaler.
+// Scaled implements Regularizer.
 func (l L2) Scaled(f float64) Regularizer { return L2{Lambda: l.Lambda * f} }
 
 // Skewed is the paper's two-segment regularizer (eq. (8)-(10)):
@@ -127,9 +116,6 @@ func NewSkewed(lambda1, lambda2 float64, betas map[string]float64) (*Skewed, err
 	}
 	return &Skewed{Lambda1: lambda1, Lambda2: lambda2, Betas: betas}, nil
 }
-
-// Name implements Regularizer.
-func (s *Skewed) Name() string { return "skewed" }
 
 // beta returns the reference weight for parameter p.
 func (s *Skewed) beta(p *nn.Param) float64 {
@@ -178,7 +164,7 @@ func (s *Skewed) AddGrad(params []*nn.Param) {
 	}
 }
 
-// Scaled implements Scaler.
+// Scaled implements Regularizer.
 func (s *Skewed) Scaled(f float64) Regularizer {
 	return &Skewed{
 		Lambda1: s.Lambda1 * f, Lambda2: s.Lambda2 * f,

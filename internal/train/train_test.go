@@ -79,7 +79,7 @@ func TestRegularizerGradMatchesPenalty(t *testing.T) {
 				want := (up - dn) / (2 * eps)
 				got := p.Grad.Data()[i]
 				if math.Abs(got-want) > 1e-5*(1+math.Abs(want)) {
-					t.Fatalf("%s: %s[%d] grad %g vs numeric %g", reg.Name(), p.Name, i, got, want)
+					t.Fatalf("%T: %s[%d] grad %g vs numeric %g", reg, p.Name, i, got, want)
 				}
 			}
 		}

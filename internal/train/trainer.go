@@ -20,8 +20,7 @@ type Config struct {
 	Seed      int64
 	GradClip  float64 // clip each gradient tensor's absolute values; 0 disables
 	// RegWarmup linearly ramps the regularizer strength from 0 to full
-	// over the first RegWarmup epochs (requires the regularizer to
-	// implement Scaler). 0 disables the ramp.
+	// over the first RegWarmup epochs. 0 disables the ramp.
 	RegWarmup int
 	Log       io.Writer // optional progress log
 }
@@ -74,13 +73,11 @@ func Train(net *nn.Network, trainDS, testDS *dataset.Dataset, cfg Config) (Resul
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		epochReg := reg
 		if cfg.RegWarmup > 0 {
-			if sc, ok := reg.(Scaler); ok {
-				f := float64(epoch+1) / float64(cfg.RegWarmup)
-				if f > 1 {
-					f = 1
-				}
-				epochReg = sc.Scaled(f)
+			f := float64(epoch+1) / float64(cfg.RegWarmup)
+			if f > 1 {
+				f = 1
 			}
+			epochReg = reg.Scaled(f)
 		}
 		batches := trainDS.Batches(cfg.BatchSize, rng)
 		epochLoss := 0.0

@@ -14,8 +14,6 @@ import (
 // are stateless singletons — any run state lives in the arena or on the
 // MappedNetwork (layer gains) — so one instance serves concurrent runs.
 type Policy interface {
-	// Name returns the policy label used in specs and reports.
-	Name() string
 	// Step performs one tuning iteration on mn using batch b, returning
 	// the retry and stuck-skip counts of the pulses it applied.
 	Step(mn *crossbar.MappedNetwork, b dataset.Batch, cfg Config, ar *arena) (retries, skipped int64, err error)
@@ -43,9 +41,6 @@ func ParsePolicy(s string) (Policy, error) {
 // loop bit-for-bit.
 type signPolicy struct{}
 
-// Name implements Policy.
-func (signPolicy) Name() string { return "sign" }
-
 // Step implements Policy.
 func (signPolicy) Step(mn *crossbar.MappedNetwork, b dataset.Batch, cfg Config, ar *arena) (int64, int64, error) {
 	return step(mn, b, cfg.StepFrac, cfg.RetryBudget, ar)
@@ -67,9 +62,6 @@ func (signPolicy) Step(mn *crossbar.MappedNetwork, b dataset.Batch, cfg Config, 
 // (mapping.Map calls ResetGains), so compensation restarts from the
 // freshly programmed state.
 type recalibPolicy struct{}
-
-// Name implements Policy.
-func (recalibPolicy) Name() string { return "recalib" }
 
 // recalibStall is the relative gain change below which scaling is
 // considered converged and the policy falls back to sign pulses.
@@ -128,9 +120,6 @@ func (recalibPolicy) Step(mn *crossbar.MappedNetwork, b dataset.Batch, cfg Confi
 // and transient failures are never retried: every avoided pulse is
 // endurance kept.
 type minreprogPolicy struct{}
-
-// Name implements Policy.
-func (minreprogPolicy) Name() string { return "minreprog" }
 
 // Step implements Policy.
 func (minreprogPolicy) Step(mn *crossbar.MappedNetwork, b dataset.Batch, cfg Config, ar *arena) (int64, int64, error) {

@@ -38,15 +38,15 @@ type Config struct {
 	// BatchSize is the minibatch size for gradient estimation.
 	BatchSize int `json:"batch_size"`
 	// StepFrac is the fraction of devices (those with the largest
-	// gradient magnitudes, per layer) pulsed each iteration. Zero
-	// means 0.25. Pulsing everything would both over-age the array and
-	// overshoot; real tuning controllers prioritize the worst weights.
+	// gradient magnitudes, per layer) pulsed each iteration, in (0, 1].
+	// Pulsing everything would both over-age the array and overshoot;
+	// real tuning controllers prioritize the worst weights.
 	StepFrac float64 `json:"step_frac"`
 	// Patience stops a run early when the evaluation accuracy has not
 	// improved for this many consecutive iterations. Pulsing a stuck
 	// array only ages it further, so giving up early preserves the
-	// remaining endurance for a re-mapping attempt. Zero means 10;
-	// negative disables early stopping.
+	// remaining endurance for a re-mapping attempt. Must be >= 1; a
+	// value of MaxIters or more never stops early.
 	Patience int `json:"patience"`
 	// Policy selects the pulse-selection strategy of each tuning
 	// iteration: "sign" (or empty, the default) is the paper's
@@ -65,7 +65,7 @@ type Config struct {
 	// programming power and accumulates the same stress as a
 	// successful one, so retries trade endurance for convergence
 	// speed. Permanently stuck devices are never retried — they are
-	// skipped outright. Zero means 2; negative disables retries.
+	// skipped outright. Zero disables retries; negative is rejected.
 	RetryBudget int `json:"retry_budget"`
 	// Seed drives batch shuffling.
 	Seed int64 `json:"-"`
@@ -73,8 +73,9 @@ type Config struct {
 
 // Validate checks the "tuning" section of a scenario spec and reports
 // every violation at once, each prefixed with its JSON field name.
-// TargetAcc is not a section field: the lifetime simulation injects
-// it, and Tune checks it.
+// Every field means what it says, zero included. TargetAcc is not a
+// section field: the lifetime simulation injects it, and Tune checks
+// it.
 func (c Config) Validate() error {
 	var errs []error
 	fail := func(path, format string, args ...any) {
@@ -86,38 +87,19 @@ func (c Config) Validate() error {
 	if c.BatchSize < 1 {
 		fail("batch_size", "must be >= 1, got %d", c.BatchSize)
 	}
-	if c.StepFrac < 0 || c.StepFrac > 1 {
-		fail("step_frac", "must be in [0,1], got %g", c.StepFrac)
+	if c.StepFrac <= 0 || c.StepFrac > 1 {
+		fail("step_frac", "must be in (0,1], got %g", c.StepFrac)
+	}
+	if c.Patience < 1 {
+		fail("patience", "must be >= 1, got %d", c.Patience)
+	}
+	if c.RetryBudget < 0 {
+		fail("retry_budget", "must be non-negative, got %d", c.RetryBudget)
 	}
 	if _, err := ParsePolicy(c.Policy); err != nil {
 		fail("policy", "%v", err)
 	}
 	return errors.Join(errs...)
-}
-
-// Normalized returns the config with every "zero means X" field
-// resolved to its effective value: StepFrac 0 -> 0.25, Patience 0 ->
-// 10 (negative -> effectively disabled), RetryBudget 0 -> 2 (negative
-// -> no retries). Tune applies it on entry, so callers may pass either
-// sparse or resolved configs; the resolved form is what scenario specs
-// serialize (internal/spec.Defaults).
-func (c Config) Normalized() Config {
-	if c.StepFrac == 0 {
-		c.StepFrac = 0.25
-	}
-	switch {
-	case c.Patience == 0:
-		c.Patience = 10
-	case c.Patience < 0:
-		c.Patience = 1 << 30 // effectively disabled
-	}
-	switch {
-	case c.RetryBudget == 0:
-		c.RetryBudget = 2
-	case c.RetryBudget < 0:
-		c.RetryBudget = 0
-	}
-	return c
 }
 
 // Result reports the outcome of one tuning run.
@@ -166,7 +148,6 @@ func Tune(mn *crossbar.MappedNetwork, ds *dataset.Dataset, evalX *tensor.Tensor,
 
 func tune(mn *crossbar.MappedNetwork, ds *dataset.Dataset, evalX *tensor.Tensor, evalY []int, cfg Config) (Result, error) {
 	var res Result
-	cfg = cfg.Normalized()
 	if err := cfg.Validate(); err != nil {
 		return res, fmt.Errorf("tuning: %w", err)
 	}

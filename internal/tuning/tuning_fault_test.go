@@ -22,7 +22,7 @@ func TestRetriedPulsesAccumulateStress(t *testing.T) {
 	mn.Drift(0.15, tensor.NewRNG(4))
 	stressBefore := mn.TotalStress()
 	res, err := Tune(mn, ds, x, y, Config{
-		MaxIters: 4, TargetAcc: 1.0, BatchSize: 16, Patience: -1, RetryBudget: 3,
+		MaxIters: 4, TargetAcc: 1.0, BatchSize: 16, StepFrac: 0.25, Patience: 4, RetryBudget: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -46,22 +46,22 @@ func TestRetriedPulsesAccumulateStress(t *testing.T) {
 	}
 }
 
-// TestNegativeRetryBudgetDisablesRetries: the budget knob must actually
-// gate the retry loop.
-func TestNegativeRetryBudgetDisablesRetries(t *testing.T) {
+// TestZeroRetryBudgetDisablesRetries: the budget knob must actually
+// gate the retry loop, and a budget of zero means no retries.
+func TestZeroRetryBudgetDisablesRetries(t *testing.T) {
 	mn, ds, x, y := fixture(t)
 	if err := mn.SetFaults(fault.Config{TransientProb: 0.95, Seed: 9}); err != nil {
 		t.Fatal(err)
 	}
 	mn.Drift(0.15, tensor.NewRNG(4))
 	res, err := Tune(mn, ds, x, y, Config{
-		MaxIters: 3, TargetAcc: 1.0, BatchSize: 16, Patience: -1, RetryBudget: -1,
+		MaxIters: 3, TargetAcc: 1.0, BatchSize: 16, StepFrac: 0.25, Patience: 3, RetryBudget: 0,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Retries != 0 {
-		t.Fatalf("RetryBudget<0 must disable retries, got %d", res.Retries)
+		t.Fatalf("RetryBudget 0 must disable retries, got %d", res.Retries)
 	}
 }
 
@@ -89,7 +89,7 @@ func TestStuckDevicesSkippedWithoutStress(t *testing.T) {
 	}
 	mn.Drift(0.15, tensor.NewRNG(4))
 	res, err := Tune(mn, ds, x, y, Config{
-		MaxIters: 5, TargetAcc: 1.0, BatchSize: 16, Patience: -1,
+		MaxIters: 5, TargetAcc: 1.0, BatchSize: 16, StepFrac: 0.25, Patience: 5, RetryBudget: 2,
 	})
 	if err != nil {
 		t.Fatal(err)

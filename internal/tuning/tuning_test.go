@@ -43,21 +43,39 @@ func fixture(t *testing.T) (*crossbar.MappedNetwork, *dataset.Dataset, *tensor.T
 	return mn, trainDS, b.X, b.Y
 }
 
+// testConfig is a valid tuning config at the lifetime defaults' step
+// fraction, patience and retry budget.
+func testConfig(maxIters, batchSize int, target float64) Config {
+	return Config{MaxIters: maxIters, TargetAcc: target, BatchSize: batchSize, StepFrac: 0.25, Patience: 10, RetryBudget: 2}
+}
+
 func TestConfigValidation(t *testing.T) {
-	good := Config{MaxIters: 150, TargetAcc: 0.9, BatchSize: 16}
+	good := testConfig(150, 16, 0.9)
 	if err := good.Validate(); err != nil {
 		t.Fatalf("good config rejected: %v", err)
 	}
-	bad := []Config{
-		{MaxIters: 0, TargetAcc: 0.9, BatchSize: 16},
-		{MaxIters: 10, TargetAcc: 0.9, BatchSize: 0},
-		{MaxIters: 10, TargetAcc: 0.9, BatchSize: 16, StepFrac: 2},
-		{MaxIters: 10, TargetAcc: 0.9, BatchSize: 16, Policy: "bogus"},
-	}
-	for i, c := range bad {
+	// Every field means what it says: a zero step fraction or patience
+	// is an error, not a default.
+	for i, mutate := range []func(*Config){
+		func(c *Config) { c.MaxIters = 0 },
+		func(c *Config) { c.BatchSize = 0 },
+		func(c *Config) { c.StepFrac = 2 },
+		func(c *Config) { c.StepFrac = 0 },
+		func(c *Config) { c.Patience = 0 },
+		func(c *Config) { c.Patience = -1 },
+		func(c *Config) { c.RetryBudget = -1 },
+		func(c *Config) { c.Policy = "bogus" },
+	} {
+		c := good
+		mutate(&c)
 		if err := c.Validate(); err == nil {
 			t.Fatalf("case %d: config %+v should be rejected", i, c)
 		}
+	}
+	noRetries := good
+	noRetries.RetryBudget = 0
+	if err := noRetries.Validate(); err != nil {
+		t.Fatalf("retry budget 0 (no retries) must be accepted: %v", err)
 	}
 	// The injected target is not a section field: Validate leaves it to
 	// Tune, which rejects it before touching the network.
@@ -79,7 +97,7 @@ func TestTuneConvergesImmediatelyWhenTargetMet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Tune(mn, ds, x, y, Config{MaxIters: 150, TargetAcc: acc - 0.01, BatchSize: 16})
+	res, err := Tune(mn, ds, x, y, testConfig(150, 16, acc-0.01))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +128,9 @@ func TestTuneRecoversFromPerturbation(t *testing.T) {
 		t.Skipf("drift did not hurt accuracy (%.3f -> %.3f); nothing to recover", baseline, perturbed)
 	}
 
-	res, err := Tune(mn, ds, x, y, Config{MaxIters: 150, TargetAcc: baseline - 0.02, BatchSize: 32, Seed: 2})
+	cfg := testConfig(150, 32, baseline-0.02)
+	cfg.Seed = 2
+	res, err := Tune(mn, ds, x, y, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +150,7 @@ func TestTuneRecoversFromPerturbation(t *testing.T) {
 
 func TestTuneFailsOnImpossibleTarget(t *testing.T) {
 	mn, ds, x, y := fixture(t)
-	res, err := Tune(mn, ds, x, y, Config{MaxIters: 3, TargetAcc: 1.0, BatchSize: 16})
+	res, err := Tune(mn, ds, x, y, testConfig(3, 16, 1.0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +166,7 @@ func TestTuningAgesTheArray(t *testing.T) {
 	mn, ds, x, y := fixture(t)
 	stressBefore := mn.TotalStress()
 	mn.Drift(0.3, tensor.NewRNG(5))
-	res, err := Tune(mn, ds, x, y, Config{MaxIters: 10, TargetAcc: 1.0, BatchSize: 16})
+	res, err := Tune(mn, ds, x, y, testConfig(10, 16, 1.0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,13 +255,13 @@ func BenchmarkPulseThreshold(b *testing.B) {
 func TestStepFracLimitsPulsedDevices(t *testing.T) {
 	mnA, dsA, xA, yA := fixture(t)
 	mnA.Drift(0.08, tensor.NewRNG(6))
-	resA, err := Tune(mnA, dsA, xA, yA, Config{MaxIters: 5, TargetAcc: 0.999, BatchSize: 16, StepFrac: 0.05, Seed: 3})
+	resA, err := Tune(mnA, dsA, xA, yA, Config{MaxIters: 5, TargetAcc: 0.999, BatchSize: 16, StepFrac: 0.05, Patience: 10, RetryBudget: 2, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	mnB, dsB, xB, yB := fixture(t)
 	mnB.Drift(0.08, tensor.NewRNG(6))
-	resB, err := Tune(mnB, dsB, xB, yB, Config{MaxIters: 5, TargetAcc: 0.999, BatchSize: 16, StepFrac: 0.8, Seed: 3})
+	resB, err := Tune(mnB, dsB, xB, yB, Config{MaxIters: 5, TargetAcc: 0.999, BatchSize: 16, StepFrac: 0.8, Patience: 10, RetryBudget: 2, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
